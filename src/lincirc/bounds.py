@@ -95,9 +95,7 @@ class KFreeStatus:
             "k": self.k,
             "kind": self.kind,
             "quantity": self.quantity,
-            "witness": None
-            if self.witness is None
-            else {"rows": list(self.witness.row_idx), "cols": list(self.witness.col_idx)},
+            "witness": None if self.witness is None else self.witness.to_dict(),
             "budget": self.budget,
             "seed": self.seed,
         }

@@ -182,6 +182,16 @@ def is_cancellation_free(c: Circuit) -> bool:
     return supports_disjoint(c)
 
 
+def cancellation_free_flag(flat: Circuit) -> bool:
+    """The cancellation-free flag reported for a fan-in-2 circuit.
+
+    OR circuits admit no cancellation (absorption is not the GF(2)
+    identity), so they report True; XOR circuits get
+    :func:`is_cancellation_free`.
+    """
+    return flat.connective == OR or is_cancellation_free(flat)
+
+
 def supports_disjoint(c: Circuit) -> bool:
     """Children supports disjoint at every gate (any connective).
 

@@ -28,11 +28,11 @@ from . import synthesis as synth_mod
 from .circuits import (
     LayeredCircuit,
     ParseError,
+    cancellation_free_flag,
     depth,
     depth_layered,
     dumps_circuit,
     flatten,
-    is_cancellation_free,
     size_gates,
     size_wires,
     slp_loads,
@@ -48,6 +48,7 @@ from .matrices import (
     gen_random,
     gen_setintersection,
     gen_sierpinski,
+    kfree_enumeration_feasible,
 )
 
 SCHEMA_VERSION = 1
@@ -241,11 +242,7 @@ def cmd_check(args) -> int:
         ok = verify(flat, target)
     except DimensionError:
         ok = False  # wrong shape cannot compute the target
-    cf = (
-        is_cancellation_free(flat)
-        if flat.connective == "XOR"
-        else True  # OR circuits cannot cancel
-    )
+    cf = cancellation_free_flag(flat)
     report = {
         "type": "check",
         "verifies": ok,
@@ -295,7 +292,7 @@ def cmd_bound(args) -> int:
         auto_k = max(1, (mat.rows.bit_length() - 1) * 2)
         if auto_k not in ks:
             ks = ks + (auto_k,)
-    needs_seed = any(_kfree_needs_evidence(mat, k) for k in ks)
+    needs_seed = not all(kfree_enumeration_feasible(mat, k) for k in ks)
     if needs_seed and args.seed is None:
         raise CliError("k-freeness at this size is evidence-based: --seed is required")
     report_obj = bounds_mod.bound_report(
@@ -314,16 +311,6 @@ def cmd_bound(args) -> int:
         human_bits.append(f"sierpinski bound {report_obj.sierpinski_closed_form}")
     _emit_report(report, args, ", ".join(human_bits))
     return EXIT_OK
-
-
-def _kfree_needs_evidence(mat: BitMatrix, k: int) -> bool:
-    import math as _math
-
-    s = k + 1
-    small, large = sorted((mat.rows, mat.cols))
-    if small < s:
-        return False
-    return _math.comb(small, s) * large > 10**9
 
 
 def cmd_census(args) -> int:

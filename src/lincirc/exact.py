@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrices import BitMatrix
+from .matrices import BitMatrix, BudgetExceededError
 from .circuits import XOR, OR, Circuit
 from . import synthesis as _synth
 
@@ -98,7 +98,8 @@ def _witness_from_order(n: int, model: str, sigs: list[int], rows: list[int]) ->
                     break
             if pair:
                 break
-        assert pair is not None, "value is not derivable from its predecessors"
+        if pair is None:
+            raise RuntimeError("value is not derivable from its predecessors")
         gates.append(pair)
     index: dict[int, int] = {}
     for k, v in enumerate(sigs):
@@ -146,8 +147,8 @@ def _order_goal_set(n: int, model: str, extras: list[int]) -> list[int]:
         dead.add(key)
         return False
 
-    ok = rec()
-    assert ok, "goal set admits no derivation order"
+    if not rec():
+        raise RuntimeError("goal set admits no derivation order")
     return sigs
 
 
@@ -292,7 +293,7 @@ def optimal_size(
                         continue
                     visited.add(st2)
                     if len(visited) > max_states:
-                        raise RuntimeError(
+                        raise BudgetExceededError(
                             f"search exceeded {max_states} states; "
                             "raise max_states or lower the limit"
                         )
@@ -379,7 +380,8 @@ def census(n: int) -> CensusReport:
         sizes = {}
         for model in MODELS:
             out = optimal_size(mat, model, limit=9)
-            assert out.optimal_size is not None
+            if out.optimal_size is None:
+                raise RuntimeError(f"census: no {model} circuit within 9 gates")
             sizes[model] = out.optimal_size
             hist = histograms[model]
             hist[out.optimal_size] = hist.get(out.optimal_size, 0) + 1

@@ -142,9 +142,7 @@ class RamseyOutcome:
             "t": self.t,
             "status": self.status,
             "refuted_side": self.refuted_side,
-            "witness": None
-            if self.witness is None
-            else {"rows": list(self.witness.row_idx), "cols": list(self.witness.col_idx)},
+            "witness": None if self.witness is None else self.witness.to_dict(),
             "budget": self.budget,
             "seed": self.seed,
         }
@@ -198,16 +196,10 @@ class TrialReport:
             "kfree": self.kfree.to_dict(),
             "allones_witness": None
             if self.allones_witness is None
-            else {
-                "rows": list(self.allones_witness.row_idx),
-                "cols": list(self.allones_witness.col_idx),
-            },
+            else self.allones_witness.to_dict(),
             "allzeros_witness": None
             if self.allzeros_witness is None
-            else {
-                "rows": list(self.allzeros_witness.row_idx),
-                "cols": list(self.allzeros_witness.col_idx),
-            },
+            else self.allzeros_witness.to_dict(),
             "rank_stats_b": self.rank_stats_b.to_dict(),
             "rank_stats_c": self.rank_stats_c.to_dict(),
             "sylvester_ok": self.sylvester_ok,
@@ -253,14 +245,17 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
         c, krank, config.rank_samples, derive_seed(seed, 7), clipped=clipped
     )
 
+    # Sylvester on B[rows,:] C[:,cols] = A[rows,cols]; rank(C[:,cols]) is
+    # the rank of its transpose, the rows ``cols`` of C^T.
     sylvester_ok = True
+    ct = c.transpose()
     rng = SplitMix64(derive_seed(seed, 8))
     for _ in range(config.rank_samples):
         rows = _sample_indices(rng, n, krank)
         cols = _sample_indices(rng, n, krank)
-        b_sub = _submatrix(b, rows, list(range(inner)))
-        c_sub = _submatrix(c, list(range(inner)), cols)
-        if rank_gf2(mul_gf2(b_sub, c_sub)) < rank_gf2(b_sub) + rank_gf2(c_sub) - inner:
+        rank_b = rank_gf2(BitMatrix(krank, inner, [b.row(i) for i in rows]))
+        rank_c = rank_gf2(BitMatrix(krank, inner, [ct.row(j) for j in cols]))
+        if rank_gf2(_submatrix(a, rows, cols)) < rank_b + rank_c - inner:
             sylvester_ok = False  # would contradict exact linear algebra
 
     fan2 = product_circuit(b, c, "fanin2")

@@ -29,7 +29,7 @@ class DimensionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Exact enumeration refused; use the heuristic finder instead."""
+    """A budget or search limit was reached before an answer was proved."""
 
 
 class BitMatrix:
@@ -327,6 +327,9 @@ class Submatrix(NamedTuple):
     row_idx: tuple[int, ...]
     col_idx: tuple[int, ...]
 
+    def to_dict(self) -> dict:
+        return {"rows": list(self.row_idx), "cols": list(self.col_idx)}
+
 
 class KFreeOutcome(NamedTuple):
     k_free: bool
@@ -368,21 +371,29 @@ def _lowest_bits(mask: int, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def kfree_enumeration_feasible(a: BitMatrix, k: int) -> bool:
+    """Whether :func:`is_k_free_exact` can decide k-freeness: true when
+    the matrix is too small to hold a (k+1) x (k+1) block, or when
+    ``C(min(m,n), k+1) * max(m,n)`` is within :data:`ENUMERATION_BUDGET`."""
+    s = k + 1
+    small, large = sorted((a.rows, a.cols))
+    return small < s or math.comb(small, s) * large <= ENUMERATION_BUDGET
+
+
 def is_k_free_exact(a: BitMatrix, k: int) -> KFreeOutcome:
     """Exact test for a (k+1) x (k+1) all-ones submatrix, by enumeration
     over the smaller dimension.
 
-    Refuses (raises :class:`BudgetExceededError`) when
-    ``C(min(m,n), k+1) * max(m,n)`` exceeds :data:`ENUMERATION_BUDGET`;
-    beyond that, use :func:`find_allones_submatrix` for evidence.
+    Refuses (raises :class:`BudgetExceededError`) where
+    :func:`kfree_enumeration_feasible` is false; beyond that, use
+    :func:`find_allones_submatrix` for evidence.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     s = k + 1
-    small, large = sorted((a.rows, a.cols))
-    if small < s:
+    if min(a.rows, a.cols) < s:
         return KFreeOutcome(True, None)
-    if math.comb(small, s) * large > ENUMERATION_BUDGET:
+    if not kfree_enumeration_feasible(a, k):
         raise BudgetExceededError(
             f"exact {s}x{s} enumeration infeasible for {a.rows}x{a.cols}; "
             "use find_allones_submatrix"
@@ -438,9 +449,9 @@ def find_allones_submatrix(
         if len(chosen) == s:
             rows = tuple(sorted(eligible[t][0] for t in chosen))
             cols = _lowest_bits(acc, s)
-            for i in rows:  # verification: returned witnesses are proofs
-                for j in cols:
-                    assert (a.row(i) >> j) & 1
+            colmask = sum(1 << j for j in cols)  # returned witnesses are proofs
+            if any(a.row(i) & colmask != colmask for i in rows):
+                raise RuntimeError("all-ones witness does not verify")
             return Submatrix(rows, cols)
     return None
 

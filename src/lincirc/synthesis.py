@@ -19,6 +19,7 @@ from typing import Optional
 
 from .matrices import (
     BitMatrix,
+    BudgetExceededError,
     DimensionError,
     gen_setintersection,
     gen_sierpinski,
@@ -32,10 +33,10 @@ from .circuits import (
     AnyCircuit,
     Circuit,
     LayeredCircuit,
+    cancellation_free_flag,
     compose,
     compose_layered,
     flatten,
-    is_cancellation_free,
     size_wires,
     verify,
 )
@@ -69,21 +70,12 @@ class _Builder:
         return Circuit(self.n, self.connective, tuple(self.gates), tuple(outputs))
 
 
-def _cancellation_flag(c: AnyCircuit) -> bool:
-    """OR circuits admit no cancellation (absorption is not the GF(2)
-    identity), so they report True; XOR circuits get the support test."""
-    flat = flatten(c) if isinstance(c, LayeredCircuit) else c
-    if flat.connective == OR:
-        return True
-    return is_cancellation_free(flat)
-
-
 def _result(circuit: AnyCircuit, method: str, target: BitMatrix, **params) -> SynthesisResult:
     flat = flatten(circuit) if isinstance(circuit, LayeredCircuit) else circuit
     if not verify(flat, target):
         raise RuntimeError(f"synthesis bug: {method} output does not verify")
     cost = size_wires(circuit) if isinstance(circuit, LayeredCircuit) else len(circuit.gates)
-    return SynthesisResult(circuit, method, cost, _cancellation_flag(circuit), params)
+    return SynthesisResult(circuit, method, cost, cancellation_free_flag(flat), params)
 
 
 def _row_bits(r: int) -> list[int]:
@@ -259,7 +251,7 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
     while pending:
         steps += 1
         if steps > max_steps:
-            raise RuntimeError(
+            raise BudgetExceededError(
                 "distance-guided greedy stalled; raise cover_node_budget"
             )
         total = sum(dist.values())
@@ -292,7 +284,8 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
             cands.append((total - 1, 0.0, tuple(sorted((idx[cover[0]], idx[cover[1]]))), v))
         s, _, (i, j), v = min(cands)
         sig = b.gate(i, j)
-        assert sig == n + len(b.gates) - 1 and len(base) == sig
+        if len(base) != sig:
+            raise RuntimeError("synthesis bug: bp signal index out of step")
         base.append(v)
         in_base.add(v)
         pending = [t for t in pending if t != v]
@@ -338,16 +331,15 @@ def lupanov(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
     sig_of: dict[int, int] = {}
 
     def build(mask: int) -> int:
-        got = sig_of.get(mask)
-        if got is not None:
-            return got
-        if mask.bit_count() == 1:
-            sig = mask.bit_length() - 1
-        else:
-            high = mask.bit_length() - 1
-            sub = build(mask ^ (1 << high))
-            sig = b.gate(sub, high)
-        sig_of[mask] = sig
+        # A loop, not recursion: a self-referencing closure is a reference
+        # cycle that keeps the builder's gates alive until a full collection.
+        peeled = []
+        while mask not in sig_of and mask.bit_count() > 1:
+            peeled.append(mask)
+            mask ^= 1 << (mask.bit_length() - 1)
+        sig = sig_of.setdefault(mask, mask.bit_length() - 1)
+        for m in reversed(peeled):
+            sig = sig_of[m] = b.gate(sig, m.bit_length() - 1)
         return sig
 
     masks = _blocks(n, width) if n else []
@@ -434,7 +426,8 @@ def sierpinski_circuit(n: int) -> SynthesisResult:
 
     outputs = build(0, n)
     res = _result(b.circuit(outputs), "sierpinski", target)
-    assert res.cost == n * (n.bit_length() - 1) // 2
+    if res.cost != n * (n.bit_length() - 1) // 2:
+        raise RuntimeError("synthesis bug: sierpinski gate count is not (n/2) log2 n")
     return res
 
 

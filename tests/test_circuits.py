@@ -2,7 +2,7 @@ import pytest
 
 import lincirc as lc
 from lincirc import BitMatrix, Circuit, LayeredCircuit, SplitMix64
-from lincirc.circuits import layered_dumps
+from lincirc.circuits import cancellation_free_flag, layered_dumps
 from lincirc.cli import fixtures_dir
 
 
@@ -118,6 +118,9 @@ def test_cancellation_free_requires_xor():
     with pytest.raises(ValueError):
         lc.is_cancellation_free(c)
     assert lc.supports_disjoint(c)
+    # the reported flag: OR circuits cannot cancel, XOR ones get the test
+    assert cancellation_free_flag(Circuit(2, lc.OR, ((0, 1), (0, 2)), (3,)))
+    assert not cancellation_free_flag(Circuit(2, lc.XOR, ((0, 1), (0, 2)), (3,)))
 
 
 def test_cancellation_free_matches_ancestor_definition():

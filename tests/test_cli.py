@@ -1,9 +1,11 @@
+import functools
 import json
 
 import jsonschema
 import pytest
 
 import lincirc as lc
+from lincirc import exact as exact_mod
 from lincirc.cli import fixtures_dir, main, schema_path
 
 
@@ -155,6 +157,14 @@ def test_exact_witness_and_limit(tmp_path, capsys):
         capsys, "exact", "--in", "sierpinski:8", "--model", "xor", "--limit", "5"
     )
     assert code == 3 and report["exceeded"] and report["optimal"] is None
+
+
+def test_exact_state_limit_exits_3(capsys, monkeypatch):
+    tiny = functools.partial(exact_mod.optimal_size, max_states=2)
+    monkeypatch.setattr(exact_mod, "optimal_size", tiny)
+    code, _, err = run(capsys, "exact", "--in", "random:6:6:3", "--model", "xor")
+    assert code == 3
+    assert "exceeded 2 states" in err
 
 
 def test_bound_command(capsys):

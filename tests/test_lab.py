@@ -1,3 +1,7 @@
+import hashlib
+import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -48,6 +52,39 @@ def test_composed_circuits_verify_inside_trials():
     rep = lc.run_experiment(cfg)
     assert all(t.composed_gates > 0 for t in rep.trials)
     assert rep.min_density > 0.3
+
+
+def test_trial_reports_match_pinned_digest():
+    # pins every trial report byte for byte across kfree paths (exact at
+    # n = 16, evidence at n = 32, 64); a change to any number moves it
+    reports = []
+    for n, seed in ((16, 2025), (32, 7), (64, 20131305)):
+        cfg = ExperimentConfig(n=n, master_seed=seed, trials=3)
+        reports += [lc.run_trial(cfg, t).to_dict() for t in range(cfg.trials)]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "2c2ec1ece241e563167e20e7e65619f0082a1d42c5f7bb3fc6fc32bec57dbaa1"
+
+
+def test_trial_computes_each_quantity_once(monkeypatch):
+    # the Sylvester check reads B_sub C_sub off A, and each synthesis
+    # result is flattened once for both verification and its CF flag
+    counted = (lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free)
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {fn: counting(fn) for fn in counted}
+    for name, mod in list(sys.modules.items()):
+        if name == "lincirc" or name.startswith("lincirc."):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[val])
+    lc.run_trial(ExperimentConfig(n=256, master_seed=1), 0)
+    assert calls == {"mul_gf2": 3, "flatten": 3, "verify": 6, "is_cancellation_free": 6}
 
 
 def test_submatrix_rank_stats():

@@ -5,6 +5,7 @@ import sympy
 
 import lincirc as lc
 from lincirc import BitMatrix, SplitMix64
+from lincirc.matrices import kfree_enumeration_feasible
 from conftest import (
     random_bits_matrix,
     ref_det,
@@ -200,6 +201,15 @@ def test_is_k_free_budget_refusal():
     big = lc.ones(4096, 4096)
     with pytest.raises(lc.BudgetExceededError):
         lc.is_k_free_exact(big, 16)
+    assert not kfree_enumeration_feasible(big, 16)
+    assert not kfree_enumeration_feasible(lc.ones(256, 256), 16)
+    assert kfree_enumeration_feasible(lc.ones(16, 16), 8)
+    assert kfree_enumeration_feasible(lc.ones(3, 4096), 16)  # too small for a block
+
+
+def test_submatrix_to_dict():
+    w = lc.Submatrix((0, 2), (1, 3))
+    assert json.dumps(w.to_dict()) == '{"rows": [0, 2], "cols": [1, 3]}'
 
 
 def test_find_allones_submatrix():
