@@ -271,15 +271,17 @@ def cmd_exact(args) -> int:
         "model": model,
         "optimal": out.optimal_size,
         "nodes": out.nodes_expanded,
+        "states": out.peak_states,
         "limit": out.limit,
         "exceeded": out.exceeded,
     }
     if out.witness is not None and args.emit_witness:
         Path(args.emit_witness).write_text(dumps_circuit(out.witness))
+    effort = f"{out.nodes_expanded} nodes, {out.peak_states} states"
     human = (
-        f"optimal {model} size {out.optimal_size} ({out.nodes_expanded} nodes)"
+        f"optimal {model} size {out.optimal_size} ({effort})"
         if not out.exceeded
-        else f"no circuit within {out.limit} gates ({out.nodes_expanded} nodes)"
+        else f"no circuit within {out.limit} gates ({effort})"
     )
     _emit_report(report, args, human)
     return EXIT_BUDGET if out.exceeded else EXIT_OK

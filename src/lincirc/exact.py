@@ -16,18 +16,27 @@ budget with only sound pruning:
 * signal sets are canonical states (a candidate is never 0 and never a
   value already present) and each set is expanded at most once per
   iteration, at its first (hence shallowest) depth;
-* in the CF and OR models, the derivation cone of a target uses only
-  signals under it, and those only combine among themselves, so a
-  missing target must equal the union of the present signals under it;
+* in the CF and OR models, candidates are only nonzero submasks of some
+  target (under-target pruning).  There a signal is a subset of every
+  signal derived from it.  A goal set at the optimal budget that held a
+  value under no target could therefore drop that value, and everything
+  derived from it, and still reach every target: a smaller solution, but
+  every smaller budget was already exhausted.  Every state on the path to
+  such a goal set is a subset of it, so every one of them survives the
+  filter, in the same breadth-first order; the first goal found, and so
+  the witness, is the one the unfiltered sweep finds;
 * a cancellation-free heuristic circuit caps the optimum in all three
   models (it reads as an XOR and as an OR circuit for the same matrix),
   so iteration stops at that cost minus one.
 
-States are encoded as bitmasks over the 2^n value universe when n is
-small enough for that to pay (the interesting searches all are), and as
-frozen value sets beyond.  Expansion order is fixed -- candidate values
-ascending, missing targets first under a tight budget -- which makes
-``nodes_expanded`` and the returned witness deterministic.
+A state is one int, a bitmask over the 2^n value universe (bit v set when
+value v is present).  Each frontier entry carries that mask, the mask of
+candidate values derivable from it and the tuple of present signals, so
+a child costs one pass over that tuple and the signals are never decoded
+from the mask.  A mask has 2^n bits, so inputs are capped at 16 columns;
+every search that finishes is far below that.  Expansion order is fixed
+-- candidate values ascending, missing targets first under a tight budget
+-- which makes ``nodes_expanded`` and the returned witness deterministic.
 """
 
 from __future__ import annotations
@@ -45,21 +54,8 @@ OR_MODEL = "OR"
 MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
-_MASK_MODE_MAX_INPUTS = 14
+_MAX_INPUTS = 16
 _DEFAULT_MAX_STATES = 50_000_000
-
-_BYTE_BITS = [tuple(j for j in range(8) if (b >> j) & 1) for b in range(256)]
-
-
-def _iter_bits(mask: int):
-    base = 0
-    while mask:
-        byte = mask & 0xFF
-        if byte:
-            for j in _BYTE_BITS[byte]:
-                yield base + j
-        mask >>= 8
-        base += 8
 
 
 @dataclass(frozen=True)
@@ -70,6 +66,7 @@ class SearchOutcome:
     witness: Optional[Circuit]
     nodes_expanded: int
     limit: int
+    peak_states: int = 0  # largest visited-state set of any one sweep
 
 
 def _combine(model: str):
@@ -108,46 +105,46 @@ def _witness_from_order(n: int, model: str, sigs: list[int], rows: list[int]) ->
     return Circuit(n, OR if model == OR_MODEL else XOR, tuple(gates), outputs)
 
 
+def _producible(sigs: list[int], v: int, op, cf: bool) -> bool:
+    k = len(sigs)
+    for i in range(k):
+        vi = sigs[i]
+        for j in range(i + 1, k):
+            if cf and vi & sigs[j]:
+                continue
+            if op(vi, sigs[j]) == v:
+                return True
+    return False
+
+
+def _place_extras(sigs: list[int], remaining: list[int], dead: set, op, cf: bool) -> bool:
+    """Depth-first step of :func:`_order_goal_set`.  Module-level, not a
+    nested function: a self-referencing closure is a reference cycle that
+    keeps its frames' lists alive until a full collection."""
+    if not remaining:
+        return True
+    key = frozenset(remaining)
+    if key in dead:
+        return False
+    for v in list(remaining):
+        if _producible(sigs, v, op, cf):
+            remaining.remove(v)
+            sigs.append(v)
+            if _place_extras(sigs, remaining, dead, op, cf):
+                return True
+            sigs.pop()
+            remaining.append(v)
+            remaining.sort()
+    dead.add(key)
+    return False
+
+
 def _order_goal_set(n: int, model: str, extras: list[int]) -> list[int]:
     """Topologically order a goal signal set: repeatedly add an extra
     value derivable from the units plus the extras already placed.  A
     set reached by the search always admits such an order."""
-    op = _combine(model)
-    cf = model == CF_MODEL
     sigs = [1 << i for i in range(n)]
-    remaining = sorted(extras)
-    dead: set[frozenset] = set()
-
-    def producible(v: int) -> bool:
-        k = len(sigs)
-        for i in range(k):
-            vi = sigs[i]
-            for j in range(i + 1, k):
-                if cf and vi & sigs[j]:
-                    continue
-                if op(vi, sigs[j]) == v:
-                    return True
-        return False
-
-    def rec() -> bool:
-        if not remaining:
-            return True
-        key = frozenset(remaining)
-        if key in dead:
-            return False
-        for v in list(remaining):
-            if producible(v):
-                remaining.remove(v)
-                sigs.append(v)
-                if rec():
-                    return True
-                sigs.pop()
-                remaining.append(v)
-                remaining.sort()
-        dead.add(key)
-        return False
-
-    if not rec():
+    if not _place_extras(sigs, sorted(extras), set(), _combine(model), model == CF_MODEL):
         raise RuntimeError("goal set admits no derivation order")
     return sigs
 
@@ -161,6 +158,80 @@ def _heuristic_upper_bound(a: BitMatrix) -> tuple[int, Circuit]:
     return best.cost, best.circuit
 
 
+def _submasks(t: int, n: int) -> int:
+    """Bitmask over the 2^n value universe of every submask of ``t``
+    (zero included), doubled once per set bit of ``t``."""
+    m = 1
+    for i in range(n):
+        if (t >> i) & 1:
+            m |= m << (1 << i)
+    return m
+
+
+def _sweep(
+    root: tuple[int, int, tuple[int, ...]],
+    budget: int,
+    model: str,
+    tmask: int,
+    allowed: int,
+    max_states: int,
+) -> tuple[Optional[tuple[int, ...]], int, int]:
+    """Breadth-first exhaust at one budget.
+
+    A frontier entry is ``(state mask, candidate mask, signal tuple)``;
+    candidates are masked to ``allowed`` and never hold a present value.
+    Returns the goal's signals (units first, then the added values in
+    order) or None, the nodes expanded and the number of visited states.
+    """
+    xor = model == XOR_MODEL
+    cf = model == CF_MODEL
+    visited = {root[0]}
+    level = [root]
+    nodes = 0
+    for depth_used in range(budget):
+        rem = budget - depth_used
+        nxt = []
+        for st, cands, sigs in level:
+            nodes += 1
+            miss_mask = tmask & ~st
+            miss = miss_mask.bit_count()
+            use = cands & miss_mask if miss == rem else cands
+            while use:
+                low = use & -use
+                use ^= low
+                st2 = st | low
+                if st2 in visited:
+                    continue
+                v = low.bit_length() - 1
+                miss2 = miss - ((tmask >> v) & 1)
+                if miss2 == 0:
+                    return sigs + (v,), nodes, len(visited)
+                if miss2 >= rem:
+                    continue
+                visited.add(st2)
+                if len(visited) > max_states:
+                    raise BudgetExceededError(
+                        f"search exceeded {max_states} states; "
+                        "raise max_states or lower the limit"
+                    )
+                extra = 0
+                if xor:
+                    for s in sigs:
+                        extra |= 1 << (v ^ s)
+                elif cf:
+                    for s in sigs:
+                        if not v & s:  # disjoint, so XOR equals OR
+                            extra |= 1 << (v | s)
+                else:
+                    for s in sigs:
+                        extra |= 1 << (v | s)
+                nxt.append((st2, (cands | extra) & allowed & ~st2, sigs + (v,)))
+        if not nxt:
+            break
+        level = nxt
+    return None, nodes, len(visited)
+
+
 def optimal_size(
     a: BitMatrix,
     model: str,
@@ -170,18 +241,26 @@ def optimal_size(
     """Smallest circuit size for ``a`` in the given model, established by
     exhausting all smaller sizes (up to ``limit`` gates).
 
-    The outcome carries a verified witness and the node count of the
-    deterministic sequential sweep.
+    The outcome carries a verified witness, the node count of the
+    deterministic sequential sweep and the largest visited-state set of
+    any one sweep.  ``a`` may have at most 16 columns (a state is a
+    bitmask over the 2^n possible signal values); wider input raises
+    ``ValueError`` before any work is done.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     n = a.cols
+    if n > _MAX_INPUTS:
+        raise ValueError(
+            f"exact search takes at most {_MAX_INPUTS} columns "
+            f"(a state is a 2^n-bit mask); got {n}"
+        )
     rows = [a.row(i) for i in range(a.rows)]
-    units = [1 << i for i in range(n)]
+    units = tuple(1 << i for i in range(n))
     unit_set = set(units)
     targets = sorted({r for r in rows if r and r not in unit_set})
     if not targets:
-        witness = _witness_from_order(n, model, units, rows)
+        witness = _witness_from_order(n, model, list(units), rows)
         return SearchOutcome(model, 0, False, witness, 0, limit)
 
     ub_cost, ub_circuit = _heuristic_upper_bound(a)
@@ -190,148 +269,39 @@ def optimal_size(
         # same matrix
         ub_circuit = Circuit(n, OR, ub_circuit.gates, ub_circuit.outputs)
 
-    or_model = model == OR_MODEL
-    cf = model == CF_MODEL
-    cover_check = or_model or cf
-    mask_mode = n <= _MASK_MODE_MAX_INPUTS
-    op = _combine(model)
-
     tmask = 0
     for t in targets:
         tmask |= 1 << t
     state0 = 0
     for u in units:
         state0 |= 1 << u
+    if model == XOR_MODEL:
+        allowed = (1 << (1 << n)) - 2  # every nonzero value
+    else:
+        allowed = 0
+        for t in targets:
+            allowed |= _submasks(t, n)
+        allowed &= ~1
+    # the units are disjoint, so every model combines two into their union
+    cands0 = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            cands0 |= 1 << (units[i] | units[j])
+    root = (state0, cands0 & allowed, units)
 
-    def cand_mask_of(sigs: list[int]) -> int:
-        m = 0
-        k = len(sigs)
-        for i in range(k):
-            vi = sigs[i]
-            for j in range(i + 1, k):
-                vj = sigs[j]
-                if cf and vi & vj:
-                    continue
-                m |= 1 << op(vi, vj)
-        return m
-
-    def cand_set_of(sigs: list[int]) -> set[int]:
-        out = set()
-        k = len(sigs)
-        for i in range(k):
-            vi = sigs[i]
-            for j in range(i + 1, k):
-                vj = sigs[j]
-                if cf and vi & vj:
-                    continue
-                out.add(op(vi, vj))
-        return out
-
-    def covered(sig_list, miss_iter) -> bool:
-        for t in miss_iter:
-            u = 0
-            for s in sig_list:
-                if s & ~t == 0:
-                    u |= s
-            if u != t:
-                return False
-        return True
-
-    nodes = 0
-    target_set = set(targets)
-
-    def sweep(budget: int) -> Optional[list[int]]:
-        """Breadth-first exhaust at one budget; returns the goal signal
-        values (unordered) or None."""
-        nonlocal nodes
-        if mask_mode:
-            root = (state0, cand_mask_of(units) & ~state0 & ~1)
-            visited = {state0}
-        else:
-            root_key = frozenset(units)
-            root = (root_key, cand_set_of(units) - root_key - {0})
-            visited = {root_key}
-        level = [root]
-        for depth_used in range(budget):
-            rem = budget - depth_used
-            nxt = []
-            for st, cands in level:
-                nodes += 1
-                if mask_mode:
-                    sig_list = list(_iter_bits(st))
-                    miss_mask = tmask & ~st
-                    miss = miss_mask.bit_count()
-                    use = cands & miss_mask if miss == rem else cands
-                    cand_values = _iter_bits(use)
-                else:
-                    sig_list = sorted(st)
-                    missing = target_set - st
-                    miss = len(missing)
-                    pool = cands & missing if miss == rem else cands
-                    cand_values = sorted(pool)
-                for v in cand_values:
-                    if mask_mode:
-                        st2 = st | (1 << v)
-                        if st2 in visited:
-                            continue
-                        miss2_mask = tmask & ~st2
-                        miss2 = miss2_mask.bit_count()
-                    else:
-                        st2 = st | {v}
-                        st2 = frozenset(st2)
-                        if st2 in visited:
-                            continue
-                        miss2 = len(target_set - st2)
-                    if miss2 == 0:
-                        return sig_list + [v]
-                    if miss2 > rem - 1:
-                        continue
-                    if cover_check and not covered(
-                        sig_list + [v],
-                        _iter_bits(miss2_mask) if mask_mode else target_set - st2,
-                    ):
-                        continue
-                    visited.add(st2)
-                    if len(visited) > max_states:
-                        raise BudgetExceededError(
-                            f"search exceeded {max_states} states; "
-                            "raise max_states or lower the limit"
-                        )
-                    if mask_mode:
-                        extra = 0
-                        for s in sig_list:
-                            if cf and v & s:
-                                continue
-                            extra |= 1 << op(v, s)
-                        nxt.append((st2, (cands | extra) & ~st2 & ~1))
-                    else:
-                        extra = {
-                            op(v, s)
-                            for s in sig_list
-                            if not (cf and v & s)
-                        }
-                        nxt.append((st2, (cands | extra) - st2 - {0}))
-            if not nxt:
-                return None
-            level = nxt
-        return None
-
-    lb = len(targets)
-    if cover_check and not covered(units, targets):
-        # some target is not a union of inputs under it: impossible in
-        # this model at any size (never happens for 0/1 rows over the
-        # full input set, but keep the search honest)
-        return SearchOutcome(model, None, True, None, 0, limit)
-    for budget in range(lb, min(limit, ub_cost - 1) + 1):
-        goal = sweep(budget)
+    nodes = peak = 0
+    for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
+        goal, swept, seen = _sweep(root, budget, model, tmask, allowed, max_states)
+        nodes += swept
+        peak = max(peak, seen)
         if goal is not None:
-            extras = [v for v in goal if v not in unit_set]
+            extras = list(goal[n:])
             sigs = _order_goal_set(n, model, extras)
             witness = _witness_from_order(n, model, sigs, rows)
-            return SearchOutcome(model, len(extras), False, witness, nodes, limit)
+            return SearchOutcome(model, len(extras), False, witness, nodes, limit, peak)
     if ub_cost <= limit:
-        return SearchOutcome(model, ub_cost, False, ub_circuit, nodes, limit)
-    return SearchOutcome(model, None, True, None, nodes, limit)
+        return SearchOutcome(model, ub_cost, False, ub_circuit, nodes, limit, peak)
+    return SearchOutcome(model, None, True, None, nodes, limit, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -336,24 +336,25 @@ class KFreeOutcome(NamedTuple):
     witness: Optional[Submatrix]
 
 
+def _allones_rows(rows: list[int], s: int, start: int, depth: int, acc: int) -> Optional[list[int]]:
+    """Depth-first step of :func:`_first_allones`.  Module-level, not a
+    nested function: a self-referencing closure is a reference cycle."""
+    if depth == s:
+        return []
+    for i in range(start, len(rows) - (s - depth) + 1):
+        inter = acc & rows[i]
+        if inter.bit_count() >= s:
+            rest = _allones_rows(rows, s, i + 1, depth + 1, inter)
+            if rest is not None:
+                return [i] + rest
+    return None
+
+
 def _first_allones(rows: list[int], s: int) -> Optional[tuple[list[int], int]]:
     """Lexicographically first choice of ``s`` rows whose AND keeps >= s
     ones; returns (row indices, AND mask) or None."""
-    m = len(rows)
-
-    def rec(start: int, depth: int, acc: int) -> Optional[list[int]]:
-        if depth == s:
-            return []
-        for i in range(start, m - (s - depth) + 1):
-            inter = acc & rows[i]
-            if inter.bit_count() >= s:
-                rest = rec(i + 1, depth + 1, inter)
-                if rest is not None:
-                    return [i] + rest
-        return None
-
     full = -1  # all-ones sentinel; AND with first row clips it
-    got = rec(0, 0, full)
+    got = _allones_rows(rows, s, 0, 0, full)
     if got is None:
         return None
     acc = full

@@ -174,6 +174,40 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
 
 
+class _DisjointCoverSearch:
+    """Branch-and-bound state of :func:`_min_disjoint_cover`.  A class,
+    not a nested recursive function: a self-referencing closure is a
+    reference cycle that keeps its state alive until a full collection."""
+
+    def __init__(self, by_bit: dict[int, list[int]], max_w: int, best_size: int, node_budget: int):
+        self.by_bit = by_bit
+        self.max_w = max_w
+        self.best: list[int] = []
+        self.best_size = best_size
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.exact = True
+
+    def rec(self, remaining: int, used: list[int]) -> None:
+        if not remaining:
+            if len(used) < self.best_size:
+                self.best_size = len(used)
+                self.best = used[:]
+            return
+        if len(used) + (remaining.bit_count() + self.max_w - 1) // self.max_w >= self.best_size:
+            return
+        if self.nodes >= self.node_budget:
+            self.exact = False
+            return
+        self.nodes += 1
+        bit = (remaining & -remaining).bit_length() - 1
+        for v in self.by_bit.get(bit, ()):
+            if v & ~remaining == 0:
+                used.append(v)
+                self.rec(remaining & ~v, used)
+                used.pop()
+
+
 def _min_disjoint_cover(
     target: int, base_values: list[int], node_budget: int
 ) -> tuple[list[int], bool]:
@@ -194,33 +228,9 @@ def _min_disjoint_cover(
         vs.sort(key=lambda v: (-v.bit_count(), v))
     max_w = max(v.bit_count() for vs in by_bit.values() for v in vs)
 
-    best: list[int] = []
-    best_size = target.bit_count() + 1
-    nodes = 0
-    exact = True
-
-    def rec(remaining: int, used: list[int]) -> None:
-        nonlocal best, best_size, nodes, exact
-        if not remaining:
-            if len(used) < best_size:
-                best_size = len(used)
-                best = used[:]
-            return
-        if len(used) + (remaining.bit_count() + max_w - 1) // max_w >= best_size:
-            return
-        if nodes >= node_budget:
-            exact = False
-            return
-        nodes += 1
-        bit = (remaining & -remaining).bit_length() - 1
-        for v in by_bit.get(bit, ()):
-            if v & ~remaining == 0:
-                used.append(v)
-                rec(remaining & ~v, used)
-                used.pop()
-
-    rec(target, [])
-    return best, exact
+    search = _DisjointCoverSearch(by_bit, max_w, target.bit_count() + 1, node_budget)
+    search.rec(target, [])
+    return search.best, search.exact
 
 
 def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisResult:
@@ -410,21 +420,24 @@ def lupanov_depth2(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
 # Explicit families and transforms
 
 
+def _sierpinski_build(b: _Builder, lo: int, size: int) -> list[int]:
+    """Signals of S_size on inputs lo..lo+size-1: the top half's, then
+    each top signal combined with its bottom twin.  Module-level, not a
+    nested function: a self-referencing closure is a reference cycle."""
+    if size == 1:
+        return [lo]
+    half = size // 2
+    top = _sierpinski_build(b, lo, half)
+    bottom = _sierpinski_build(b, lo + half, half)
+    return top + [b.gate(top[i], bottom[i]) for i in range(half)]
+
+
 def sierpinski_circuit(n: int) -> SynthesisResult:
     """Divide-and-conquer circuit for the Sierpinski matrix: exactly
     (n/2) * log2(n) gates, cancellation-free."""
     target = gen_sierpinski(n)
     b = _Builder(n, XOR)
-
-    def build(lo: int, size: int) -> list[int]:
-        if size == 1:
-            return [lo]
-        half = size // 2
-        top = build(lo, half)
-        bottom = build(lo + half, half)
-        return top + [b.gate(top[i], bottom[i]) for i in range(half)]
-
-    outputs = build(0, n)
+    outputs = _sierpinski_build(b, 0, n)
     res = _result(b.circuit(outputs), "sierpinski", target)
     if res.cost != n * (n.bit_length() - 1) // 2:
         raise RuntimeError("synthesis bug: sierpinski gate count is not (n/2) log2 n")

@@ -144,6 +144,9 @@ def test_exact_command(capsys):
     code, report, _ = run_json(capsys, "exact", "--in", "exampleA", "--model", "cf")
     assert code == 0
     assert report["optimal"] == 5 and report["model"] == "CF"
+    assert report["states"] > 0
+    code, out, _ = run(capsys, "exact", "--in", "exampleA", "--model", "cf")
+    assert f"{report['states']} states" in out
 
 
 def test_exact_witness_and_limit(tmp_path, capsys):
@@ -165,6 +168,12 @@ def test_exact_state_limit_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "exact", "--in", "random:6:6:3", "--model", "xor")
     assert code == 3
     assert "exceeded 2 states" in err
+
+
+def test_exact_refuses_more_than_16_columns(capsys):
+    code, _, err = run(capsys, "exact", "--in", "random:2:17:1", "--model", "xor")
+    assert code == 2
+    assert "at most 16 columns" in err
 
 
 def test_bound_command(capsys):

@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lincirc as lc
 from lincirc import BitMatrix, SplitMix64
@@ -110,32 +114,41 @@ def test_search_is_deterministic():
     assert a.witness == b.witness
 
 
-def test_mask_and_set_state_encodings_agree(monkeypatch):
+def test_search_outputs_match_pinned_digest():
+    # optima, witnesses and XOR node counts as the search gave them before
+    # under-target pruning and the one-mask state encoding; CF and OR node
+    # counts are left out because that pruning lowers them
     rng = SplitMix64(43)
     mats = [lc.example_a(), lc.gen_sierpinski(4)]
     mats += [random_bits_matrix(rng, 4, 4) for _ in range(8)]
-    results = []
-    for m in mats:
-        results.append([lc.optimal_size(m, model) for model in lc.MODELS])
-    monkeypatch.setattr(exact_mod, "_MASK_MODE_MAX_INPUTS", 0)
-    for m, expected in zip(mats, results):
-        for model, exp in zip(lc.MODELS, expected):
-            got = lc.optimal_size(m, model)
-            assert got.optimal_size == exp.optimal_size
-            assert got.nodes_expanded == exp.nodes_expanded
-            assert got.witness == exp.witness
+    outs = [lc.optimal_size(m, model) for m in mats for model in lc.MODELS]
+    got = [(o.optimal_size, o.witness.gates, o.witness.outputs) for o in outs]
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "0685b1b6baae67606b587cf1435f5aa3fc280d43367347686ae256c29497d37f"
+    xor_nodes = [o.nodes_expanded for o in outs if o.model == "XOR"]
+    assert xor_nodes == [4, 4, 1, 0, 0, 1, 3, 2, 3, 2]
 
 
-def test_wide_input_search_uses_set_states():
-    # 16 inputs is past the value-universe-mask threshold; the padded
-    # 4-row pattern still has XOR optimum 4 via cancellation, below the
-    # heuristic upper bound, so the sweep itself must run
+def test_sixteen_column_input_still_solves():
+    # the padded 4-row pattern still has XOR optimum 4 via cancellation,
+    # below the heuristic upper bound, so the sweep itself must run
     rows = [r for r in lc.example_a()._data]
     m = BitMatrix(4, 16, rows)
     out = lc.optimal_size(m, "XOR")
     assert out.optimal_size == 4
+    assert out.peak_states > 0
     assert lc.verify(out.witness, m)
     assert lc.optimal_size(m, "CF").optimal_size == 5
+
+
+def test_wider_input_is_refused_before_any_work(monkeypatch):
+    def no_work(a):
+        raise AssertionError("upper bound computed for a refused input")
+
+    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", no_work)
+    m = BitMatrix(2, 17, [3, 5])
+    with pytest.raises(ValueError, match="at most 16 columns"):
+        lc.optimal_size(m, "XOR")
 
 
 @pytest.mark.long
@@ -163,6 +176,56 @@ def test_validated_against_unpruned_search():
         m = random_bits_matrix(rng, 4, 4)
         for model in lc.MODELS:
             assert lc.optimal_size(m, model).optimal_size == _reference_optimum(m, model)
+
+
+def _row_column_classes(n: int) -> list[BitMatrix]:
+    """One matrix per class of n x n 0/1 matrices under row and column
+    permutation: the least sorted row tuple over all column orders."""
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    for rows in itertools.combinations_with_replacement(range(1 << n), n):
+        seen.add(min(
+            tuple(sorted(sum(((r >> j) & 1) << p[j] for j in range(n)) for r in rows))
+            for p in perms
+        ))
+    return [BitMatrix(n, n, list(key)) for key in sorted(seen)]
+
+
+def test_validated_against_unpruned_search_all_4x4_classes():
+    classes = _row_column_classes(4)
+    assert len(classes) == 317
+    for m in classes:
+        for model in lc.MODELS:
+            assert lc.optimal_size(m, model).optimal_size == _reference_optimum(m, model)
+
+
+@st.composite
+def _matrix_and_permuted(draw):
+    n = draw(st.sampled_from((4, 5)))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    row_order = draw(st.permutations(range(n)))
+    col_of = draw(st.permutations(range(n)))
+    moved = [sum(((rows[i] >> j) & 1) << col_of[j] for j in range(n)) for i in row_order]
+    return BitMatrix(n, n, rows), BitMatrix(n, n, moved)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_matrix_and_permuted())
+def test_optima_invariant_under_row_and_column_permutation(pair):
+    a, moved = pair
+    for model in lc.MODELS:
+        out = lc.optimal_size(moved, model)
+        assert out.optimal_size == lc.optimal_size(a, model).optimal_size
+        assert lc.verify(out.witness, moved)
+
+
+def test_xor_optimum_may_need_a_signal_under_no_target():
+    # cancellation lets XOR use a value that is no submask of any row, so
+    # under-target pruning is sound only in CF and OR: restricted to
+    # submasks, this XOR search would report 7
+    m = BitMatrix(5, 5, [13, 24, 22, 10, 3])
+    assert lc.optimal_size(m, "XOR").optimal_size == _reference_optimum(m, "XOR") == 6
+    assert lc.optimal_size(m, "CF").optimal_size == 7
 
 
 @pytest.mark.long

@@ -1,4 +1,5 @@
 import ast
+import gc
 from pathlib import Path
 
 import lincirc
@@ -15,3 +16,26 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_recursive_searches_leave_no_reference_cycles():
+    # a self-referencing closure is a reference cycle: what it holds lives
+    # until a full collection, which large runs pay for in peak memory
+    calls = [
+        lambda: lincirc.boyar_peralta(lincirc.gen_random(9, 9, 3)),
+        lambda: lincirc.sierpinski_circuit(256),
+        lambda: lincirc.is_k_free_exact(lincirc.gen_random(12, 12, 5), 2),
+        lambda: lincirc.optimal_size(lincirc.example_a(), "XOR"),
+    ]
+    for call in calls:
+        call()  # first calls may build lazily cached state
+    gc.collect()
+    gc.disable()
+    try:
+        leaked = []
+        for call in calls:
+            call()
+            leaked.append(gc.collect())
+    finally:
+        gc.enable()
+    assert leaked == [0, 0, 0, 0]
