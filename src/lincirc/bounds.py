@@ -21,6 +21,7 @@ from .matrices import (
     BitMatrix,
     BudgetExceededError,
     DimensionError,
+    EVIDENCE_BUDGET,
     Submatrix,
     det_int,
     find_allones_submatrix,
@@ -102,7 +103,7 @@ class KFreeStatus:
 
 
 def kfree_quantity(
-    a: BitMatrix, k: int, evidence_budget: int = 50_000, seed: int = 0
+    a: BitMatrix, k: int, evidence_budget: int = EVIDENCE_BUDGET, seed: int = 0
 ) -> KFreeStatus:
     """Establish k-freeness (exactly where enumeration is feasible,
     otherwise as budgeted no-counterexample evidence) and report the raw
@@ -176,7 +177,7 @@ def bound_report(
     a: BitMatrix,
     kfree_ks: tuple[int, ...] = (),
     kst_a: Optional[int] = None,
-    evidence_budget: int = 50_000,
+    evidence_budget: int = EVIDENCE_BUDGET,
     seed: int = 0,
 ) -> BoundReport:
     """Aggregate every applicable certificate with provenance notes."""

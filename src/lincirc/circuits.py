@@ -14,11 +14,14 @@ Semantics are exact: the value vector of a signal is the bitmask of input
 variables feeding it, computed in one forward pass, and verification
 compares value vectors against the target matrix -- no sampling.
 
-Text formats: the fan-in-2 SLP format is one ``t<k> = <ref> + <ref>``
-line per gate under an ``inputs <n> connective <XOR|OR>`` header, with a
+Text format: one grammar for both IRs.  An ``inputs <n> connective
+<XOR|OR>`` header, one ``t<k> = <ref> + <ref> ...`` line per gate, and one
 trailing ``outputs: y1=<ref> ...`` block ('0' marks a constant-zero
-output).  Layered circuits use the same shape with a ``layered`` header
-word, ``layer <d>`` section markers and two-or-more operands per gate.
+output).  A ``layered`` header word makes the gates fall into sections,
+each opened by a ``layer <d>`` marker, whose operands lie strictly below
+the gate's layer; without it the text is a fan-in-2 SLP: no markers and
+exactly two operands per gate.  One writer emits both, a flat circuit
+being a single unmarked layer.
 """
 
 from __future__ import annotations
@@ -231,6 +234,26 @@ def depth_layered(layered: LayeredCircuit) -> int:
 # Transformations
 
 
+class _Builder:
+    """Appends fan-in-2 gates to a circuit under construction; ``gate``
+    returns the new gate's signal number."""
+
+    __slots__ = ("n", "connective", "gates")
+
+    def __init__(self, n: int, connective: str, gates: Sequence[tuple[int, int]] = ()):
+        self.n = n
+        self.connective = connective
+        self.gates: list[tuple[int, int]] = list(gates)
+
+    def gate(self, a: int, b: int) -> int:
+        self.gates.append((a, b))
+        return self.n + len(self.gates) - 1
+
+    def circuit(self, outputs) -> Circuit:
+        outputs = tuple(outputs)  # first: ``outputs`` may still emit gates
+        return Circuit(self.n, self.connective, tuple(self.gates), outputs)
+
+
 @dataclass(frozen=True)
 class EliminationResult:
     """Outcome of restricting inputs to zero and cascading gate removal."""
@@ -342,71 +365,61 @@ def compose_layered(outer: LayeredCircuit, inner: LayeredCircuit) -> LayeredCirc
 def flatten(layered: LayeredCircuit) -> Circuit:
     """Expand fan-in-k gates into k-1 fan-in-2 gates (balanced,
     left-to-right pairwise rounds); fan-in-1 gates become forwarding."""
-    n = layered.n_inputs
-    sigmap: list[int] = list(range(n))
-    gates: list[tuple[int, int]] = []
-
-    def emit(a: int, b: int) -> int:
-        gates.append((a, b))
-        return n + len(gates) - 1
-
+    b = _Builder(layered.n_inputs, layered.connective)
+    emit = b.gate
+    sigmap: list[int] = list(range(layered.n_inputs))
     for layer in layered.layers:
         for ops in layer:
             level = [sigmap[r] for r in ops]
             while len(level) > 1:
-                nxt = [
+                level = [
                     emit(level[i], level[i + 1]) if i + 1 < len(level) else level[i]
                     for i in range(0, len(level), 2)
                 ]
-                level = nxt
             sigmap.append(level[0])
-    outputs = tuple(None if o is None else sigmap[o] for o in layered.outputs)
-    return Circuit(n, layered.connective, tuple(gates), outputs)
+    return b.circuit(None if o is None else sigmap[o] for o in layered.outputs)
 
 
 # ---------------------------------------------------------------------------
 # SLP text format
 
 
-def _ref_name(ref: Optional[int], n_inputs: int) -> str:
-    if ref is None:
-        return "0"
-    if ref < n_inputs:
-        return f"x{ref + 1}"
-    return f"t{ref - n_inputs + 1}"
+def _write(
+    n_inputs: int,
+    connective: str,
+    layers: Sequence[Sequence[Sequence[int]]],
+    outputs: Sequence[Optional[int]],
+    layered: bool,
+) -> str:
+    """The one writer: a flat circuit is one layer without its marker."""
+    n_gates = sum(map(len, layers))
+    names = [f"x{i + 1}" for i in range(n_inputs)] + [f"t{k + 1}" for k in range(n_gates)]
+    name = names.__getitem__
+    lines = [f"inputs {n_inputs} connective {connective}" + (" layered" if layered else "")]
+    g = n_inputs
+    for d, layer in enumerate(layers):
+        if layered:
+            lines.append(f"layer {d + 1}")
+        for ops in layer:
+            lines.append(f"{names[g]} = {' + '.join(map(name, ops))}")
+            g += 1
+    outs = " ".join(
+        f"y{i + 1}={'0' if o is None else names[o]}" for i, o in enumerate(outputs)
+    )
+    lines.append(f"outputs: {outs}")
+    return "\n".join(lines) + "\n"
 
 
 def slp_dumps(c: Circuit) -> str:
-    lines = [f"inputs {c.n_inputs} connective {c.connective}"]
-    for k, (a, b) in enumerate(c.gates):
-        lines.append(
-            f"t{k + 1} = {_ref_name(a, c.n_inputs)} + {_ref_name(b, c.n_inputs)}"
-        )
-    outs = " ".join(
-        f"y{i + 1}={_ref_name(o, c.n_inputs)}" for i, o in enumerate(c.outputs)
-    )
-    lines.append(f"outputs: {outs}")
-    return "\n".join(lines) + "\n"
+    return _write(c.n_inputs, c.connective, (c.gates,), c.outputs, False)
 
 
 def layered_dumps(layered: LayeredCircuit) -> str:
-    lines = [f"inputs {layered.n_inputs} connective {layered.connective} layered"]
-    gid = 0
-    for d, layer in enumerate(layered.layers):
-        lines.append(f"layer {d + 1}")
-        for ops in layer:
-            gid += 1
-            rhs = " + ".join(_ref_name(r, layered.n_inputs) for r in ops)
-            lines.append(f"t{gid} = {rhs}")
-    outs = " ".join(
-        f"y{i + 1}={_ref_name(o, layered.n_inputs)}"
-        for i, o in enumerate(layered.outputs)
-    )
-    lines.append(f"outputs: {outs}")
-    return "\n".join(lines) + "\n"
+    return _write(layered.n_inputs, layered.connective, layered.layers, layered.outputs, True)
 
 
 _HEADER_RE = re.compile(r"inputs\s+(\d+)\s+connective\s+(XOR|OR)(\s+layered)?\s*$")
+_LAYER_RE = re.compile(r"layer\s+(\d+)$")
 _GATE_RE = re.compile(r"(t\d+)\s*=\s*(.+)$")
 _REF_RE = re.compile(r"[xt]\d+$")
 
@@ -427,30 +440,35 @@ def _parse_ref(tok: str, n_inputs: int, n_gates: int, lineno: int, col: int) -> 
 def _parse_outputs(
     line: str, n_inputs: int, n_gates: int, lineno: int
 ) -> tuple[Optional[int], ...]:
-    body = line[len("outputs:"):].strip()
     outs: list[Optional[int]] = []
-    if body:
-        for tok in body.split():
-            m = re.match(r"y(\d+)=(\S+)$", tok)
-            if not m:
-                raise ParseError(f"bad output assignment {tok!r}", lineno, line.find(tok) + 1)
-            if int(m.group(1)) != len(outs) + 1:
-                raise ParseError(
-                    f"outputs must appear in order; expected y{len(outs) + 1}", lineno,
-                    line.find(tok) + 1,
-                )
-            ref = m.group(2)
-            if ref == "0":
-                outs.append(None)
-            else:
-                outs.append(_parse_ref(ref, n_inputs, n_gates, lineno, line.find(ref) + 1))
+    pos = len("outputs:")
+    for tok in line[pos:].split():
+        pos = line.find(tok, pos)
+        m = re.match(r"y(\d+)=(\S+)$", tok)
+        if not m:
+            raise ParseError(f"bad output assignment {tok!r}", lineno, pos + 1)
+        if int(m.group(1)) != len(outs) + 1:
+            raise ParseError(
+                f"outputs must appear in order; expected y{len(outs) + 1}", lineno, pos + 1
+            )
+        ref = m.group(2)
+        if ref == "0":
+            outs.append(None)
+        else:
+            outs.append(_parse_ref(ref, n_inputs, n_gates, lineno, pos + m.start(2) + 1))
+        pos += len(tok)
     return tuple(outs)
 
 
 def slp_loads(text: str) -> AnyCircuit:
-    """Parse the SLP text format; dispatches on the ``layered`` header."""
-    raw = text.splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
+    """Parse the SLP text format, flat or layered (the header decides).
+
+    One grammar: flat text is a single unmarked layer whose gates take
+    exactly two operands; layered text opens each layer with a
+    ``layer <d>`` marker, and its operands must lie strictly below the
+    gate's layer.
+    """
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not lines:
         raise ParseError("empty circuit text", 1)
     lineno, header = lines[0]
@@ -460,53 +478,24 @@ def slp_loads(text: str) -> AnyCircuit:
     n_inputs = int(m.group(1))
     connective = m.group(2)
     layered = bool(m.group(3))
-    if layered:
-        return _parse_layered(lines[1:], n_inputs, connective)
-    gates: list[tuple[int, int]] = []
+    layers: list[list[tuple[int, ...]]] = [] if layered else [[]]
+    known = {f"x{i + 1}": i for i in range(n_inputs)}  # canonical names
+    n_gates = 0
+    below = n_inputs  # first signal of the current layer (layered text)
     outputs = None
     for lineno, ln in lines[1:]:
         if ln.startswith("outputs:"):
             if outputs is not None:
                 raise ParseError("duplicate outputs block", lineno)
-            outputs = _parse_outputs(ln, n_inputs, len(gates), lineno)
-            continue
-        if outputs is not None:
-            raise ParseError("content after outputs block", lineno)
-        gm = _GATE_RE.match(ln)
-        if not gm:
-            raise ParseError(f"bad gate line {ln!r}", lineno)
-        if int(gm.group(1)[1:]) != len(gates) + 1:
-            raise ParseError(f"expected gate t{len(gates) + 1}", lineno)
-        operands = [tok.strip() for tok in gm.group(2).split("+")]
-        if len(operands) != 2:
-            raise ParseError("fan-in-2 SLP gates take exactly two operands", lineno,
-                             ln.find("=") + 2)
-        a = _parse_ref(operands[0], n_inputs, len(gates), lineno, ln.find(operands[0]) + 1)
-        b = _parse_ref(operands[1], n_inputs, len(gates), lineno, ln.rfind(operands[1]) + 1)
-        gates.append((a, b))
-    if outputs is None:
-        raise ParseError("missing outputs block", lines[-1][0])
-    return Circuit(n_inputs, connective, tuple(gates), outputs)
-
-
-def _parse_layered(
-    lines: list[tuple[int, str]], n_inputs: int, connective: str
-) -> LayeredCircuit:
-    layers: list[list[tuple[int, ...]]] = []
-    n_gates = 0
-    gates_before_layer = 0
-    outputs = None
-    for lineno, ln in lines:
-        if ln.startswith("outputs:"):
             outputs = _parse_outputs(ln, n_inputs, n_gates, lineno)
             continue
         if outputs is not None:
             raise ParseError("content after outputs block", lineno)
-        lm = re.match(r"layer\s+(\d+)$", ln)
+        lm = layered and _LAYER_RE.match(ln)
         if lm:
             if int(lm.group(1)) != len(layers) + 1:
                 raise ParseError(f"expected 'layer {len(layers) + 1}'", lineno)
-            gates_before_layer = n_inputs + n_gates
+            below = n_inputs + n_gates
             layers.append([])
             continue
         gm = _GATE_RE.match(ln)
@@ -516,22 +505,31 @@ def _parse_layered(
             raise ParseError("gate before any 'layer' marker", lineno)
         if int(gm.group(1)[1:]) != n_gates + 1:
             raise ParseError(f"expected gate t{n_gates + 1}", lineno)
+        toks = [tok.strip() for tok in gm.group(2).split("+")]
+        if not layered and len(toks) != 2:
+            raise ParseError("fan-in-2 SLP gates take exactly two operands", lineno,
+                             gm.start(2) + 1)
         ops = []
-        for tok in (t.strip() for t in gm.group(2).split("+")):
-            ref = _parse_ref(tok, n_inputs, n_gates, lineno, ln.find(tok) + 1)
-            if ref >= gates_before_layer:
+        pos = gm.start(2)
+        for tok in toks:
+            pos = ln.find(tok, pos)
+            ref = known.get(tok)
+            if ref is None:
+                ref = _parse_ref(tok, n_inputs, n_gates, lineno, pos + 1)
+            if layered and ref >= below:
                 raise ParseError(
-                    f"{tok} is not strictly below layer {len(layers)}", lineno,
-                    ln.find(tok) + 1,
+                    f"{tok} is not strictly below layer {len(layers)}", lineno, pos + 1
                 )
             ops.append(ref)
+            pos += len(tok)
         layers[-1].append(tuple(ops))
+        known[gm.group(1)] = n_inputs + n_gates
         n_gates += 1
     if outputs is None:
-        raise ParseError("missing outputs block", lines[-1][0] if lines else 1)
-    return LayeredCircuit(
-        n_inputs, connective, tuple(tuple(layer) for layer in layers), outputs
-    )
+        raise ParseError("missing outputs block", lines[-1][0])
+    if layered:
+        return LayeredCircuit(n_inputs, connective, tuple(map(tuple, layers)), outputs)
+    return Circuit(n_inputs, connective, tuple(layers[0]), outputs)
 
 
 def dumps_circuit(c: AnyCircuit) -> str:

@@ -42,6 +42,7 @@ from .matrices import (
     BitMatrix,
     BudgetExceededError,
     DimensionError,
+    EVIDENCE_BUDGET,
     example_a,
     example_b,
     gen_hadamard,
@@ -330,15 +331,7 @@ def cmd_census(args) -> int:
 def cmd_lab(args) -> int:
     sub = args.lab_command
     if sub == "separation":
-        cfg = lab_mod.ExperimentConfig(
-            n=args.n,
-            master_seed=args.seed,
-            c=args.c,
-            trials=args.trials,
-            submatrix_budget=args.budget,
-            rank_samples=args.rank_samples,
-        )
-        rep = lab_mod.run_experiment(cfg, threads=args.threads)
+        rep = lab_mod.run_experiment(_experiment_config(args, args.n), threads=args.threads)
         report = {"type": "lab.separation", **rep.to_dict()}
         human = (
             f"n={args.n}: min density {rep.min_density:.4f}, "
@@ -381,15 +374,7 @@ def cmd_lab(args) -> int:
         ns = [int(tok) for tok in args.ns.split(",") if tok]
         if not ns:
             raise CliError("--ns needs at least one size")
-        base = lab_mod.ExperimentConfig(
-            n=ns[0],
-            master_seed=args.seed,
-            c=args.c,
-            trials=args.trials,
-            submatrix_budget=args.budget,
-            rank_samples=args.rank_samples,
-        )
-        rep = lab_mod.ratio_sweep(ns, base, threads=args.threads)
+        rep = lab_mod.ratio_sweep(ns, _experiment_config(args, ns[0]), threads=args.threads)
         report = {"type": "lab.sweep", **rep.to_dict()}
         human = "; ".join(
             f"n={p.n}: proxy {p.median_ratio_proxy and round(p.median_ratio_proxy, 5)}, "
@@ -399,6 +384,17 @@ def cmd_lab(args) -> int:
         _emit_report(report, args, human)
         return EXIT_OK
     raise CliError(f"unknown lab subcommand {sub!r}")
+
+
+def _experiment_config(args, n: int):
+    return lab_mod.ExperimentConfig(
+        n=n,
+        master_seed=args.seed,
+        c=args.c,
+        trials=args.trials,
+        submatrix_budget=args.budget,
+        rank_samples=args.rank_samples,
+    )
 
 
 def _parse_mask_spec(spec: str):
@@ -425,6 +421,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(message)
+
+
+def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--c", type=int, default=lab_mod.DEFAULT_C)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--budget", type=int, default=EVIDENCE_BUDGET)
+    p.add_argument(
+        "--rank-samples", dest="rank_samples", type=int, default=lab_mod.DEFAULT_RANK_SAMPLES
+    )
+    p.add_argument("--threads", type=int, default=1)
+    _add_json_flag(p)
 
 
 def build_parser() -> _Parser:
@@ -474,7 +482,7 @@ def build_parser() -> _Parser:
     b.add_argument("--kst", type=int, metavar="A")
     b.add_argument("--all", action="store_true", help="include the default k-freeness quantity")
     b.add_argument("--seed", type=int)
-    b.add_argument("--budget", type=int, default=50_000)
+    b.add_argument("--budget", type=int, default=EVIDENCE_BUDGET)
     _add_json_flag(b)
     b.set_defaults(fn=cmd_bound)
 
@@ -488,13 +496,7 @@ def build_parser() -> _Parser:
 
     sep = labsub.add_parser("separation")
     sep.add_argument("--n", type=int, required=True)
-    sep.add_argument("--c", type=int, default=14)
-    sep.add_argument("--trials", type=int, required=True)
-    sep.add_argument("--seed", type=int, required=True)
-    sep.add_argument("--budget", type=int, default=50_000)
-    sep.add_argument("--rank-samples", dest="rank_samples", type=int, default=50)
-    sep.add_argument("--threads", type=int, default=1)
-    _add_json_flag(sep)
+    _add_experiment_args(sep)
     sep.set_defaults(fn=cmd_lab)
 
     rk = labsub.add_parser("rankstats")
@@ -508,7 +510,7 @@ def build_parser() -> _Parser:
     rm = labsub.add_parser("ramsey")
     rm.add_argument("--in", dest="infile", required=True)
     rm.add_argument("--t", type=int, required=True)
-    rm.add_argument("--budget", type=int, default=50_000)
+    rm.add_argument("--budget", type=int, default=EVIDENCE_BUDGET)
     rm.add_argument("--seed", type=int, required=True)
     _add_json_flag(rm)
     rm.set_defaults(fn=cmd_lab)
@@ -524,13 +526,7 @@ def build_parser() -> _Parser:
 
     sw = labsub.add_parser("sweep")
     sw.add_argument("--ns", required=True, help="comma-separated sizes, e.g. 64,128,256")
-    sw.add_argument("--c", type=int, default=14)
-    sw.add_argument("--trials", type=int, required=True)
-    sw.add_argument("--seed", type=int, required=True)
-    sw.add_argument("--budget", type=int, default=50_000)
-    sw.add_argument("--rank-samples", dest="rank_samples", type=int, default=50)
-    sw.add_argument("--threads", type=int, default=1)
-    _add_json_flag(sw)
+    _add_experiment_args(sw)
     sw.set_defaults(fn=cmd_lab)
 
     return p

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import BitMatrix, BudgetExceededError
-from .circuits import XOR, OR, Circuit
+from .circuits import XOR, OR, Circuit, is_cancellation_free, verify
 from . import synthesis as _synth
 
 XOR_MODEL = "XOR"
@@ -55,7 +55,10 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
-_DEFAULT_MAX_STATES = 50_000_000
+# A visited state costs about 260 bytes of peak RSS (visited set plus
+# frontier: S_8 in CF with limit 12 peaked at 3.99 M states and 989 MiB
+# above the process's start), so this default stops a search near 2 GB.
+_DEFAULT_MAX_STATES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -69,84 +72,50 @@ class SearchOutcome:
     peak_states: int = 0  # largest visited-state set of any one sweep
 
 
-def _combine(model: str):
-    if model == OR_MODEL:
-        return lambda x, y: x | y
-    return lambda x, y: x ^ y
+def _derive_witness(n: int, model: str, extras: list[int], rows: list[int]) -> Circuit:
+    """Witness circuit for a goal signal set: the units plus ``extras``.
 
-
-def _witness_from_order(n: int, model: str, sigs: list[int], rows: list[int]) -> Circuit:
-    """Circuit from an ordered signal sequence: each created signal gets
-    the first index pair that combines to it; outputs point at the first
-    signal equal to each row."""
-    op = _combine(model)
+    Repeatedly places the smallest remaining value that two placed signals
+    produce (disjoint ones in the CF model), with the first such index pair
+    ``(i, j)``, ``i < j``, as its gate.  The greedy choice never needs
+    undoing: placing a signal only adds pairs, so it makes no value
+    underivable; and the sweep added the values in a valid order, so the
+    earliest remaining one in that order, all of whose predecessors are
+    placed, is always producible.  Outputs point at the signal equal to
+    each row.
+    """
     cf = model == CF_MODEL
+    union = model == OR_MODEL
+    sigs: list[int] = []
+    first: dict[int, tuple[int, int]] = {}  # value -> first pair producing it
     gates = []
-    for pos in range(n, len(sigs)):
-        v = sigs[pos]
-        pair = None
-        for i in range(pos):
-            vi = sigs[i]
-            for j in range(i + 1, pos):
-                if cf and vi & sigs[j]:
-                    continue
-                if op(vi, sigs[j]) == v:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise RuntimeError("value is not derivable from its predecessors")
-        gates.append(pair)
-    index: dict[int, int] = {}
-    for k, v in enumerate(sigs):
-        index.setdefault(v, k)
-    outputs = tuple(None if r == 0 else index[r] for r in rows)
-    return Circuit(n, OR if model == OR_MODEL else XOR, tuple(gates), outputs)
-
-
-def _producible(sigs: list[int], v: int, op, cf: bool) -> bool:
-    k = len(sigs)
-    for i in range(k):
-        vi = sigs[i]
-        for j in range(i + 1, k):
-            if cf and vi & sigs[j]:
+    todo = sorted(extras)
+    for k in range(n + len(todo)):
+        if k < n:
+            v = 1 << k
+        else:
+            v = next((w for w in todo if w in first), None)
+            if v is None:
+                raise RuntimeError("goal set admits no derivation order")
+            todo.remove(v)
+            gates.append(first[v])
+        for i, s in enumerate(sigs):
+            if cf and s & v:
                 continue
-            if op(vi, sigs[j]) == v:
-                return True
-    return False
+            w = s | v if union else s ^ v
+            if w not in first or i < first[w][0]:
+                first[w] = (i, k)
+        sigs.append(v)
+    index = {v: k for k, v in enumerate(sigs)}
+    outputs = tuple(None if r == 0 else index[r] for r in rows)
+    return Circuit(n, OR if union else XOR, tuple(gates), outputs)
 
 
-def _place_extras(sigs: list[int], remaining: list[int], dead: set, op, cf: bool) -> bool:
-    """Depth-first step of :func:`_order_goal_set`.  Module-level, not a
-    nested function: a self-referencing closure is a reference cycle that
-    keeps its frames' lists alive until a full collection."""
-    if not remaining:
-        return True
-    key = frozenset(remaining)
-    if key in dead:
-        return False
-    for v in list(remaining):
-        if _producible(sigs, v, op, cf):
-            remaining.remove(v)
-            sigs.append(v)
-            if _place_extras(sigs, remaining, dead, op, cf):
-                return True
-            sigs.pop()
-            remaining.append(v)
-            remaining.sort()
-    dead.add(key)
-    return False
-
-
-def _order_goal_set(n: int, model: str, extras: list[int]) -> list[int]:
-    """Topologically order a goal signal set: repeatedly add an extra
-    value derivable from the units plus the extras already placed.  A
-    set reached by the search always admits such an order."""
-    sigs = [1 << i for i in range(n)]
-    if not _place_extras(sigs, sorted(extras), set(), _combine(model), model == CF_MODEL):
-        raise RuntimeError("goal set admits no derivation order")
-    return sigs
+def _checked(witness: Circuit, a: BitMatrix, model: str) -> Circuit:
+    """``witness`` once it computes ``a`` (cancellation-free in CF)."""
+    if not verify(witness, a) or (model == CF_MODEL and not is_cancellation_free(witness)):
+        raise RuntimeError(f"exact search bug: {model} witness does not verify")
+    return witness
 
 
 def _heuristic_upper_bound(a: BitMatrix) -> tuple[int, Circuit]:
@@ -260,8 +229,8 @@ def optimal_size(
     unit_set = set(units)
     targets = sorted({r for r in rows if r and r not in unit_set})
     if not targets:
-        witness = _witness_from_order(n, model, list(units), rows)
-        return SearchOutcome(model, 0, False, witness, 0, limit)
+        witness = _derive_witness(n, model, [], rows)
+        return SearchOutcome(model, 0, False, _checked(witness, a, model), 0, limit)
 
     ub_cost, ub_circuit = _heuristic_upper_bound(a)
     if model == OR_MODEL:
@@ -296,11 +265,11 @@ def optimal_size(
         peak = max(peak, seen)
         if goal is not None:
             extras = list(goal[n:])
-            sigs = _order_goal_set(n, model, extras)
-            witness = _witness_from_order(n, model, sigs, rows)
+            witness = _checked(_derive_witness(n, model, extras, rows), a, model)
             return SearchOutcome(model, len(extras), False, witness, nodes, limit, peak)
     if ub_cost <= limit:
-        return SearchOutcome(model, ub_cost, False, ub_circuit, nodes, limit, peak)
+        witness = _checked(ub_circuit, a, model)
+        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak)
     return SearchOutcome(model, None, True, None, nodes, limit, peak)
 
 

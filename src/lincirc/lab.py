@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from .rng import SplitMix64, derive_seed, words_np
 from .matrices import (
+    EVIDENCE_BUDGET,
     BitMatrix,
     Submatrix,
     complement,
@@ -40,6 +41,10 @@ from .bounds import KFreeStatus, kfree_quantity
 from .circuits import depth_layered
 from .synthesis import paar_greedy, product_circuit
 
+#: The paper's inner-dimension constant: B is n x c*log2(n).
+DEFAULT_C = 14
+DEFAULT_RANK_SAMPLES = 50
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,10 +53,10 @@ class ExperimentConfig:
 
     n: int
     master_seed: int
-    c: int = 14
+    c: int = DEFAULT_C
     trials: int = 8
-    submatrix_budget: int = 50_000
-    rank_samples: int = 50
+    submatrix_budget: int = EVIDENCE_BUDGET
+    rank_samples: int = DEFAULT_RANK_SAMPLES
 
     @property
     def inner_dim(self) -> int:
@@ -103,26 +108,21 @@ def _sample_indices(rng: SplitMix64, population: int, k: int) -> list[int]:
     return sorted(idx[:k])
 
 
-def _submatrix(a: BitMatrix, row_idx: list[int], col_idx: list[int]) -> BitMatrix:
-    rows = []
-    for i in row_idx:
-        r = a.row(i)
-        rows.append(sum(((r >> c) & 1) << t for t, c in enumerate(col_idx)))
-    return BitMatrix(len(row_idx), len(col_idx), rows)
-
-
 def submatrix_rank_stats(
     b: BitMatrix, k: int, samples: int, seed: int, clipped: bool = False
 ) -> RankStats:
-    """Rank distribution over ``samples`` random k x k submatrices."""
+    """Rank distribution over ``samples`` random k x k submatrices.
+
+    A rank does not depend on where the columns sit, so a submatrix is
+    its rows masked to the sampled columns, never repacked."""
     if k > min(b.rows, b.cols):
         raise ValueError(f"k={k} exceeds min dimension of {b.rows}x{b.cols}")
     rng = SplitMix64(seed)
     ranks = []
     for _ in range(samples):
         rows = _sample_indices(rng, b.rows, k)
-        cols = _sample_indices(rng, b.cols, k)
-        ranks.append(rank_gf2(_submatrix(b, rows, cols)))
+        colmask = sum(1 << j for j in _sample_indices(rng, b.cols, k))
+        ranks.append(rank_gf2(BitMatrix(k, b.cols, [b.row(i) & colmask for i in rows])))
     return RankStats(
         k, clipped, samples, min(ranks), sum(ranks) / len(ranks)
     )
@@ -255,7 +255,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
         cols = _sample_indices(rng, n, krank)
         rank_b = rank_gf2(BitMatrix(krank, inner, [b.row(i) for i in rows]))
         rank_c = rank_gf2(BitMatrix(krank, inner, [ct.row(j) for j in cols]))
-        if rank_gf2(_submatrix(a, rows, cols)) < rank_b + rank_c - inner:
+        colmask = sum(1 << j for j in cols)
+        rank_a = rank_gf2(BitMatrix(krank, n, [a.row(i) & colmask for i in rows]))
+        if rank_a < rank_b + rank_c - inner:
             sylvester_ok = False  # would contradict exact linear algebra
 
     fan2 = product_circuit(b, c, "fanin2")
@@ -553,14 +555,7 @@ def ratio_sweep(ns: list[int], base: ExperimentConfig, threads: int = 1) -> Swee
     points = []
     configs = []
     for n in ns:
-        cfg = ExperimentConfig(
-            n=n,
-            master_seed=base.master_seed,
-            c=base.c,
-            trials=base.trials,
-            submatrix_budget=base.submatrix_budget,
-            rank_samples=base.rank_samples,
-        )
+        cfg = replace(base, n=n)
         configs.append(cfg)
         report = run_experiment(cfg, threads=threads)
         proxies = [

@@ -23,6 +23,10 @@ from .rng import SplitMix64
 #: Elementary-step ceiling for exact all-ones-submatrix enumeration.
 ENUMERATION_BUDGET = 10**9
 
+#: Default step budget of the randomized all-ones-submatrix search, the
+#: evidence behind every "evidence-free" k-freeness verdict.
+EVIDENCE_BUDGET = 50_000
+
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
@@ -413,7 +417,7 @@ def is_k_free_exact(a: BitMatrix, k: int) -> KFreeOutcome:
 
 
 def find_allones_submatrix(
-    a: BitMatrix, k: int, budget: int = 50_000, seed: int = 0
+    a: BitMatrix, k: int, budget: int = EVIDENCE_BUDGET, seed: int = 0
 ) -> Optional[Submatrix]:
     """Randomized greedy search for a (k+1) x (k+1) all-ones submatrix.
 

@@ -33,6 +33,7 @@ from .circuits import (
     AnyCircuit,
     Circuit,
     LayeredCircuit,
+    _Builder,
     cancellation_free_flag,
     compose,
     compose_layered,
@@ -52,22 +53,6 @@ class SynthesisResult:
     cost: int
     cancellation_free: bool
     params: dict = field(default_factory=dict)
-
-
-class _Builder:
-    __slots__ = ("n", "connective", "gates")
-
-    def __init__(self, n: int, connective: str):
-        self.n = n
-        self.connective = connective
-        self.gates: list[tuple[int, int]] = []
-
-    def gate(self, a: int, b: int) -> int:
-        self.gates.append((a, b))
-        return self.n + len(self.gates) - 1
-
-    def circuit(self, outputs) -> Circuit:
-        return Circuit(self.n, self.connective, tuple(self.gates), tuple(outputs))
 
 
 def _result(circuit: AnyCircuit, method: str, target: BitMatrix, **params) -> SynthesisResult:
@@ -119,12 +104,9 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     """
     m, n = a.rows, a.cols
     b = _Builder(n, XOR)
-    rowsets: list[set[int]] = []
     usage: dict[int, int] = {}  # signal -> bitmask of rows containing it
     for i in range(m):
-        bits = set(_row_bits(a.row(i)))
-        rowsets.append(bits)
-        for j in bits:
+        for j in _row_bits(a.row(i)):
             usage[j] = usage.get(j, 0) | (1 << i)
 
     heap: list[tuple[int, int, int]] = []
@@ -155,22 +137,19 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
                 usage[s] = u
             else:
                 del usage[s]
-        rows = both
-        while rows:
-            r = (rows & -rows).bit_length() - 1
-            rows &= rows - 1
-            rowsets[r].discard(si)
-            rowsets[r].discard(sj)
-            rowsets[r].add(snew)
-        unew = usage[snew]
         for t, ut in usage.items():
             if t == snew:
                 continue
-            cnt = (unew & ut).bit_count()
+            cnt = (both & ut).bit_count()
             if cnt:
                 heapq.heappush(heap, (-cnt, min(snew, t), max(snew, t)))
 
-    outputs = [next(iter(rs)) if rs else None for rs in rowsets]
+    # An empty heap means no two signals share a row, so each nonzero
+    # row is held by exactly one signal.
+    outputs: list[Optional[int]] = [None] * m
+    for s, u in usage.items():
+        for r in _row_bits(u):
+            outputs[r] = s
     return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
 
 
@@ -480,18 +459,11 @@ def complement_transform(c: Circuit) -> Circuit:
     total for square targets.  Cancels heavily by design."""
     if c.connective != XOR:
         raise ValueError("complement transform is defined for XOR circuits")
-    gates = list(c.gates)
-    n = c.n_inputs
-
-    def emit(a: int, bb: int) -> int:
-        gates.append((a, bb))
-        return n + len(gates) - 1
-
+    b = _Builder(c.n_inputs, XOR, c.gates)
     parity = 0
-    for i in range(1, n):
-        parity = emit(parity, i)
-    outputs = tuple(parity if o is None else emit(o, parity) for o in c.outputs)
-    return Circuit(n, XOR, tuple(gates), outputs)
+    for i in range(1, c.n_inputs):
+        parity = b.gate(parity, i)
+    return b.circuit(parity if o is None else b.gate(o, parity) for o in c.outputs)
 
 
 def product_circuit(

@@ -309,16 +309,44 @@ def test_layered_roundtrip():
         assert lc.slp_loads(layered_dumps(lay)) == lay
 
 
+FLAT = "inputs 2 connective XOR\n"
+LAYERED = "inputs 2 connective XOR layered\n"
+
+
+PARSE_REFUSALS = [
+    (FLAT + "t1 = x1 + x9\noutputs: y1=t1\n", 2, 11),
+    ("inputs 2 connective NAND\noutputs: y1=x1\n", 1, 1),
+    (FLAT + "t1 = x1 + x2\n", 2, 1),  # no outputs
+    (FLAT + "t2 = x1 + x2\noutputs: y1=t2\n", 2, 1),
+    (FLAT + "t1 = t1 + x1\noutputs: y1=t1\n", 2, 6),  # the operand, not the gate name
+    (FLAT + "t1 = x1 + x2 + x1\noutputs: y1=t1\n", 2, 6),
+    (FLAT + "layer 1\nt1 = x1 + x2\noutputs: y1=t1\n", 2, 1),
+    (FLAT + "t1 = x1 + x2\noutputs: y1=t1\noutputs: y1=x1\n", 4, 1),
+    (FLAT + "outputs: y1=x1\nt1 = x1 + x2\n", 3, 1),
+    (FLAT + "t1 = x1 + x2\noutputs: y1=t1 y2=t\n", 3, 19),  # "t" also sits in "outputs"
+    (FLAT + "outputs: y1=x1 y1=x2\n", 2, 16),
+    (LAYERED + "t1 = x1 + x2\noutputs: y1=t1\n", 2, 1),  # gate before a layer
+    (LAYERED + "layer 2\nt1 = x1 + x2\noutputs: y1=t1\n", 2, 1),
+    (LAYERED + "layer 1\nt1 = x1 + x2\nt2 = t1 + x1\noutputs: y1=t2\n", 4, 6),
+    (LAYERED + "layer 1\nt1 = x1 + x3\noutputs: y1=t1\n", 3, 11),
+    (LAYERED + "layer 1\nt1 = x1 + x2\n", 3, 1),  # no outputs
+    (LAYERED + "layer 1\nt1 = x1 + x2\noutputs: y1=t1\nlayer 2\n", 5, 1),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(lc.ParseError) as err:
-        lc.slp_loads("inputs 2 connective XOR\nt1 = x1 + x9\noutputs: y1=t1\n")
-    assert err.value.line == 2
-    with pytest.raises(lc.ParseError):
-        lc.slp_loads("inputs 2 connective NAND\noutputs: y1=x1\n")
-    with pytest.raises(lc.ParseError):
-        lc.slp_loads("inputs 2 connective XOR\nt1 = x1 + x2\n")  # no outputs
-    with pytest.raises(lc.ParseError):
-        lc.slp_loads("inputs 2 connective XOR\nt2 = x1 + x2\noutputs: y1=t2\n")
+    # flat and layered text go through one grammar, so through one table
+    for text, line, column in PARSE_REFUSALS:
+        with pytest.raises(lc.ParseError) as err:
+            lc.slp_loads(text)
+        assert (err.value.line, err.value.column) == (line, column), text
+
+
+def test_layered_text_with_two_outputs_blocks_is_refused():
+    text = LAYERED + "layer 1\nt1 = x1 + x2\noutputs: y1=t1\noutputs: y1=x1 y2=x2\n"
+    with pytest.raises(lc.ParseError, match="duplicate outputs block") as err:
+        lc.slp_loads(text)
+    assert err.value.line == 5
 
 
 def test_gate_reference_validation():

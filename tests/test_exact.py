@@ -8,6 +8,7 @@ import lincirc as lc
 from lincirc import BitMatrix, SplitMix64
 from lincirc import exact as exact_mod
 from conftest import random_bits_matrix
+from lincirc.cli import fixtures_dir
 
 
 def _reference_optimum(a: BitMatrix, model: str, limit: int = 8) -> int:
@@ -61,7 +62,7 @@ def test_sierpinski_small_optima():
         for model in lc.MODELS:
             out = lc.optimal_size(s, model)
             assert out.optimal_size == expect
-            assert lc.verify(out.witness, s) if model != "OR" else True
+            assert lc.verify(out.witness, s)
 
 
 def test_witnesses_verify_and_respect_model():
@@ -78,6 +79,27 @@ def test_witnesses_verify_and_respect_model():
             assert w.connective == (lc.OR if model == "OR" else lc.XOR)
             if model == "CF":
                 assert lc.is_cancellation_free(w)
+
+
+def test_witness_that_fails_its_check_is_refused(monkeypatch):
+    a = lc.example_a()
+    # example_a's 4-gate XOR circuit cancels: it is no CF witness, and
+    # read as an OR circuit it computes another matrix
+    cancel = lc.slp_loads((fixtures_dir() / "example_a_cancel.slp").read_text())
+    assert lc.verify(cancel, a) and not lc.is_cancellation_free(cancel)
+    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", lambda m: (4, cancel))
+    for model in ("CF", "OR"):
+        with pytest.raises(RuntimeError, match="does not verify"):
+            lc.optimal_size(a, model)
+    assert lc.optimal_size(a, "XOR").witness == cancel  # XOR optimum is 4
+
+    # a derived witness is checked too: here it ignores the row order
+    swapped = BitMatrix(2, 2, [0b10, 0b01])
+    monkeypatch.setattr(
+        exact_mod, "_derive_witness", lambda n, model, extras, rows: lc.Circuit(n, lc.XOR, (), (0, 1))
+    )
+    with pytest.raises(RuntimeError, match="does not verify"):
+        lc.optimal_size(swapped, "XOR")
 
 
 def test_model_monotonicity():
