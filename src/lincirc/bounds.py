@@ -23,6 +23,7 @@ from .matrices import (
     DimensionError,
     EVIDENCE_BUDGET,
     Submatrix,
+    _report_dict,
     det_int,
     find_allones_submatrix,
     gen_sierpinski,
@@ -92,14 +93,7 @@ class KFreeStatus:
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "kind": self.kind,
-            "quantity": self.quantity,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "budget": self.budget,
-            "seed": self.seed,
-        }
+        return _report_dict(self)
 
 
 def kfree_quantity(
@@ -158,19 +152,7 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "matrix_sha256": self.matrix_sha256,
-            "rank_gf2": self.rank_gf2,
-            "distinct_heavy_rows": self.distinct_heavy_rows,
-            "morgenstern_log2_absdet": self.morgenstern_log2_absdet,
-            "singular": self.singular,
-            "kfree": [s.to_dict() for s in self.kfree],
-            "kst": self.kst,
-            "sierpinski_closed_form": self.sierpinski_closed_form,
-            "notes": list(self.notes),
-        }
+        return _report_dict(self)
 
 
 def bound_report(

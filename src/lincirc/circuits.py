@@ -479,7 +479,7 @@ def slp_loads(text: str) -> AnyCircuit:
     connective = m.group(2)
     layered = bool(m.group(3))
     layers: list[list[tuple[int, ...]]] = [] if layered else [[]]
-    known = {f"x{i + 1}": i for i in range(n_inputs)}  # canonical names
+    known: dict[str, int] = {}  # operand token -> signal, filled as tokens resolve
     n_gates = 0
     below = n_inputs  # first signal of the current layer (layered text)
     outputs = None
@@ -515,7 +515,7 @@ def slp_loads(text: str) -> AnyCircuit:
             pos = ln.find(tok, pos)
             ref = known.get(tok)
             if ref is None:
-                ref = _parse_ref(tok, n_inputs, n_gates, lineno, pos + 1)
+                ref = known[tok] = _parse_ref(tok, n_inputs, n_gates, lineno, pos + 1)
             if layered and ref >= below:
                 raise ParseError(
                     f"{tok} is not strictly below layer {len(layers)}", lineno, pos + 1

@@ -4,7 +4,8 @@ Subcommands: ``gen``, ``synth``, ``check``, ``bound``, ``exact``, ``lab``
 (``separation`` / ``rankstats`` / ``ramsey`` / ``bias`` / ``sweep``) and
 ``census``.  Matrix arguments accept either a file path (text or JSON
 format) or a generator spec: ``sierpinski:8``, ``hadamard:16``,
-``setint:8``, ``random:<m>:<n>:<seed>``, ``exampleA``, ``exampleB``.
+``setint:8``, ``random:<m>:<n>:<seed>``, ``exampleA``, ``exampleB``;
+a spec of more than :data:`GENSPEC_MAX_CELLS` cells is refused.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 budget or search limit exceeded.  Every randomized command requires an
@@ -43,6 +44,7 @@ from .matrices import (
     BudgetExceededError,
     DimensionError,
     EVIDENCE_BUDGET,
+    _json_value,
     example_a,
     example_b,
     gen_hadamard,
@@ -58,6 +60,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+
+#: Largest matrix a generator spec may ask for, in cells: 4096 x 4096.
+GENSPEC_MAX_CELLS = 1 << 24
 
 
 class CliError(Exception):
@@ -88,7 +93,9 @@ def parse_genspec(spec: str) -> Optional[BitMatrix]:
     makers = {"sierpinski": gen_sierpinski, "hadamard": gen_hadamard, "setint": gen_setintersection}
     if head in makers:
         try:
-            return makers[head](int(rest))
+            n = int(rest)
+            _check_spec_cells(spec, n, n)
+            return makers[head](n)
         except ValueError as exc:
             raise CliError(f"bad generator spec {spec!r}: {exc}") from exc
     if head == "random":
@@ -99,8 +106,16 @@ def parse_genspec(spec: str) -> Optional[BitMatrix]:
             m, n, seed = (int(p) for p in parts)
         except ValueError as exc:
             raise CliError(f"bad random spec {spec!r}") from exc
+        _check_spec_cells(spec, m, n)
         return gen_random(m, n, seed)
     return None
+
+
+def _check_spec_cells(spec: str, m: int, n: int) -> None:
+    """Refuse a generator spec larger than :data:`GENSPEC_MAX_CELLS`
+    before any memory is spent on it."""
+    if m * n > GENSPEC_MAX_CELLS:
+        raise CliError(f"generator spec {spec!r} exceeds {GENSPEC_MAX_CELLS} cells (4096x4096)")
 
 
 def load_matrix_arg(arg: str) -> BitMatrix:
@@ -218,7 +233,7 @@ def cmd_synth(args) -> int:
         ("wires" if layered else "gates"): res.cost,
         "depth": depth_layered(res.circuit) if layered else depth(res.circuit),
         "cancellation_free": res.cancellation_free,
-        "params": {k: list(v) if isinstance(v, tuple) else v for k, v in res.params.items()},
+        "params": _json_value(res.params),
     }
     if args.out:
         Path(args.out).write_text(slp)

@@ -30,6 +30,7 @@ from .matrices import (
     EVIDENCE_BUDGET,
     BitMatrix,
     Submatrix,
+    _report_dict,
     complement,
     find_allones_submatrix,
     gen_random,
@@ -68,16 +69,7 @@ class ExperimentConfig:
         return max(1, math.ceil(2 * math.log2(self.n)))
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "master_seed": self.master_seed,
-            "c": self.c,
-            "trials": self.trials,
-            "submatrix_budget": self.submatrix_budget,
-            "rank_samples": self.rank_samples,
-            "inner_dim": self.inner_dim,
-            "freeness_k": self.freeness_k,
-        }
+        return _report_dict(self, "inner_dim", "freeness_k")
 
 
 @dataclass(frozen=True)
@@ -91,13 +83,7 @@ class RankStats:
     mean_rank: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "clipped": self.clipped,
-            "samples": self.samples,
-            "min_rank": self.min_rank,
-            "mean_rank": self.mean_rank,
-        }
+        return _report_dict(self)
 
 
 def _sample_indices(rng: SplitMix64, population: int, k: int) -> list[int]:
@@ -138,14 +124,7 @@ class RamseyOutcome:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "status": self.status,
-            "refuted_side": self.refuted_side,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "budget": self.budget,
-            "seed": self.seed,
-        }
+        return _report_dict(self)
 
 
 def ramsey_check(a: BitMatrix, t: int, budget: int, seed: int) -> RamseyOutcome:
@@ -185,29 +164,7 @@ class TrialReport:
     ratio_proxy: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "n": self.n,
-            "inner_dim": self.inner_dim,
-            "popcount": self.popcount,
-            "density": self.density,
-            "freeness_k": self.freeness_k,
-            "kfree": self.kfree.to_dict(),
-            "allones_witness": None
-            if self.allones_witness is None
-            else self.allones_witness.to_dict(),
-            "allzeros_witness": None
-            if self.allzeros_witness is None
-            else self.allzeros_witness.to_dict(),
-            "rank_stats_b": self.rank_stats_b.to_dict(),
-            "rank_stats_c": self.rank_stats_c.to_dict(),
-            "sylvester_ok": self.sylvester_ok,
-            "composed_gates": self.composed_gates,
-            "composed_wires": self.composed_wires,
-            "composed_depth": self.composed_depth,
-            "ratio_proxy": self.ratio_proxy,
-        }
+        return _report_dict(self)
 
 
 def trial_matrices(config: ExperimentConfig, trial_index: int) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
@@ -307,13 +264,7 @@ class SeparationReport:
         return max(t.composed_gates for t in self.trials)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "trials": [t.to_dict() for t in self.trials],
-            "min_density": self.min_density,
-            "median_ratio_proxy": self.median_ratio_proxy,
-            "max_composed_gates": self.max_composed_gates,
-        }
+        return _report_dict(self, "min_density", "median_ratio_proxy", "max_composed_gates")
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SeparationReport:
@@ -363,20 +314,7 @@ class BiasReport:
     min_accepted: int
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "inner": self.inner,
-            "undefined_cell": list(self.undefined_cell),
-            "samples": self.samples,
-            "accepted": self.accepted,
-            "ones": self.ones,
-            "estimate": self.estimate,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "status": self.status,
-            "seed": self.seed,
-            "min_accepted": self.min_accepted,
-        }
+        return _report_dict(self)
 
 
 def _parse_mask(mask_pattern) -> tuple[int, tuple[int, int], list[tuple[int, int, int]]]:
@@ -520,11 +458,7 @@ class SweepPoint:
     median_heuristic_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "median_ratio_proxy": self.median_ratio_proxy,
-            "median_heuristic_ratio": self.median_heuristic_ratio,
-        }
+        return _report_dict(self)
 
 
 @dataclass(frozen=True)
@@ -535,12 +469,7 @@ class SweepReport:
     configs: tuple[ExperimentConfig, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "points": [p.to_dict() for p in self.points],
-            "ratio_proxy_nondecreasing": self.ratio_proxy_nondecreasing,
-            "heuristic_ratio_nondecreasing": self.heuristic_ratio_nondecreasing,
-            "configs": [c.to_dict() for c in self.configs],
-        }
+        return _report_dict(self)
 
 
 def ratio_sweep(ns: list[int], base: ExperimentConfig, threads: int = 1) -> SweepReport:

@@ -15,7 +15,7 @@ and the text / JSON interchange formats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Optional
 
 from .rng import SplitMix64
@@ -118,8 +118,7 @@ class BitMatrix:
         """Interchange format: a ``"m n"`` header line, then one line of
         '0'/'1' characters per row."""
         lines = [f"{self.rows} {self.cols}"]
-        for r in self._data:
-            lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(self.cols)))
+        lines += [_encode_row(r, self.cols) for r in self._data]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -136,21 +135,13 @@ class BitMatrix:
             raise ValueError(f"bad header line {lines[0]!r}") from exc
         if len(lines) - 1 != m:
             raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
-        data = []
-        for ln in lines[1:]:
-            if len(ln) != n or set(ln) - {"0", "1"}:
-                raise ValueError(f"bad row line {ln!r}")
-            data.append(int(ln[::-1], 2) if ln else 0)
-        return cls(m, n, data)
+        return cls(m, n, [_decode_row(ln, n) for ln in lines[1:]])
 
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "data": [
-                "".join("1" if (r >> j) & 1 else "0" for j in range(self.cols))
-                for r in self._data
-            ],
+            "data": [_encode_row(r, self.cols) for r in self._data],
         }
 
     @classmethod
@@ -159,12 +150,47 @@ class BitMatrix:
         rows = obj["data"]
         if len(rows) != m:
             raise ValueError("row count mismatch in JSON matrix")
-        data = []
-        for ln in rows:
-            if len(ln) != n or set(ln) - {"0", "1"}:
-                raise ValueError(f"bad row string {ln!r}")
-            data.append(int(ln[::-1], 2) if ln else 0)
-        return cls(m, n, data)
+        return cls(m, n, [_decode_row(ln, n) for ln in rows])
+
+
+def _encode_row(r: int, cols: int) -> str:
+    """One row of the text and JSON formats: a '0'/'1' character per
+    column, column 0 first."""
+    return "".join("1" if (r >> j) & 1 else "0" for j in range(cols))
+
+
+def _decode_row(line: str, cols: int) -> int:
+    """Inverse of :func:`_encode_row`; refuses a row of the wrong width
+    or with a character other than '0' and '1'."""
+    if len(line) != cols or set(line) - {"0", "1"}:
+        raise ValueError(f"bad row {line!r}")
+    return int(line[::-1], 2) if line else 0
+
+
+def _json_value(value):
+    """One value of a JSON report; the rule is :func:`_report_dict`'s."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
+
+
+def _report_dict(obj, *derived: str) -> dict:
+    """The JSON form of a report dataclass: its fields in declaration
+    order, then the named ``derived`` properties.
+
+    Each value is converted by one rule: a value with a ``to_dict`` (a
+    nested report, a :class:`Submatrix` witness) uses it, tuples and
+    lists become lists of converted values, dicts are converted value by
+    value, and anything else (numbers, strings, booleans, ``None``) is
+    kept.  ``dataclasses.asdict`` does not fit: it keeps tuples and turns
+    a :class:`Submatrix` into a list.
+    """
+    names = [f.name for f in fields(obj)] + list(derived)
+    return {name: _json_value(getattr(obj, name)) for name in names}
 
 
 def zeros(rows: int, cols: int) -> BitMatrix:

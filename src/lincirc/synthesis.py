@@ -42,6 +42,11 @@ from .circuits import (
     verify,
 )
 
+#: Node budget of each minimum disjoint cover search in
+#: :func:`boyar_peralta`; a search that runs out keeps its best cover so
+#: far and the result reports ``distances_exact=False``.
+COVER_NODE_BUDGET = 20_000
+
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -212,7 +217,7 @@ def _min_disjoint_cover(
     return search.best, search.exact
 
 
-def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisResult:
+def boyar_peralta(a: BitMatrix) -> SynthesisResult:
     """Distance-guided greedy signal creation.
 
     The distance of a row is the minimum number of additional gates
@@ -220,6 +225,12 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
     Each step adds the disjoint pair that minimizes the total distance;
     ties maximize the Euclidean norm of the distance vector, then take
     the lowest signal-index pair.  Output is cancellation-free.
+
+    One distance table is kept across steps.  A new value v can only
+    enter the covers of the pending rows that contain it, and a cover of
+    t that uses v is v plus a cover of ``t ^ v`` from the old base, so
+    a candidate's table differs from the current one only on those rows,
+    where the distance becomes ``min(old, |cover(t ^ v)|)`` (0 for t = v).
     """
     n = a.cols
     b = _Builder(n, XOR)
@@ -228,24 +239,29 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
     pending = sorted({r for r in (a.row(i) for i in range(a.rows)) if r and r not in in_base})
     exact_all = True
 
-    def dist_of(t: int, values: list[int]) -> int:
+    def cover_size(t: int) -> int:
         nonlocal exact_all
-        cover, exact = _min_disjoint_cover(t, values, cover_node_budget)
+        cover, exact = _min_disjoint_cover(t, base, COVER_NODE_BUDGET)
         exact_all = exact_all and exact
-        return len(cover) - 1
+        return len(cover)
 
-    dist = {t: dist_of(t, base) for t in pending}
+    def with_value(v: int) -> dict[int, int]:
+        newd = dict(dist)
+        for t in pending:
+            if v & ~t == 0:
+                newd[t] = 0 if t == v else min(dist[t], cover_size(t ^ v))
+        return newd
+
+    dist = {t: cover_size(t) - 1 for t in pending}
     max_steps = 2 * sum(dist.values()) + 16  # ample; exact distances drop by >= 1 per step
     steps = 0
     while pending:
         steps += 1
         if steps > max_steps:
-            raise BudgetExceededError(
-                "distance-guided greedy stalled; raise cover_node_budget"
-            )
+            raise BudgetExceededError("distance-guided greedy stalled")
         total = sum(dist.values())
         cands: list[tuple[int, float, tuple[int, int], int]] = []
-        seen_vals = set()
+        tables: dict[int, dict[int, int]] = {}
         for i in range(len(base)):
             vi = base[i]
             for j in range(i + 1, len(base)):
@@ -253,13 +269,11 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
                 if vi & vj:
                     continue
                 v = vi | vj
-                if v in in_base or v in seen_vals:
+                if v in in_base or v in tables:
                     continue
                 if not any(v & ~t == 0 for t in pending):
                     continue  # useless for every remaining disjoint cover
-                seen_vals.add(v)
-                trial = base + [v]
-                newd = {t: dist_of(t, trial) for t in pending}
+                newd = tables[v] = with_value(v)
                 s = sum(newd.values())
                 norm2 = sum(d * d for d in newd.values())
                 cands.append((s, -norm2, (i, j), v))
@@ -267,8 +281,9 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
             # no candidate value fits under any pending row; chain the
             # smallest pending row directly from its current cover
             t = pending[0]
-            cover, _ = _min_disjoint_cover(t, base, cover_node_budget)
+            cover, _ = _min_disjoint_cover(t, base, COVER_NODE_BUDGET)
             v = cover[0] | cover[1]
+            tables[v] = with_value(v)
             idx = {val: k for k, val in enumerate(base)}
             cands.append((total - 1, 0.0, tuple(sorted((idx[cover[0]], idx[cover[1]]))), v))
         s, _, (i, j), v = min(cands)
@@ -278,7 +293,8 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
         base.append(v)
         in_base.add(v)
         pending = [t for t in pending if t != v]
-        dist = {t: dist_of(t, base) for t in pending}
+        dist = tables[v]
+        dist.pop(v, None)
 
     value_sig = {}
     for k, v in enumerate(base):
@@ -288,7 +304,7 @@ def boyar_peralta(a: BitMatrix, cover_node_budget: int = 20_000) -> SynthesisRes
         b.circuit(outputs),
         "bp",
         a,
-        cover_node_budget=cover_node_budget,
+        cover_node_budget=COVER_NODE_BUDGET,
         distances_exact=exact_all,
     )
 

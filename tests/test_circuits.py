@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import lincirc as lc
@@ -293,6 +295,18 @@ def test_slp_roundtrip_random():
         for _ in range(25):
             c = _random_circuit(rng, 4, 6, conn)
             assert lc.slp_loads(lc.slp_dumps(c)) == c
+
+
+def test_slp_loads_memory_does_not_grow_with_declared_inputs():
+    text = "inputs 1000000 connective XOR\nt1 = x1 + x1000000\noutputs: y1=t1 y2=x5\n"
+    tracemalloc.start()
+    try:
+        c = lc.slp_loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.gates == ((0, 999999),) and c.outputs == (1000000, 4)
+    assert peak < 1 << 20
 
 
 def test_slp_constant_zero_output():

@@ -51,6 +51,24 @@ def test_gen_bad_spec(capsys):
     assert code == 2 and "nonsense" in err
 
 
+def test_gen_refuses_oversized_specs_before_generating(capsys, monkeypatch):
+    class Generated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Generated
+
+    for name in ("gen_random", "gen_sierpinski", "gen_hadamard", "gen_setintersection"):
+        monkeypatch.setattr(f"lincirc.cli.{name}", refuse)
+    for spec in ("random:4097:4096:1", "random:1:16777217:0", "sierpinski:8192",
+                 "hadamard:4097", "setint:8192"):
+        code, _, err = run(capsys, "gen", spec)
+        assert code == 2 and "16777216 cells" in err
+    for spec in ("random:4096:4096:1", "sierpinski:4096"):  # at the cap: generated
+        with pytest.raises(Generated):
+            run(capsys, "gen", spec)
+
+
 def test_synth_check_pipeline(tmp_path, capsys):
     slp = tmp_path / "c.slp"
     code, _, _ = run(capsys, "synth", "--method", "sierpinski", "--n", "8", "--out", str(slp))

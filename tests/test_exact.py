@@ -268,6 +268,21 @@ def test_heuristics_never_beat_optimum():
             assert res.cost >= cf_opt >= xor_opt
 
 
+@st.composite
+def _square_matrix(draw):
+    n = draw(st.sampled_from((4, 5)))
+    return BitMatrix(n, n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_square_matrix())
+def test_heuristics_never_below_cf_optimum(m):
+    cf_opt = lc.optimal_size(m, "CF").optimal_size
+    assert cf_opt >= lc.optimal_size(m, "XOR").optimal_size
+    for res in (lc.naive_rowwise(m), lc.paar_greedy(m), lc.boyar_peralta(m)):
+        assert res.cost >= cf_opt
+
+
 # ---------------------------------------------------------------------------
 # census
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,47 @@ def test_trial_reports_match_pinned_digest():
         reports += [lc.run_trial(cfg, t).to_dict() for t in range(cfg.trials)]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "2c2ec1ece241e563167e20e7e65619f0082a1d42c5f7bb3fc6fc32bec57dbaa1"
+
+
+def test_report_json_matches_pinned_digest():
+    # pins the key order of every report type's JSON (no sort_keys):
+    # nested trials and statuses, witnesses, both bias statuses, a sweep
+    evidence_cfg = ExperimentConfig(n=32, master_seed=5, c=1, trials=2, submatrix_budget=2000, rank_samples=4)
+    separation = lc.run_experiment(evidence_cfg)
+    cfg16 = ExperimentConfig(n=16, master_seed=2025, trials=1, submatrix_budget=3000, rank_samples=8)
+    not_free = lc.KFreeStatus(10, "exact-not-free", None, witness=lc.Submatrix((1, 2), (3, 5)))
+    mask = [[1, 0], [0, None]]
+    reports = [
+        cfg16,
+        lc.submatrix_rank_stats(lc.gen_random(12, 12, 5), 4, 6, 9),
+        lc.ramsey_check(lc.gen_sierpinski(8), 3, 200, 1),
+        lc.ramsey_check(lc.gen_random(16, 16, 2), 5, 300, 4),
+        lc.run_trial(cfg16, 0),
+        replace(
+            separation.trials[1],
+            allones_witness=lc.Submatrix((0, 4), (1, 2)),
+            kfree=not_free,
+            ratio_proxy=None,
+        ),
+        separation,
+        lc.estimate_conditional_bias(2, mask, 20000, 7),
+        lc.estimate_conditional_bias(2, mask, 50, 7),
+        lc.ratio_sweep(
+            [8, 16], ExperimentConfig(n=8, master_seed=1, trials=1, submatrix_budget=200, rank_samples=3)
+        ),
+        lc.kfree_quantity(lc.gen_sierpinski(8), 3),
+        lc.kfree_quantity(lc.gen_random(40, 40, 3), 3, evidence_budget=300, seed=2),
+        lc.kfree_quantity(lc.gen_random(64, 64, 3), 12, evidence_budget=300, seed=2),
+        lc.bound_report(lc.gen_sierpinski(8), kfree_ks=(1, 3), kst_a=3),
+        lc.bound_report(lc.gen_random(5, 7, 11), kfree_ks=(2,)),
+    ]
+    assert {type(r).__name__ for r in reports} == {
+        "ExperimentConfig", "RankStats", "RamseyOutcome", "TrialReport", "SeparationReport",
+        "BiasReport", "SweepReport", "KFreeStatus", "BoundReport",
+    }
+    text = json.dumps([r.to_dict() for r in reports])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "b1779644c9014c2bc41db96e51f295124b0a26bc0f5d0e1da0e941ba8a67bc23"
 
 
 def test_trial_computes_each_quantity_once(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -84,6 +86,26 @@ def test_bp_random_verification():
         res = lc.boyar_peralta(m)
         assert res.cancellation_free
         _verify_result(res, m)
+
+
+def test_bp_outputs_match_pinned_digest():
+    # the matrices of the benchmark's bp jobs (n = 9, bench seeds and the
+    # held-out one), larger random ones and two Sierpinski matrices; the
+    # SLP text and params are pinned byte for byte
+    mats = [
+        lc.gen_random(9, 9, derive_seed(seed, p, k))
+        for seed in (1, 2, 20131305)
+        for p in range(6)
+        for k in (3, 8)
+    ]
+    mats += [lc.gen_random(n, n, s) for n in (10, 12) for s in (1, 2, 3)]
+    mats += [lc.gen_sierpinski(8), lc.gen_sierpinski(16), lc.gen_random(14, 14, 1), lc.gen_random(16, 16, 1)]
+    h = hashlib.sha256()
+    for m in mats:
+        res = lc.boyar_peralta(m)
+        h.update(lc.slp_dumps(res.circuit).encode())
+        h.update(json.dumps(res.params).encode())
+    assert h.hexdigest() == "45d583ad966865770f6ded50958bb8de1192b434bb5439dd3e5a122788b2d0fb"
 
 
 # ---------------------------------------------------------------------------
