@@ -24,6 +24,7 @@ from .matrices import (
     EVIDENCE_BUDGET,
     Submatrix,
     _report_dict,
+    _require_power_of_two,
     det_int,
     find_allones_submatrix,
     gen_sierpinski,
@@ -66,9 +67,14 @@ def sierpinski_lb(n: int) -> int:
     and it is attained, so it doubles as the oracle for the constructed
     circuit's gate count.
     """
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"size {n} is not a power of two")
+    _require_power_of_two(n)
     return n * (n.bit_length() - 1) // 2
+
+
+def default_freeness_k(n: int) -> int:
+    """The paper's freeness parameter for n x n matrices, 2 log2 n
+    rounded up (at least 1): the least k with 2^k >= n^2."""
+    return max(1, (n * n - 1).bit_length())
 
 
 def trivial_bounds(a: BitMatrix) -> tuple[int, int]:

@@ -13,6 +13,8 @@ Two IRs:
 Semantics are exact: the value vector of a signal is the bitmask of input
 variables feeding it, computed in one forward pass, and verification
 compares value vectors against the target matrix -- no sampling.
+The one cancellation-free test is :func:`is_cancellation_free`; reports
+carry :func:`cancellation_free_flag`, which is also True for OR circuits.
 
 Text format: one grammar for both IRs.  An ``inputs <n> connective
 <XOR|OR>`` header, one ``t<k> = <ref> + <ref> ...`` line per gate, and one
@@ -178,11 +180,17 @@ def is_cancellation_free(c: Circuit) -> bool:
     to the ancestor form of the property (every gate's value vector
     dominates each of its gate descendants' coordinatewise): supports
     only grow along edges when children never overlap, and an overlap at
-    a gate erases coordinates of the child it descends from.
+    a gate erases coordinates of the child it descends from.  Before the
+    first overlap every XOR is a union, so the pass computes ORs.
     """
     if c.connective != XOR:
         raise ValueError("cancellation-freeness is an XOR-circuit property")
-    return supports_disjoint(c)
+    vv = [1 << i for i in range(c.n_inputs)]
+    for a, b in c.gates:
+        if vv[a] & vv[b]:
+            return False
+        vv.append(vv[a] | vv[b])
+    return True
 
 
 def cancellation_free_flag(flat: Circuit) -> bool:
@@ -193,21 +201,6 @@ def cancellation_free_flag(flat: Circuit) -> bool:
     :func:`is_cancellation_free`.
     """
     return flat.connective == OR or is_cancellation_free(flat)
-
-
-def supports_disjoint(c: Circuit) -> bool:
-    """Children supports disjoint at every gate (any connective).
-
-    For an OR circuit this says the same DAG read with XOR semantics
-    computes the same matrix.
-    """
-    vv = [1 << i for i in range(c.n_inputs)]
-    combine_or = c.connective == OR
-    for a, b in c.gates:
-        if vv[a] & vv[b]:
-            return False
-        vv.append(vv[a] | vv[b] if combine_or else vv[a] ^ vv[b])
-    return True
 
 
 def size_gates(c: Circuit) -> int:

@@ -28,7 +28,6 @@ from . import lab as lab_mod
 from . import synthesis as synth_mod
 from .circuits import (
     LayeredCircuit,
-    ParseError,
     cancellation_free_flag,
     depth,
     depth_layered,
@@ -139,16 +138,20 @@ def _read_circuit(path_arg: Optional[str]):
     return slp_loads(text)
 
 
+def _write_report(report: dict, path: str) -> None:
+    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+
+
 def _emit_report(report: dict, args, human: str) -> None:
+    """The human line, or with ``--json`` the report (``--json PATH``: both)."""
     report = {"schema_version": SCHEMA_VERSION, **report}
     target = getattr(args, "json", None)
-    if target is None:
-        print(human)
-    elif target == "-":
+    if target == "-":
         print(json.dumps(report, indent=2))
-    else:
-        Path(target).write_text(json.dumps(report, indent=2) + "\n")
-        print(human)
+        return
+    if target is not None:
+        _write_report(report, target)
+    print(human)
 
 
 def _add_json_flag(p: argparse.ArgumentParser) -> None:
@@ -188,43 +191,47 @@ def _input_matrix(args) -> BitMatrix:
     return BitMatrix.from_text(sys.stdin.read())
 
 
+#: ``synth`` methods and their :mod:`lincirc.synthesis` functions, looked
+#: up when the command runs (the families take their size from a spec).
+_SYNTH_METHODS = {
+    "naive": "naive_rowwise",
+    "paar": "paar_greedy",
+    "bp": "boyar_peralta",
+    "lupanov": "lupanov",
+    "lupanov2": "lupanov_depth2",
+    "sierpinski": "sierpinski_circuit",
+    "setint": "setintersection_or_circuit",
+    "hadamard": "hadamard_circuit",
+    "product": "product_circuit",
+}
+_FAMILY_METHODS = ("sierpinski", "setint", "hadamard")
+
+
+def _summary(cost: int, layered: bool, cancellation_free: bool) -> str:
+    """The human line of ``synth`` and ``check``."""
+    unit = "wires" if layered else "gates"
+    return f"{cost} {unit}, {'cancellation-free' if cancellation_free else 'uses cancellation'}"
+
+
 def cmd_synth(args) -> int:
     method = args.method
-    family = {
-        "sierpinski": (synth_mod.sierpinski_circuit, gen_sierpinski),
-        "setint": (synth_mod.setintersection_or_circuit, gen_setintersection),
-        "hadamard": (synth_mod.hadamard_circuit, gen_hadamard),
-    }
-    if method in family:
-        construct, generate = family[method]
+    construct = getattr(synth_mod, _SYNTH_METHODS[method])
+    if method == "product":
+        if not (args.infile and args.in2):
+            raise CliError("product needs --in (left factor) and --in2 (right factor)")
+        res = construct(load_matrix_arg(args.infile), load_matrix_arg(args.in2), args.depth_mode)
+    elif method in _FAMILY_METHODS:
         if args.n is not None:
             n = args.n
+            parse_genspec(f"{method}:{n}")  # the size checks of a spec
         else:
             mat = _input_matrix(args)
             n = mat.rows
-            if mat != generate(n):
+            if mat != parse_genspec(f"{method}:{n}"):
                 raise CliError(f"input matrix is not the {method} matrix of size {n}")
         res = construct(n)
-    elif method == "product":
-        if not (args.infile and args.in2):
-            raise CliError("product needs --in (left factor) and --in2 (right factor)")
-        res = synth_mod.product_circuit(
-            load_matrix_arg(args.infile), load_matrix_arg(args.in2), args.depth_mode
-        )
     else:
-        mat = _input_matrix(args)
-        if method == "naive":
-            res = synth_mod.naive_rowwise(mat)
-        elif method == "paar":
-            res = synth_mod.paar_greedy(mat)
-        elif method == "bp":
-            res = synth_mod.boyar_peralta(mat)
-        elif method == "lupanov":
-            res = synth_mod.lupanov(mat)
-        elif method == "lupanov2":
-            res = synth_mod.lupanov_depth2(mat)
-        else:
-            raise CliError(f"unknown method {method!r}")
+        res = construct(_input_matrix(args))
     slp = dumps_circuit(res.circuit)
     layered = isinstance(res.circuit, LayeredCircuit)
     report = {
@@ -237,23 +244,23 @@ def cmd_synth(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(slp)
-        _emit_report(report, args, f"{res.cost} {'wires' if layered else 'gates'}, "
-                                   f"{'cancellation-free' if res.cancellation_free else 'uses cancellation'}")
+        _emit_report(report, args, _summary(res.cost, layered, res.cancellation_free))
+        return EXIT_OK
+    sys.stdout.write(slp)
+    # keep stdout clean for piping; the report goes to --json PATH or stderr
+    report = {"schema_version": SCHEMA_VERSION, **report}
+    if args.json and args.json != "-":
+        _write_report(report, args.json)
     else:
-        sys.stdout.write(slp)
-        # keep stdout clean for piping; the report goes to stderr or --json PATH
-        target = args.json
-        if target and target != "-":
-            Path(target).write_text(json.dumps({"schema_version": SCHEMA_VERSION, **report}, indent=2) + "\n")
-        else:
-            print(json.dumps({"schema_version": SCHEMA_VERSION, **report}), file=sys.stderr)
+        print(json.dumps(report), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     circuit = _read_circuit(args.infile)
     target = load_matrix_arg(args.against)
-    flat = flatten(circuit) if isinstance(circuit, LayeredCircuit) else circuit
+    layered = isinstance(circuit, LayeredCircuit)
+    flat = flatten(circuit) if layered else circuit
     try:
         ok = verify(flat, target)
     except DimensionError:
@@ -264,14 +271,11 @@ def cmd_check(args) -> int:
         "verifies": ok,
         "cancellation_free": cf,
         "gates": size_gates(flat),
-        "depth": depth_layered(circuit) if isinstance(circuit, LayeredCircuit) else depth(flat),
+        "depth": depth_layered(circuit) if layered else depth(flat),
     }
-    if isinstance(circuit, LayeredCircuit):
+    if layered:
         report["wires"] = size_wires(circuit)
-    cost = (
-        f"{report['wires']} wires" if "wires" in report else f"{report['gates']} gates"
-    )
-    human = f"{cost}, {'cancellation-free' if cf else 'uses cancellation'}"
+    human = _summary(report["wires"] if layered else report["gates"], layered, cf)
     if not ok:
         human += " -- DOES NOT COMPUTE the target matrix"
     _emit_report(report, args, human)
@@ -307,7 +311,7 @@ def cmd_bound(args) -> int:
     mat = load_matrix_arg(args.infile)
     ks = tuple(args.kfree or ())
     if args.all and mat.rows == mat.cols and mat.rows > 1:
-        auto_k = max(1, (mat.rows.bit_length() - 1) * 2)
+        auto_k = bounds_mod.default_freeness_k(mat.rows)
         if auto_k not in ks:
             ks = ks + (auto_k,)
     needs_seed = not all(kfree_enumeration_feasible(mat, k) for k in ks)
@@ -464,10 +468,7 @@ def build_parser() -> _Parser:
     s.add_argument(
         "--method",
         required=True,
-        choices=[
-            "naive", "paar", "bp", "lupanov", "lupanov2",
-            "sierpinski", "setint", "hadamard", "product",
-        ],
+        choices=list(_SYNTH_METHODS),
     )
     s.add_argument("--in", dest="infile", help="matrix file or generator spec (default: stdin)")
     s.add_argument("--in2", dest="in2", help="second factor for --method product")
@@ -535,7 +536,7 @@ def build_parser() -> _Parser:
     bi.add_argument("--mask", required=True, help="rows of 0/1/? separated by '/', e.g. 00/0?")
     bi.add_argument("--samples", type=int, required=True)
     bi.add_argument("--seed", type=int, required=True)
-    bi.add_argument("--min-accepted", dest="min_accepted", type=int, default=100)
+    bi.add_argument("--min-accepted", dest="min_accepted", type=int, default=lab_mod.DEFAULT_MIN_ACCEPTED)
     _add_json_flag(bi)
     bi.set_defaults(fn=cmd_lab)
 
@@ -555,13 +556,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"lincirc: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"lincirc: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except BudgetExceededError as exc:
         print(f"lincirc: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DimensionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, DimensionError included
         print(f"lincirc: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

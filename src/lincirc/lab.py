@@ -38,13 +38,15 @@ from .matrices import (
     popcount,
     rank_gf2,
 )
-from .bounds import KFreeStatus, kfree_quantity
+from .bounds import KFreeStatus, default_freeness_k, kfree_quantity
 from .circuits import depth_layered
 from .synthesis import paar_greedy, product_circuit
 
 #: The paper's inner-dimension constant: B is n x c*log2(n).
 DEFAULT_C = 14
 DEFAULT_RANK_SAMPLES = 50
+#: Fewest accepted samples for a bias estimate; fewer is "insufficient-samples".
+DEFAULT_MIN_ACCEPTED = 100
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class ExperimentConfig:
 
     @property
     def freeness_k(self) -> int:
-        return max(1, math.ceil(2 * math.log2(self.n)))
+        return default_freeness_k(self.n)
 
     def to_dict(self) -> dict:
         return _report_dict(self, "inner_dim", "freeness_k")
@@ -343,7 +345,7 @@ def estimate_conditional_bias(
     mask_pattern,
     samples: int,
     seed: int,
-    min_accepted: int = 100,
+    min_accepted: int = DEFAULT_MIN_ACCEPTED,
     batch: int = 1 << 18,
 ) -> BiasReport:
     """Monte Carlo estimate of P(undefined product entry = 1 | the other

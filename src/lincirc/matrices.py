@@ -133,6 +133,8 @@ class BitMatrix:
             m, n = int(head[0]), int(head[1])
         except ValueError as exc:
             raise ValueError(f"bad header line {lines[0]!r}") from exc
+        if n == 0 and len(lines) == 1:
+            lines += [""] * m  # zero-width rows are the blank lines dropped above
         if len(lines) - 1 != m:
             raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
         return cls(m, n, [_decode_row(ln, n) for ln in lines[1:]])
@@ -191,6 +193,15 @@ def _report_dict(obj, *derived: str) -> dict:
     """
     names = [f.name for f in fields(obj)] + list(derived)
     return {name: _json_value(getattr(obj, name)) for name in names}
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the one bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def zeros(rows: int, cols: int) -> BitMatrix:
@@ -393,15 +404,6 @@ def _first_allones(rows: list[int], s: int) -> Optional[tuple[list[int], int]]:
     return got, acc
 
 
-def _lowest_bits(mask: int, s: int) -> tuple[int, ...]:
-    out = []
-    while len(out) < s:
-        b = (mask & -mask).bit_length() - 1
-        out.append(b)
-        mask &= mask - 1
-    return tuple(out)
-
-
 def kfree_enumeration_feasible(a: BitMatrix, k: int) -> bool:
     """Whether :func:`is_k_free_exact` can decide k-freeness: true when
     the matrix is too small to hold a (k+1) x (k+1) block, or when
@@ -436,7 +438,7 @@ def is_k_free_exact(a: BitMatrix, k: int) -> KFreeOutcome:
         return KFreeOutcome(True, None)
     chosen, acc = found
     rows = tuple(chosen)
-    cols = _lowest_bits(acc, s)
+    cols = tuple(_set_bits(acc)[:s])
     if transposed:
         rows, cols = cols, rows
     return KFreeOutcome(False, Submatrix(rows, cols))
@@ -479,7 +481,7 @@ def find_allones_submatrix(
             acc &= eligible[best][1]
         if len(chosen) == s:
             rows = tuple(sorted(eligible[t][0] for t in chosen))
-            cols = _lowest_bits(acc, s)
+            cols = tuple(_set_bits(acc)[:s])
             colmask = sum(1 << j for j in cols)  # returned witnesses are proofs
             if any(a.row(i) & colmask != colmask for i in rows):
                 raise RuntimeError("all-ones witness does not verify")

@@ -20,7 +20,7 @@ from typing import Optional
 from .matrices import (
     BitMatrix,
     BudgetExceededError,
-    DimensionError,
+    _set_bits,
     gen_setintersection,
     gen_sierpinski,
     gen_hadamard,
@@ -41,6 +41,7 @@ from .circuits import (
     size_wires,
     verify,
 )
+from .bounds import sierpinski_lb
 
 #: Node budget of each minimum disjoint cover search in
 #: :func:`boyar_peralta`; a search that runs out keeps its best cover so
@@ -68,14 +69,6 @@ def _result(circuit: AnyCircuit, method: str, target: BitMatrix, **params) -> Sy
     return SynthesisResult(circuit, method, cost, cancellation_free_flag(flat), params)
 
 
-def _row_bits(r: int) -> list[int]:
-    out = []
-    while r:
-        out.append((r & -r).bit_length() - 1)
-        r &= r - 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Row-by-row and greedy heuristics
 
@@ -88,7 +81,7 @@ def naive_rowwise(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
     b = _Builder(a.cols, connective)
     outputs: list[Optional[int]] = []
     for i in range(a.rows):
-        bits = _row_bits(a.row(i))
+        bits = _set_bits(a.row(i))
         if not bits:
             outputs.append(None)
             continue
@@ -111,7 +104,7 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     b = _Builder(n, XOR)
     usage: dict[int, int] = {}  # signal -> bitmask of rows containing it
     for i in range(m):
-        for j in _row_bits(a.row(i)):
+        for j in _set_bits(a.row(i)):
             usage[j] = usage.get(j, 0) | (1 << i)
 
     heap: list[tuple[int, int, int]] = []
@@ -153,7 +146,7 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     # row is held by exactly one signal.
     outputs: list[Optional[int]] = [None] * m
     for s, u in usage.items():
-        for r in _row_bits(u):
+        for r in _set_bits(u):
             outputs[r] = s
     return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
 
@@ -386,7 +379,7 @@ def lupanov_depth2(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
         p for p, cnt in use_count.items() if cnt >= 2 and p.bit_count() >= 2
     )
     middle_id = {p: n + k for k, p in enumerate(shared)}
-    middle_layer = tuple(tuple(_row_bits(p)) for p in shared)
+    middle_layer = tuple(tuple(_set_bits(p)) for p in shared)
 
     out_layer: list[tuple[int, ...]] = []
     outputs: list[Optional[int]] = []
@@ -400,7 +393,7 @@ def lupanov_depth2(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
             if p in middle_id:
                 ops.append(middle_id[p])
             else:
-                ops.extend(_row_bits(p))
+                ops.extend(_set_bits(p))
         out_layer.append(tuple(ops))
         outputs.append(next_id)
         next_id += 1
@@ -434,7 +427,7 @@ def sierpinski_circuit(n: int) -> SynthesisResult:
     b = _Builder(n, XOR)
     outputs = _sierpinski_build(b, 0, n)
     res = _result(b.circuit(outputs), "sierpinski", target)
-    if res.cost != n * (n.bit_length() - 1) // 2:
+    if res.cost != sierpinski_lb(n):
         raise RuntimeError("synthesis bug: sierpinski gate count is not (n/2) log2 n")
     return res
 
@@ -492,8 +485,6 @@ def product_circuit(
     add); ``depth4`` stacks two depth-2 wire constructions into an exact
     depth-4 layered circuit.
     """
-    if b.cols != c.rows:
-        raise DimensionError(f"{b.rows}x{b.cols} @ {c.rows}x{c.cols}")
     target = mul_gf2(b, c)
     if depth_mode == "fanin2":
         outer = lupanov(b)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -119,7 +120,6 @@ def test_cancellation_free_requires_xor():
     c = Circuit(2, lc.OR, ((0, 1),), (2,))
     with pytest.raises(ValueError):
         lc.is_cancellation_free(c)
-    assert lc.supports_disjoint(c)
     # the reported flag: OR circuits cannot cancel, XOR ones get the test
     assert cancellation_free_flag(Circuit(2, lc.OR, ((0, 1), (0, 2)), (3,)))
     assert not cancellation_free_flag(Circuit(2, lc.XOR, ((0, 1), (0, 2)), (3,)))
@@ -207,6 +207,14 @@ def test_restrict_zero_on_sierpinski_construction():
     assert BitMatrix(n, n, sub_rows) == lc.gen_sierpinski(n)
 
 
+def _zero_some_outputs(rng: SplitMix64, c):
+    """The circuit with a random nonempty subset of its outputs made
+    constant zero."""
+    outs = [None if rng.randrange(2) else o for o in c.outputs]
+    outs[rng.randrange(len(outs))] = None
+    return dataclasses.replace(c, outputs=tuple(outs))
+
+
 def test_compose_matches_matrix_product():
     rng = SplitMix64(22)
     for conn, mul in ((lc.XOR, lc.mul_gf2), (lc.OR, lc.mul_bool)):
@@ -216,6 +224,28 @@ def test_compose_matches_matrix_product():
             comp = lc.compose(outer, inner)
             assert lc.size_gates(comp) == 11
             assert lc.matrix_of(comp) == mul(lc.matrix_of(outer), lc.matrix_of(inner))
+        # constant-zero inner outputs: the outer circuit is restricted first
+        for _ in range(20):
+            inner = _zero_some_outputs(rng, _random_circuit(rng, 4, 6, conn))
+            outer = _random_circuit(rng, len(inner.outputs), 5, conn)
+            comp = lc.compose(outer, inner)
+            assert lc.size_gates(comp) <= 11
+            assert lc.matrix_of(comp) == mul(lc.matrix_of(outer), lc.matrix_of(inner))
+    # layered pairs: depths add, and wires add unless an operand is zero
+    for _ in range(40):
+        inner = _random_layered(rng, 5)
+        if rng.randrange(2):
+            inner = _zero_some_outputs(rng, inner)
+        outer = _random_layered(rng, len(inner.outputs))
+        comp = lc.compose_layered(outer, inner)
+        assert lc.depth_layered(comp) == lc.depth_layered(outer) + lc.depth_layered(inner)
+        wires = lc.size_wires(outer) + lc.size_wires(inner)
+        if None in inner.outputs:
+            assert lc.size_wires(comp) <= wires
+        else:
+            assert lc.size_wires(comp) == wires
+        outer_m, inner_m = (lc.matrix_of(lc.flatten(c)) for c in (outer, inner))
+        assert lc.matrix_of(lc.flatten(comp)) == lc.mul_gf2(outer_m, inner_m)
 
 
 def test_compose_associative_at_matrix_level():

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import io
 import json
 
 import jsonschema
@@ -6,7 +8,7 @@ import pytest
 
 import lincirc as lc
 from lincirc import exact as exact_mod
-from lincirc.cli import fixtures_dir, main, schema_path
+from lincirc.cli import fixtures_dir, main, parse_genspec, schema_path
 
 
 SCHEMA = json.loads(schema_path().read_text())
@@ -69,6 +71,24 @@ def test_gen_refuses_oversized_specs_before_generating(capsys, monkeypatch):
             run(capsys, "gen", spec)
 
 
+def test_synth_refuses_oversized_family_sizes_before_building(capsys, monkeypatch):
+    class Generated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Generated
+
+    for name in ("gen_sierpinski", "gen_hadamard", "gen_setintersection"):
+        monkeypatch.setattr(f"lincirc.cli.{name}", refuse)
+    for name in ("sierpinski_circuit", "setintersection_or_circuit", "hadamard_circuit"):
+        monkeypatch.setattr(f"lincirc.synthesis.{name}", refuse)
+    for method in ("sierpinski", "setint", "hadamard"):
+        code, _, err = run(capsys, "synth", "--method", method, "--n", "8192")
+        assert code == 2 and "16777216 cells" in err
+        with pytest.raises(Generated):  # at the cap: generated
+            run(capsys, "synth", "--method", method, "--n", "4096")
+
+
 def test_synth_check_pipeline(tmp_path, capsys):
     slp = tmp_path / "c.slp"
     code, _, _ = run(capsys, "synth", "--method", "sierpinski", "--n", "8", "--out", str(slp))
@@ -121,6 +141,11 @@ def test_synth_product(tmp_path, capsys):
 def test_synth_family_input_mismatch(capsys):
     code, _, err = run(capsys, "synth", "--method", "sierpinski", "--in", "exampleA")
     assert code == 2 and "not the sierpinski matrix" in err
+    for method in ("sierpinski", "setint", "hadamard"):
+        for src in (["--n", "3"], ["--in", "random:3:3:1"]):
+            code, _, err = run(capsys, "synth", "--method", method, *src)
+            assert code == 2
+            assert f"bad generator spec '{method}:3': size 3 is not a power of two" in err
 
 
 def test_check_fixture_reports(capsys):
@@ -201,6 +226,11 @@ def test_bound_command(capsys):
     assert report["kfree"][0]["kind"] == "exact-not-free"
     code, report, _ = run_json(capsys, "bound", "--in", "hadamard:16")
     assert report["morgenstern_log2_absdet"] == pytest.approx(17.0)
+    # --all adds the experiment's k = ceil(2 log2 n), 8 at n = 12
+    code, report, _ = run_json(capsys, "bound", "--in", "random:12:12:1", "--all")
+    assert code == 0 and [st["k"] for st in report["kfree"]] == [8]
+    assert report["kfree"][0]["kind"] in ("exact-free", "exact-not-free")
+    assert lc.ExperimentConfig(n=12, master_seed=0).freeness_k == 8
 
 
 def test_bound_requires_seed_for_evidence(capsys):
@@ -298,3 +328,137 @@ def test_matrix_json_file_input(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     code, report, _ = run_json(capsys, "exact", "--in", str(path), "--model", "xor")
     assert code == 0 and report["optimal"] == 4
+
+
+# ---------------------------------------------------------------------------
+# Transcript: exit code, stdout, stderr and written files of every command
+
+
+def _transcript_cases():
+    """(argv, stdin) pairs covering every subcommand, every ``synth``
+    method with and without ``--out``, ``--json`` and ``--json PATH``,
+    stdin input, and the refusal paths whose message is the library's."""
+    ex_a = lc.example_a().to_text()
+    cases = []
+    sources = {
+        "naive": ["--in", "exampleA"],
+        "paar": ["--in", "exampleA"],
+        "bp": ["--in", "exampleB"],
+        "lupanov": ["--in", "random:6:9:2"],
+        "lupanov2": ["--in", "random:6:9:2"],
+        "sierpinski": ["--n", "8"],
+        "setint": ["--n", "8"],
+        "hadamard": ["--n", "8"],
+        "product": ["--in", "random:12:16:3", "--in2", "random:16:12:4"],
+    }
+    for method, src in sources.items():
+        for out in ([], ["--out", "c.slp"]):
+            for js in ([], ["--json"], ["--json", "r.json"]):
+                cases.append((["synth", "--method", method, *src, *out, *js], None))
+    for method in ("naive", "paar", "bp", "lupanov", "lupanov2"):
+        cases.append((["synth", "--method", method], ex_a))
+    for method, spec in (("sierpinski", "sierpinski:8"), ("setint", "setint:4"),
+                         ("hadamard", "hadamard:16")):
+        cases.append((["synth", "--method", method], parse_genspec(spec).to_text()))
+        cases.append((["synth", "--method", method, "--in", spec, "--json"], None))
+    cases += [
+        (["synth", "--method", "naive", "--in", "m.txt"], None),
+        (["synth", "--method", "paar", "--in", "m.json", "--out", "c.slp"], None),
+        (["synth", "--method", "product", "--in", "random:8:9:1", "--in2", "random:9:8:2",
+          "--depth-mode", "depth4", "--out", "c.slp", "--json"], None),
+        (["synth", "--method", "product", "--in", "random:8:9:1"], None),
+        (["synth", "--method", "product", "--in", "random:8:9:1", "--in2", "random:8:9:2"], None),
+        (["synth", "--method", "sierpinski", "--in", "exampleA"], None),
+        (["synth", "--method", "hadamard", "--in", "random:4:8:1"], None),
+        (["synth", "--method", "naive", "--in", "missing.txt"], None),
+        (["synth", "--method", "naive", "--in", "bad.txt"], None),
+        (["synth", "--method", "naive", "--in", "random:1:2"], None),
+        (["synth", "--method", "naive"], ""),
+        (["gen", "sierpinski:8"], None),
+        (["gen", "random:3:5:1", "--json"], None),
+        (["gen", "hadamard:4", "--out", "g.txt"], None),
+        (["gen", "nonsense:8"], None),
+        (["gen", "random:4097:4096:1"], None),
+    ]
+    for name in ("example_a_cf.slp", "example_a_cancel.slp", "example_a_depth2.slp"):
+        cases.append((["check", "--in", name, "--against", "exampleA"], None))
+        cases.append((["check", "--in", name, "--against", "exampleA", "--json"], None))
+        cases.append((["check", "--in", name, "--against", "exampleA", "--json", "r.json"], None))
+    cases += [
+        (["check", "--in", "example_a_cf.slp", "--against", "sierpinski:4"], None),
+        (["check", "--in", "example_a_cf.slp", "--against", "exampleB", "--json"], None),
+        (["check", "--against", "exampleA"], (fixtures_dir() / "example_a_cf.slp").read_text()),
+        (["check", "--in", "bad.slp", "--against", "exampleA"], None),
+        (["check", "--in", "missing.slp", "--against", "exampleA"], None),
+        (["exact", "--in", "exampleA", "--model", "xor"], None),
+        (["exact", "--in", "exampleA", "--model", "cf", "--json"], None),
+        (["exact", "--in", "exampleB", "--model", "or", "--emit-witness", "w.slp"], None),
+        (["exact", "--in", "sierpinski:8", "--model", "xor", "--limit", "5", "--json"], None),
+        (["exact", "--in", "random:2:17:1", "--model", "xor"], None),
+        (["bound", "--in", "sierpinski:8", "--kfree", "1"], None),
+        (["bound", "--in", "sierpinski:8", "--all", "--json"], None),
+        (["bound", "--in", "sierpinski:16", "--all", "--kst", "3", "--json", "r.json"], None),
+        (["bound", "--in", "hadamard:16", "--json"], None),
+        (["bound", "--in", "random:300:300:5", "--kfree", "16"], None),
+        (["bound", "--in", "random:40:40:5", "--kfree", "8", "--seed", "9", "--budget", "500",
+          "--json"], None),
+        (["census", "--n", "2", "--json"], None),
+        (["census", "--n", "2"], None),
+        (["census", "--n", "4"], None),
+        (["lab", "separation", "--n", "16", "--trials", "2", "--seed", "5", "--budget", "500",
+          "--rank-samples", "3"], None),
+        (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "6", "--budget", "500",
+          "--rank-samples", "3", "--json"], None),
+        (["lab", "rankstats", "--in", "random:30:30:8", "--k", "6", "--samples", "10",
+          "--seed", "4", "--json"], None),
+        (["lab", "rankstats", "--in", "random:30:30:8", "--k", "6", "--samples", "10",
+          "--seed", "4"], None),
+        (["lab", "ramsey", "--in", "exampleA", "--t", "2", "--budget", "500", "--seed", "3"],
+         None),
+        (["lab", "ramsey", "--in", "random:40:40:1", "--t", "6", "--budget", "500", "--seed", "3",
+          "--json"], None),
+        (["lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "5000", "--seed", "7"],
+         None),
+        (["lab", "bias", "--m", "2", "--mask", "11/1?", "--samples", "50", "--seed", "7",
+          "--json"], None),
+        (["lab", "bias", "--m", "2", "--mask", "0x/0?", "--samples", "50", "--seed", "7"], None),
+        (["lab", "sweep", "--ns", "16,32", "--trials", "1", "--seed", "6", "--budget", "300",
+          "--rank-samples", "2", "--json", "r.json"], None),
+        (["lab", "sweep", "--ns", ",", "--trials", "1", "--seed", "6"], None),
+    ]
+    return cases
+
+
+def _run_transcript_case(argv, stdin, monkeypatch, capsys, workdir):
+    """Run one command in ``workdir``; returns its exit code, output and
+    the files it wrote (which are removed again)."""
+    before = {p.name for p in workdir.iterdir()}
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    written = {}
+    for p in sorted(workdir.iterdir()):
+        if p.name not in before:
+            written[p.name] = p.read_text()
+            p.unlink()
+    return [code, captured.out, captured.err, written]
+
+
+def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
+    """Pins every case's exit code, stdout, stderr and written files byte
+    for byte.  argparse's own refusals are not among the cases: their
+    text differs between Python versions."""
+    (tmp_path / "m.txt").write_text(lc.gen_random(5, 7, 11).to_text())
+    (tmp_path / "m.json").write_text(json.dumps(lc.example_b().to_json_dict()))
+    (tmp_path / "bad.txt").write_text("2 2\n01\n0x\n")
+    (tmp_path / "bad.slp").write_text("inputs 4 connective XOR\nt1 = x1 + x9\n")
+    for fixture in fixtures_dir().glob("*.slp"):
+        (tmp_path / fixture.name).write_text(fixture.read_text())
+    monkeypatch.chdir(tmp_path)
+    transcript = [
+        [argv, _run_transcript_case(argv, stdin, monkeypatch, capsys, tmp_path)]
+        for argv, stdin in _transcript_cases()
+    ]
+    digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
+    assert digest == "f1d2f3dc62005884fc06e9dd169de1b94078bd1d7b4e50586476575bc69acd8d"

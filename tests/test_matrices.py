@@ -287,6 +287,9 @@ def test_text_roundtrip():
     for _ in range(10):
         a = random_bits_matrix(rng, 1 + rng.randrange(6), 1 + rng.randrange(9))
         assert BitMatrix.from_text(a.to_text()) == a
+    for m, n in ((3, 0), (1, 0), (0, 5), (0, 0)):  # rows without columns, and no rows
+        a = lc.zeros(m, n)
+        assert BitMatrix.from_text(a.to_text()) == a
     with pytest.raises(ValueError):
         BitMatrix.from_text("2 2\n01\n012\n")
     with pytest.raises(ValueError):
