@@ -310,7 +310,9 @@ def cmd_exact(args) -> int:
 def cmd_bound(args) -> int:
     mat = load_matrix_arg(args.infile)
     ks = tuple(args.kfree or ())
-    if args.all and mat.rows == mat.cols and mat.rows > 1:
+    if args.all:
+        if mat.rows != mat.cols or mat.rows < 2:
+            raise CliError(f"--all needs an n x n matrix with n >= 2, got {mat.rows}x{mat.cols}")
         auto_k = bounds_mod.default_freeness_k(mat.rows)
         if auto_k not in ks:
             ks = ks + (auto_k,)
@@ -496,7 +498,10 @@ def build_parser() -> _Parser:
     b.add_argument("--in", dest="infile", required=True)
     b.add_argument("--kfree", type=int, action="append", metavar="K")
     b.add_argument("--kst", type=int, metavar="A")
-    b.add_argument("--all", action="store_true", help="include the default k-freeness quantity")
+    b.add_argument(
+        "--all", action="store_true",
+        help="include the default k-freeness quantity (n x n input, n >= 2)",
+    )
     b.add_argument("--seed", type=int)
     b.add_argument("--budget", type=int, default=EVIDENCE_BUDGET)
     _add_json_flag(b)

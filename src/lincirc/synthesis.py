@@ -99,12 +99,36 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     Ties break on the lexicographically smallest signal-index pair.  The
     invariant that each row is a disjoint partition of its support makes
     the output cancellation-free.
+
+    The loop runs in two phases over one row -> live-signals index.
+    Each row's list stays ascending: removals keep the order, and a new
+    gate's signal is the largest index so far and goes at the back.
+
+    Phase 1 keeps a lazy max-heap of the pairs that share at least two
+    rows.  Counts only ever shrink, so a stored count bounds the current
+    one; a stale entry is re-pushed with its current count, or dropped
+    once that is below two.  A new gate's count against a signal t is the
+    number of the gate's rows that hold t, so only the signals in those
+    rows are counted, and each pair is pushed as ``(t, new)``.
+
+    Phase 2 starts when that heap is empty: no two signals share two
+    rows, and none ever will, since each later gate covers a single row.
+    Every pair left to take shares exactly one row, and the
+    lexicographically smallest one is the two smallest signals of some
+    row; distinct rows give distinct pairs.  So a heap holds one key
+    ``(s1, s2, row)`` per row with two or more signals, a gate replaces
+    the front two signals of its row by the new one at the back, and
+    only that row's key changes.  Count-1 pairs sort after every pair
+    sharing two or more rows, so they decide nothing in phase 1, and
+    phase 2 takes them in the order one heap over all pairs would.  Each
+    nonzero row ends held by exactly one signal: its output.
     """
     m, n = a.rows, a.cols
     b = _Builder(n, XOR)
+    rows = [_set_bits(a.row(i)) for i in range(m)]  # row -> its live signals, ascending
     usage: dict[int, int] = {}  # signal -> bitmask of rows containing it
-    for i in range(m):
-        for j in _set_bits(a.row(i)):
+    for i, sigs in enumerate(rows):
+        for j in sigs:
             usage[j] = usage.get(j, 0) | (1 << i)
 
     heap: list[tuple[int, int, int]] = []
@@ -113,7 +137,7 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
         ua = usage[live[ai]]
         for bi in range(ai + 1, len(live)):
             cnt = (ua & usage[live[bi]]).bit_count()
-            if cnt:
+            if cnt >= 2:
                 heap.append((-cnt, live[ai], live[bi]))
     heapq.heapify(heap)
 
@@ -121,33 +145,43 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
         negcnt, si, sj = heapq.heappop(heap)
         ui = usage.get(si, 0)
         uj = usage.get(sj, 0)
-        cur = (ui & uj).bit_count()
-        if cur == 0:
+        both = ui & uj
+        cur = both.bit_count()
+        if cur < 2:
             continue
         if cur != -negcnt:
-            heapq.heappush(heap, (-cur, si, sj))  # counts only ever shrink
+            heapq.heappush(heap, (-cur, si, sj))
             continue
         snew = b.gate(si, sj)
-        both = ui & uj
         usage[snew] = both
         for s, u in ((si, ui & ~both), (sj, uj & ~both)):
             if u:
                 usage[s] = u
             else:
                 del usage[s]
-        for t, ut in usage.items():
-            if t == snew:
-                continue
-            cnt = (both & ut).bit_count()
-            if cnt:
-                heapq.heappush(heap, (-cnt, min(snew, t), max(snew, t)))
+        shared: dict[int, int] = {}
+        for r in _set_bits(both):
+            sigs = rows[r]
+            sigs.remove(si)
+            sigs.remove(sj)
+            for t in sigs:
+                shared[t] = shared.get(t, 0) + 1
+            sigs.append(snew)
+        for t, cnt in shared.items():
+            if cnt >= 2:
+                heapq.heappush(heap, (-cnt, t, snew))
 
-    # An empty heap means no two signals share a row, so each nonzero
-    # row is held by exactly one signal.
-    outputs: list[Optional[int]] = [None] * m
-    for s, u in usage.items():
-        for r in _set_bits(u):
-            outputs[r] = s
+    keys = [(sigs[0], sigs[1], r) for r, sigs in enumerate(rows) if len(sigs) >= 2]
+    heapq.heapify(keys)
+    while keys:
+        s1, s2, r = heapq.heappop(keys)
+        sigs = rows[r]
+        del sigs[:2]
+        sigs.append(b.gate(s1, s2))
+        if len(sigs) >= 2:
+            heapq.heappush(keys, (sigs[0], sigs[1], r))
+
+    outputs: list[Optional[int]] = [sigs[-1] if sigs else None for sigs in rows]
     return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
 
 

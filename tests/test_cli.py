@@ -233,6 +233,16 @@ def test_bound_command(capsys):
     assert lc.ExperimentConfig(n=12, master_seed=0).freeness_k == 8
 
 
+def test_bound_all_refuses_shapes_without_default_k(capsys):
+    # the default k is defined for n x n matrices with n >= 2; --all on
+    # any other shape is refused, not ignored
+    for spec, shape in (("random:5:7:1", "5x7"), ("random:7:5:1", "7x5"), ("random:1:1:1", "1x1")):
+        code, out, err = run(capsys, "bound", "--in", spec, "--all", "--json")
+        assert code == 2 and out == "" and shape in err
+        code, _, _ = run(capsys, "bound", "--in", spec)
+        assert code == 0
+
+
 def test_bound_requires_seed_for_evidence(capsys):
     code, _, err = run(capsys, "bound", "--in", "random:300:300:5", "--kfree", "16")
     assert code == 2 and "--seed" in err
