@@ -24,6 +24,7 @@ from .matrices import (
     EVIDENCE_BUDGET,
     Submatrix,
     _report_dict,
+    _require_freeness_k,
     _require_power_of_two,
     det_int,
     find_allones_submatrix,
@@ -112,6 +113,7 @@ def kfree_quantity(
     The hidden constant of the density bound is unknown, so only the raw
     quantity is reported, never a gate count.
     """
+    _require_freeness_k(k)
     quantity = popcount(a) / (k * k)
     try:
         outcome = is_k_free_exact(a, k)

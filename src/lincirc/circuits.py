@@ -207,20 +207,18 @@ def size_gates(c: Circuit) -> int:
     return len(c.gates)
 
 
-def depth(c: Circuit) -> int:
-    """Gates on a longest input-to-output path."""
+def depth(c: AnyCircuit) -> int:
+    """Gates on a longest input-to-output path, in either IR: a flat gate
+    is a 2-tuple of operands, a layered gate a k-tuple (fan-in 1 too)."""
+    gates = c.gates if isinstance(c, Circuit) else (ops for layer in c.layers for ops in layer)
     d = [0] * c.n_inputs
-    for a, b in c.gates:
-        d.append(1 + max(d[a], d[b]))
+    for ops in gates:
+        d.append(1 + max(map(d.__getitem__, ops)))
     return max((d[o] for o in c.outputs if o is not None), default=0)
 
 
 def size_wires(layered: LayeredCircuit) -> int:
     return sum(len(ops) for layer in layered.layers for ops in layer)
-
-
-def depth_layered(layered: LayeredCircuit) -> int:
-    return len(layered.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,7 @@ def compose(outer: Circuit, inner: Circuit) -> Circuit:
 
 
 def compose_layered(outer: LayeredCircuit, inner: LayeredCircuit) -> LayeredCircuit:
-    """Stack two layered circuits; depth and wire counts add."""
+    """Stack two layered circuits; layer counts add, wire counts at most."""
     if outer.connective != inner.connective:
         raise ValueError("connective mismatch in composition")
     if outer.n_inputs != len(inner.outputs):

@@ -30,7 +30,6 @@ from .circuits import (
     LayeredCircuit,
     cancellation_free_flag,
     depth,
-    depth_layered,
     dumps_circuit,
     flatten,
     size_gates,
@@ -238,7 +237,7 @@ def cmd_synth(args) -> int:
         "type": "synth",
         "method": res.method,
         ("wires" if layered else "gates"): res.cost,
-        "depth": depth_layered(res.circuit) if layered else depth(res.circuit),
+        "depth": depth(res.circuit),
         "cancellation_free": res.cancellation_free,
         "params": _json_value(res.params),
     }
@@ -271,7 +270,7 @@ def cmd_check(args) -> int:
         "verifies": ok,
         "cancellation_free": cf,
         "gates": size_gates(flat),
-        "depth": depth_layered(circuit) if layered else depth(flat),
+        "depth": depth(circuit),
     }
     if layered:
         report["wires"] = size_wires(circuit)
@@ -349,62 +348,60 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def cmd_lab(args) -> int:
-    sub = args.lab_command
-    if sub == "separation":
-        rep = lab_mod.run_experiment(_experiment_config(args, args.n), threads=args.threads)
-        report = {"type": "lab.separation", **rep.to_dict()}
-        human = (
-            f"n={args.n}: min density {rep.min_density:.4f}, "
-            f"max composed gates {rep.max_composed_gates}, "
-            f"median ratio proxy {rep.median_ratio_proxy}"
-        )
-        _emit_report(report, args, human)
-        return EXIT_OK
-    if sub == "rankstats":
-        mat = load_matrix_arg(args.infile)
-        stats = lab_mod.submatrix_rank_stats(mat, args.k, args.samples, args.seed)
-        report = {"type": "lab.rankstats", "seed": args.seed, **stats.to_dict()}
-        _emit_report(
-            report, args,
-            f"k={args.k}: min rank {stats.min_rank}, mean {stats.mean_rank:.2f}",
-        )
-        return EXIT_OK
-    if sub == "ramsey":
-        mat = load_matrix_arg(args.infile)
-        out = lab_mod.ramsey_check(mat, args.t, args.budget, args.seed)
-        report = {"type": "lab.ramsey", **out.to_dict()}
-        _emit_report(report, args, f"t={args.t}: {out.status}")
-        return EXIT_OK
-    if sub == "bias":
-        mask = _parse_mask_spec(args.mask)
-        rep = lab_mod.estimate_conditional_bias(
-            args.m, mask, args.samples, args.seed, min_accepted=args.min_accepted
-        )
-        report = {"type": "lab.bias", **rep.to_dict()}
-        if rep.status != "ok":
-            _emit_report(report, args, f"insufficient samples ({rep.accepted} accepted)")
-            return EXIT_BUDGET
-        _emit_report(
-            report, args,
-            f"estimate {rep.estimate:.4f} in [{rep.wilson_low:.4f}, {rep.wilson_high:.4f}] "
-            f"({rep.accepted} accepted)",
-        )
-        return EXIT_OK
-    if sub == "sweep":
-        ns = [int(tok) for tok in args.ns.split(",") if tok]
-        if not ns:
-            raise CliError("--ns needs at least one size")
-        rep = lab_mod.ratio_sweep(ns, _experiment_config(args, ns[0]), threads=args.threads)
-        report = {"type": "lab.sweep", **rep.to_dict()}
-        human = "; ".join(
-            f"n={p.n}: proxy {p.median_ratio_proxy and round(p.median_ratio_proxy, 5)}, "
-            f"heuristic {p.median_heuristic_ratio:.2f}"
-            for p in rep.points
-        )
-        _emit_report(report, args, human)
-        return EXIT_OK
-    raise CliError(f"unknown lab subcommand {sub!r}")
+def cmd_lab_separation(args) -> int:
+    rep = lab_mod.run_experiment(_experiment_config(args, args.n), threads=args.threads)
+    human = (
+        f"n={args.n}: min density {rep.min_density:.4f}, "
+        f"max composed gates {rep.max_composed_gates}, "
+        f"median ratio proxy {rep.median_ratio_proxy}"
+    )
+    _emit_report({"type": "lab.separation", **rep.to_dict()}, args, human)
+    return EXIT_OK
+
+
+def cmd_lab_rankstats(args) -> int:
+    mat = load_matrix_arg(args.infile)
+    stats = lab_mod.submatrix_rank_stats(mat, args.k, args.samples, args.seed)
+    report = {"type": "lab.rankstats", "seed": args.seed, **stats.to_dict()}
+    _emit_report(report, args, f"k={args.k}: min rank {stats.min_rank}, mean {stats.mean_rank:.2f}")
+    return EXIT_OK
+
+
+def cmd_lab_ramsey(args) -> int:
+    out = lab_mod.ramsey_check(load_matrix_arg(args.infile), args.t, args.budget, args.seed)
+    _emit_report({"type": "lab.ramsey", **out.to_dict()}, args, f"t={args.t}: {out.status}")
+    return EXIT_OK
+
+
+def cmd_lab_bias(args) -> int:
+    mask = _parse_mask_spec(args.mask)
+    rep = lab_mod.estimate_conditional_bias(
+        args.m, mask, args.samples, args.seed, min_accepted=args.min_accepted
+    )
+    report = {"type": "lab.bias", **rep.to_dict()}
+    if rep.status != "ok":
+        _emit_report(report, args, f"insufficient samples ({rep.accepted} accepted)")
+        return EXIT_BUDGET
+    _emit_report(
+        report, args,
+        f"estimate {rep.estimate:.4f} in [{rep.wilson_low:.4f}, {rep.wilson_high:.4f}] "
+        f"({rep.accepted} accepted)",
+    )
+    return EXIT_OK
+
+
+def cmd_lab_sweep(args) -> int:
+    ns = [int(tok) for tok in args.ns.split(",") if tok]
+    if not ns:
+        raise CliError("--ns needs at least one size")
+    rep = lab_mod.ratio_sweep(ns, _experiment_config(args, ns[0]), threads=args.threads)
+    human = "; ".join(
+        f"n={p.n}: proxy {p.median_ratio_proxy and round(p.median_ratio_proxy, 5)}, "
+        f"heuristic {p.median_heuristic_ratio:.2f}"
+        for p in rep.points
+    )
+    _emit_report({"type": "lab.sweep", **rep.to_dict()}, args, human)
+    return EXIT_OK
 
 
 def _experiment_config(args, n: int):
@@ -518,7 +515,7 @@ def build_parser() -> _Parser:
     sep = labsub.add_parser("separation")
     sep.add_argument("--n", type=int, required=True)
     _add_experiment_args(sep)
-    sep.set_defaults(fn=cmd_lab)
+    sep.set_defaults(fn=cmd_lab_separation)
 
     rk = labsub.add_parser("rankstats")
     rk.add_argument("--in", dest="infile", required=True)
@@ -526,7 +523,7 @@ def build_parser() -> _Parser:
     rk.add_argument("--samples", type=int, required=True)
     rk.add_argument("--seed", type=int, required=True)
     _add_json_flag(rk)
-    rk.set_defaults(fn=cmd_lab)
+    rk.set_defaults(fn=cmd_lab_rankstats)
 
     rm = labsub.add_parser("ramsey")
     rm.add_argument("--in", dest="infile", required=True)
@@ -534,7 +531,7 @@ def build_parser() -> _Parser:
     rm.add_argument("--budget", type=int, default=EVIDENCE_BUDGET)
     rm.add_argument("--seed", type=int, required=True)
     _add_json_flag(rm)
-    rm.set_defaults(fn=cmd_lab)
+    rm.set_defaults(fn=cmd_lab_ramsey)
 
     bi = labsub.add_parser("bias")
     bi.add_argument("--m", type=int, required=True)
@@ -543,12 +540,12 @@ def build_parser() -> _Parser:
     bi.add_argument("--seed", type=int, required=True)
     bi.add_argument("--min-accepted", dest="min_accepted", type=int, default=lab_mod.DEFAULT_MIN_ACCEPTED)
     _add_json_flag(bi)
-    bi.set_defaults(fn=cmd_lab)
+    bi.set_defaults(fn=cmd_lab_bias)
 
     sw = labsub.add_parser("sweep")
     sw.add_argument("--ns", required=True, help="comma-separated sizes, e.g. 64,128,256")
     _add_experiment_args(sw)
-    sw.set_defaults(fn=cmd_lab)
+    sw.set_defaults(fn=cmd_lab_sweep)
 
     return p
 

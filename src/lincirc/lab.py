@@ -39,7 +39,7 @@ from .matrices import (
     rank_gf2,
 )
 from .bounds import KFreeStatus, default_freeness_k, kfree_quantity
-from .circuits import depth_layered
+from .circuits import depth
 from .synthesis import paar_greedy, product_circuit
 
 #: The paper's inner-dimension constant: B is n x c*log2(n).
@@ -61,10 +61,16 @@ class ExperimentConfig:
     submatrix_budget: int = EVIDENCE_BUDGET
     rank_samples: int = DEFAULT_RANK_SAMPLES
 
+    def __post_init__(self):
+        least = {"n": 2, "c": 1, "trials": 1, "rank_samples": 1, "submatrix_budget": 0}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
     @property
     def inner_dim(self) -> int:
         """c * log2(n), rounded up for non-powers of two."""
-        return max(1, math.ceil(self.c * math.log2(self.n)))
+        return math.ceil(self.c * math.log2(self.n))
 
     @property
     def freeness_k(self) -> int:
@@ -103,6 +109,8 @@ def submatrix_rank_stats(
 
     A rank does not depend on where the columns sit, so a submatrix is
     its rows masked to the sampled columns, never repacked."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if k > min(b.rows, b.cols):
         raise ValueError(f"k={k} exceeds min dimension of {b.rows}x{b.cols}")
     rng = SplitMix64(seed)
@@ -132,6 +140,8 @@ class RamseyOutcome:
 def ramsey_check(a: BitMatrix, t: int, budget: int, seed: int) -> RamseyOutcome:
     """Evidence that both the matrix and its complement are (t-1)-free,
     i.e. neither has a t x t monochromatic block."""
+    if t < 2:
+        raise ValueError(f"t must be >= 2, got {t}")
     w = find_allones_submatrix(a, t - 1, budget=budget, seed=derive_seed(seed, 0))
     if w is not None:
         return RamseyOutcome(t, "refuted", "ones", w, budget, seed)
@@ -155,7 +165,7 @@ class TrialReport:
     density: float
     freeness_k: int
     kfree: KFreeStatus
-    allones_witness: Optional[Submatrix]
+    allones_witness: Optional[Submatrix]  # always kfree.witness
     allzeros_witness: Optional[Submatrix]
     rank_stats_b: RankStats
     rank_stats_c: RankStats
@@ -188,14 +198,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     kstatus = kfree_quantity(
         a, k, evidence_budget=config.submatrix_budget, seed=derive_seed(seed, 3)
     )
-    ones_w = find_allones_submatrix(
-        a, k, budget=config.submatrix_budget, seed=derive_seed(seed, 4)
-    )
     zeros_w = find_allones_submatrix(
         complement(a), k, budget=config.submatrix_budget, seed=derive_seed(seed, 5)
     )
 
-    krank = min(5 * max(1, math.ceil(math.log2(n))), inner, n)
+    krank = min(5 * math.ceil(math.log2(n)), inner, n)
     clipped = krank < 5 * math.ceil(math.log2(n))
     stats_b = submatrix_rank_stats(
         b, krank, config.rank_samples, derive_seed(seed, 6), clipped=clipped
@@ -231,14 +238,14 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
         density=pc / (n * n),
         freeness_k=k,
         kfree=kstatus,
-        allones_witness=ones_w,
+        allones_witness=kstatus.witness,
         allzeros_witness=zeros_w,
         rank_stats_b=stats_b,
         rank_stats_c=stats_c,
         sylvester_ok=sylvester_ok,
         composed_gates=fan2.cost,
         composed_wires=layered.cost,
-        composed_depth=depth_layered(layered.circuit),
+        composed_depth=depth(layered.circuit),
         ratio_proxy=ratio,
     )
 
@@ -484,10 +491,8 @@ def ratio_sweep(ns: list[int], base: ExperimentConfig, threads: int = 1) -> Swee
     trend check, not an asymptotic claim).
     """
     points = []
-    configs = []
-    for n in ns:
-        cfg = replace(base, n=n)
-        configs.append(cfg)
+    configs = [replace(base, n=n) for n in ns]  # every n is checked before any trial
+    for cfg in configs:
         report = run_experiment(cfg, threads=threads)
         proxies = [
             t.ratio_proxy for t in report.trials if t.ratio_proxy is not None
@@ -498,7 +503,7 @@ def ratio_sweep(ns: list[int], base: ExperimentConfig, threads: int = 1) -> Swee
             heuristic.append(paar_greedy(a).cost / t.composed_gates)
         points.append(
             SweepPoint(
-                n,
+                cfg.n,
                 statistics.median(proxies) if proxies else None,
                 statistics.median(heuristic),
             )

@@ -377,6 +377,13 @@ class KFreeOutcome(NamedTuple):
     witness: Optional[Submatrix]
 
 
+def _require_freeness_k(k: int) -> None:
+    """Refuse k < 1 before any work: |A| / k^2 is undefined at k = 0, and
+    the all-ones finder counts no step, so never stops, at k < 0."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def _allones_rows(rows: list[int], s: int, start: int, depth: int, acc: int) -> Optional[list[int]]:
     """Depth-first step of :func:`_first_allones`.  Module-level, not a
     nested function: a self-referencing closure is a reference cycle."""
@@ -408,6 +415,7 @@ def kfree_enumeration_feasible(a: BitMatrix, k: int) -> bool:
     """Whether :func:`is_k_free_exact` can decide k-freeness: true when
     the matrix is too small to hold a (k+1) x (k+1) block, or when
     ``C(min(m,n), k+1) * max(m,n)`` is within :data:`ENUMERATION_BUDGET`."""
+    _require_freeness_k(k)
     s = k + 1
     small, large = sorted((a.rows, a.cols))
     return small < s or math.comb(small, s) * large <= ENUMERATION_BUDGET
@@ -417,15 +425,11 @@ def is_k_free_exact(a: BitMatrix, k: int) -> KFreeOutcome:
     """Exact test for a (k+1) x (k+1) all-ones submatrix, by enumeration
     over the smaller dimension.
 
-    Refuses (raises :class:`BudgetExceededError`) where
-    :func:`kfree_enumeration_feasible` is false; beyond that, use
+    Refuses k < 1 (``ValueError``), and where :func:`kfree_enumeration_feasible`
+    is false (:class:`BudgetExceededError`); beyond that, use
     :func:`find_allones_submatrix` for evidence.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     s = k + 1
-    if min(a.rows, a.cols) < s:
-        return KFreeOutcome(True, None)
     if not kfree_enumeration_feasible(a, k):
         raise BudgetExceededError(
             f"exact {s}x{s} enumeration infeasible for {a.rows}x{a.cols}; "
@@ -453,6 +457,7 @@ def find_allones_submatrix(
     row-intersection evaluation).  A returned witness is verified and
     therefore a proof; ``None`` is evidence of absence, not a proof.
     """
+    _require_freeness_k(k)
     s = k + 1
     eligible = [(i, r) for i, r in enumerate(a._data) if r.bit_count() >= s]
     if len(eligible) < s:

@@ -73,12 +73,12 @@ def _result(circuit: AnyCircuit, method: str, target: BitMatrix, **params) -> Sy
 # Row-by-row and greedy heuristics
 
 
-def naive_rowwise(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
+def naive_rowwise(a: BitMatrix) -> SynthesisResult:
     """Compute each row independently: a weight-w row costs w - 1 gates.
 
     Zero rows become constant-zero output markers, not gates.
     """
-    b = _Builder(a.cols, connective)
+    b = _Builder(a.cols, XOR)
     outputs: list[Optional[int]] = []
     for i in range(a.rows):
         bits = _set_bits(a.row(i))
@@ -258,6 +258,12 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
     t that uses v is v plus a cover of ``t ^ v`` from the old base, so
     a candidate's table differs from the current one only on those rows,
     where the distance becomes ``min(old, |cover(t ^ v)|)`` (0 for t = v).
+
+    Every step has a candidate.  A pending row t is not in the base and
+    has weight >= 2, so a minimum disjoint cover of t by base values (the
+    units make one exist) has k >= 2 members.  The union of any two of
+    them is disjoint and lies under t.  It is not in the base, or the
+    cover would shrink.  So it is a candidate.
     """
     n = a.cols
     b = _Builder(n, XOR)
@@ -286,7 +292,6 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
         steps += 1
         if steps > max_steps:
             raise BudgetExceededError("distance-guided greedy stalled")
-        total = sum(dist.values())
         cands: list[tuple[int, float, tuple[int, int], int]] = []
         tables: dict[int, dict[int, int]] = {}
         for i in range(len(base)):
@@ -304,15 +309,6 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
                 s = sum(newd.values())
                 norm2 = sum(d * d for d in newd.values())
                 cands.append((s, -norm2, (i, j), v))
-        if not cands:
-            # no candidate value fits under any pending row; chain the
-            # smallest pending row directly from its current cover
-            t = pending[0]
-            cover, _ = _min_disjoint_cover(t, base, COVER_NODE_BUDGET)
-            v = cover[0] | cover[1]
-            tables[v] = with_value(v)
-            idx = {val: k for k, val in enumerate(base)}
-            cands.append((total - 1, 0.0, tuple(sorted((idx[cover[0]], idx[cover[1]]))), v))
         s, _, (i, j), v = min(cands)
         sig = b.gate(i, j)
         if len(base) != sig:
@@ -323,9 +319,7 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
         dist = tables[v]
         dist.pop(v, None)
 
-    value_sig = {}
-    for k, v in enumerate(base):
-        value_sig.setdefault(v, k)
+    value_sig = {v: k for k, v in enumerate(base)}  # base values are distinct
     outputs = [None if a.row(i) == 0 else value_sig[a.row(i)] for i in range(a.rows)]
     return _result(
         b.circuit(outputs),
@@ -374,7 +368,7 @@ def lupanov(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
             sig = sig_of[m] = b.gate(sig, m.bit_length() - 1)
         return sig
 
-    masks = _blocks(n, width) if n else []
+    masks = _blocks(n, width)
     outputs: list[Optional[int]] = []
     for i in range(m):
         row = a.row(i)
@@ -389,7 +383,7 @@ def lupanov(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
     return _result(b.circuit(outputs), "lupanov", a, block_width=width)
 
 
-def lupanov_depth2(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
+def lupanov_depth2(a: BitMatrix) -> SynthesisResult:
     """Depth-2 wire construction, block width ceil(log2(n)/2).
 
     The middle layer holds the block patterns worth sharing (used by at
@@ -398,7 +392,7 @@ def lupanov_depth2(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
     """
     m, n = a.rows, a.cols
     width = max(1, math.ceil(math.log2(n) / 2)) if n > 1 else 1
-    masks = _blocks(n, width) if n else []
+    masks = _blocks(n, width)
 
     use_count: dict[int, int] = {}
     row_parts: list[list[int]] = []
@@ -432,9 +426,7 @@ def lupanov_depth2(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
         outputs.append(next_id)
         next_id += 1
 
-    layered = LayeredCircuit(
-        n, connective, (middle_layer, tuple(out_layer)), tuple(outputs)
-    )
+    layered = LayeredCircuit(n, XOR, (middle_layer, tuple(out_layer)), tuple(outputs))
     return _result(layered, "lupanov2", a, block_width=width)
 
 

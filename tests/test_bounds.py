@@ -63,6 +63,14 @@ def test_kfree_quantity_statuses():
         assert st.seed == 5 and st.budget == 20_000
 
 
+def test_kfree_quantity_refuses_k_below_one():
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be"):
+            lc.kfree_quantity(lc.identity(6), k)
+        with pytest.raises(ValueError, match="k must be"):
+            lc.bound_report(lc.identity(6), kfree_ks=(k,))
+
+
 def test_kst_cap():
     ok, cap = lc.kst_cap(lc.ones(4, 4), 2)
     assert cap == pytest.approx(12.0)

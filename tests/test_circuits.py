@@ -166,7 +166,7 @@ def test_size_and_depth():
     empty = Circuit(3, lc.XOR, (), (0,))
     assert lc.size_gates(empty) == 0 and lc.depth(empty) == 0
     d2 = circuit_depth2()
-    assert lc.size_wires(d2) == 9 and lc.depth_layered(d2) == 2
+    assert lc.size_wires(d2) == 9 and lc.depth(d2) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +231,16 @@ def test_compose_matches_matrix_product():
             comp = lc.compose(outer, inner)
             assert lc.size_gates(comp) <= 11
             assert lc.matrix_of(comp) == mul(lc.matrix_of(outer), lc.matrix_of(inner))
-    # layered pairs: depths add, and wires add unless an operand is zero
+    # layered pairs: layer counts add, depths add at most, and wires add
+    # unless an operand is zero
     for _ in range(40):
         inner = _random_layered(rng, 5)
         if rng.randrange(2):
             inner = _zero_some_outputs(rng, inner)
         outer = _random_layered(rng, len(inner.outputs))
         comp = lc.compose_layered(outer, inner)
-        assert lc.depth_layered(comp) == lc.depth_layered(outer) + lc.depth_layered(inner)
+        assert len(comp.layers) == len(outer.layers) + len(inner.layers)
+        assert lc.depth(comp) <= lc.depth(outer) + lc.depth(inner)
         wires = lc.size_wires(outer) + lc.size_wires(inner)
         if None in inner.outputs:
             assert lc.size_wires(comp) <= wires
@@ -297,7 +299,7 @@ def test_flatten_random_layered():
         assert lc.size_gates(flat) == lc.size_wires(lay) - lay.n_gates
         max_fan = max(len(g) for layer in lay.layers for g in layer)
         if max_fan > 1:
-            bound = lc.depth_layered(lay) * max(1, (max_fan - 1).bit_length())
+            bound = lc.depth(lay) * max(1, (max_fan - 1).bit_length())
             assert lc.depth(flat) <= bound
         # same matrix under XOR semantics via direct evaluation
         x = [rng.randrange(2) for _ in range(5)]

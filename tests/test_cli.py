@@ -278,6 +278,29 @@ def test_lab_commands_require_seed(capsys):
     assert code == 2 and "--seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lab", "ramsey", "--in", "exampleA", "--t", "0", "--seed", "3"], "t must be"),
+        (["bound", "--in", "exampleA", "--kfree", "0"], "k must be"),
+        (["lab", "rankstats", "--in", "exampleA", "--k", "2", "--samples", "0", "--seed", "4"],
+         "samples must be"),
+        (["lab", "separation", "--n", "1", "--trials", "1", "--seed", "5"], "n must be"),
+        (["lab", "separation", "--n", "16", "--trials", "0", "--seed", "5"], "trials must be"),
+        (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "5",
+          "--rank-samples", "0"], "rank_samples must be"),
+        (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "5", "--c", "0"],
+         "c must be"),
+        (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "5", "--budget", "-5"],
+         "submatrix_budget must be"),
+        (["lab", "sweep", "--ns", "16,1", "--trials", "1", "--seed", "5"], "n must be"),
+    ],
+)
+def test_out_of_range_arguments_exit_invalid(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and message in err and out == ""
+
+
 def test_lab_rankstats_and_ramsey(capsys):
     code, report, _ = run_json(
         capsys, "lab", "rankstats", "--in", "random:30:30:8", "--k", "6",
@@ -471,4 +494,4 @@ def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
         for argv, stdin in _transcript_cases()
     ]
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "f1d2f3dc62005884fc06e9dd169de1b94078bd1d7b4e50586476575bc69acd8d"
+    assert digest == "3b1121a98cbcaf6522e0a0377050cc7f15964a49d715eef6c65763a7a0e5b203"

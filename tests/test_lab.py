@@ -9,6 +9,7 @@ import pytest
 
 import lincirc as lc
 from lincirc import ExperimentConfig
+from lincirc import lab as lab_mod
 
 
 CFG16 = ExperimentConfig(n=16, master_seed=2025, trials=3, submatrix_budget=3000, rank_samples=8)
@@ -108,9 +109,13 @@ def test_report_json_matches_pinned_digest():
 
 
 def test_trial_computes_each_quantity_once(monkeypatch):
-    # the Sylvester check reads B_sub C_sub off A, and each synthesis
-    # result is flattened once for both verification and its CF flag
-    counted = (lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free)
+    # the Sylvester check reads B_sub C_sub off A, each synthesis result
+    # is flattened once for both verification and its CF flag, and one
+    # all-ones search per question: A's (inside kfree_quantity) and its
+    # complement's
+    counted = (
+        lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free, lc.find_allones_submatrix
+    )
     calls = Counter()
 
     def counting(fn):
@@ -126,7 +131,35 @@ def test_trial_computes_each_quantity_once(monkeypatch):
                 if callable(val) and val in wrappers:
                     monkeypatch.setattr(mod, attr, wrappers[val])
     lc.run_trial(ExperimentConfig(n=256, master_seed=1), 0)
-    assert calls == {"mul_gf2": 3, "flatten": 3, "verify": 6, "is_cancellation_free": 6}
+    assert calls == {
+        "mul_gf2": 3, "flatten": 3, "verify": 6, "is_cancellation_free": 6,
+        "find_allones_submatrix": 2,
+    }
+
+
+def test_trial_allones_witness_is_the_kfree_witness():
+    # c = 1 leaves A of rank log2 n, which holds large all-ones blocks
+    cfg = ExperimentConfig(n=128, master_seed=3, c=1, trials=1, rank_samples=2)
+    t = lc.run_trial(cfg, 0)
+    assert t.kfree.kind == "exact-not-free"
+    assert t.allones_witness is not None and t.allones_witness == t.kfree.witness
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 1), ("c", 0), ("trials", 0), ("rank_samples", 0), ("submatrix_budget", -5)],
+)
+def test_config_refuses_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ExperimentConfig(**{"n": 16, "master_seed": 1, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        replace(CFG16, **{field: value})
+
+
+def test_ratio_sweep_checks_every_size_before_any_trial(monkeypatch):
+    monkeypatch.setattr(lab_mod, "run_experiment", lambda *a, **k: pytest.fail("ran trials"))
+    with pytest.raises(ValueError, match="n must be"):
+        lc.ratio_sweep([8, 1], CFG16)
 
 
 def test_submatrix_rank_stats():
@@ -138,6 +171,8 @@ def test_submatrix_rank_stats():
     assert 0 <= st.min_rank <= 5
     with pytest.raises(ValueError):
         lc.submatrix_rank_stats(ident, 13, 5, seed=0)
+    with pytest.raises(ValueError, match="samples"):
+        lc.submatrix_rank_stats(ident, 4, 0, seed=0)
 
 
 def test_rank_stats_deterministic():
@@ -165,6 +200,9 @@ def test_ramsey_check():
     _, _, a = lc.trial_matrices(ExperimentConfig(n=64, master_seed=3, trials=1), 0)
     out = lc.ramsey_check(a, 12, budget=3000, seed=2)
     assert out.status == "evidence-ramsey"
+    for t in (1, 0, -1):
+        with pytest.raises(ValueError, match="t must be"):
+            lc.ramsey_check(j, t, budget=2000, seed=1)
 
 
 # ---------------------------------------------------------------------------

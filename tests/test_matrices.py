@@ -227,6 +227,17 @@ def test_find_allones_submatrix():
             assert not exact.k_free
 
 
+def test_kfree_searches_refuse_k_below_one():
+    # k = -1 once looped forever: no step is counted for an empty block
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be"):
+            lc.find_allones_submatrix(lc.ones(4, 4), k, budget=100, seed=0)
+        with pytest.raises(ValueError, match="k must be"):
+            lc.is_k_free_exact(lc.ones(4, 4), k)
+        with pytest.raises(ValueError, match="k must be"):
+            kfree_enumeration_feasible(lc.ones(4, 4), k)
+
+
 # ---------------------------------------------------------------------------
 # generators and formats
 

@@ -247,11 +247,13 @@ def test_lupanov_depth2_identity_and_golden():
     assert res.cost == 8  # one wire per output
     _verify_result(res, lc.identity(8))
     s16 = lc.lupanov_depth2(lc.gen_sierpinski(16))
-    assert lc.depth_layered(s16.circuit) == 2
+    assert lc.depth(s16.circuit) == 2
     assert s16.cost == 69  # frozen from the first verified run
     assert s16.cost <= 16 * math.ceil(16 / 2) * 2
     _verify_result(s16, lc.gen_sierpinski(16))
     assert s16.cancellation_free
+    # example_a shares no block pattern: an empty middle layer, one gate deep
+    assert lc.depth(lc.lupanov_depth2(lc.example_a()).circuit) == 1
 
 
 def test_lupanov_depth2_wire_ratio():
@@ -332,7 +334,7 @@ def test_product_circuit():
     _verify_result(res, lc.mul_gf2(b, c))
     assert res.cost == lc.lupanov(b).cost + lc.lupanov(c).cost  # composition adds no gates
     lay = lc.product_circuit(b, c, "depth4")
-    assert lc.depth_layered(lay.circuit) == 4
+    assert lc.depth(lay.circuit) == 4
     _verify_result(lay, lc.mul_gf2(b, c))
     ident = lc.product_circuit(lc.identity(5), lc.identity(5))
     _verify_result(ident, lc.identity(5))
