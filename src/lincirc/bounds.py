@@ -19,7 +19,6 @@ from typing import Optional
 
 from .matrices import (
     BitMatrix,
-    BudgetExceededError,
     DimensionError,
     EVIDENCE_BUDGET,
     Submatrix,
@@ -30,6 +29,7 @@ from .matrices import (
     find_allones_submatrix,
     gen_sierpinski,
     is_k_free_exact,
+    kfree_enumeration_feasible,
     kst_bound,
     popcount,
     rank_gf2,
@@ -38,7 +38,6 @@ from .matrices import (
 KFREE_EXACT_FREE = "exact-free"
 KFREE_EXACT_NOT_FREE = "exact-not-free"
 KFREE_EVIDENCE_FREE = "evidence-free"
-KFREE_UNKNOWN = "unknown"
 
 
 def _log2_abs(value: int) -> float:
@@ -93,7 +92,7 @@ class KFreeStatus:
     """Outcome of a k-freeness claim at one k."""
 
     k: int
-    kind: str  # exact-free | exact-not-free | evidence-free | unknown
+    kind: str  # exact-free | exact-not-free | evidence-free
     quantity: Optional[float]  # |A| / k^2 when freeness holds or is evidenced
     witness: Optional[Submatrix] = None
     budget: Optional[int] = None
@@ -115,15 +114,14 @@ def kfree_quantity(
     """
     _require_freeness_k(k)
     quantity = popcount(a) / (k * k)
-    try:
-        outcome = is_k_free_exact(a, k)
-    except BudgetExceededError:
+    if not kfree_enumeration_feasible(a, k):
         witness = find_allones_submatrix(a, k, budget=evidence_budget, seed=seed)
         if witness is not None:
             return KFreeStatus(k, KFREE_EXACT_NOT_FREE, None, witness=witness)
         return KFreeStatus(
             k, KFREE_EVIDENCE_FREE, quantity, budget=evidence_budget, seed=seed
         )
+    outcome = is_k_free_exact(a, k)
     if outcome.k_free:
         return KFreeStatus(k, KFREE_EXACT_FREE, quantity)
     return KFreeStatus(k, KFREE_EXACT_NOT_FREE, None, witness=outcome.witness)

@@ -375,19 +375,18 @@ def flatten(layered: LayeredCircuit) -> Circuit:
 # SLP text format
 
 
-def _write(
-    n_inputs: int,
-    connective: str,
-    layers: Sequence[Sequence[Sequence[int]]],
-    outputs: Sequence[Optional[int]],
-    layered: bool,
-) -> str:
-    """The one writer: a flat circuit is one layer without its marker."""
+def slp_dumps(c: AnyCircuit) -> str:
+    """SLP text of a flat or layered circuit (the header says which).
+
+    The one writer: a flat circuit is one layer without its marker.
+    """
+    layered = isinstance(c, LayeredCircuit)
+    layers = c.layers if layered else (c.gates,)
     n_gates = sum(map(len, layers))
-    names = [f"x{i + 1}" for i in range(n_inputs)] + [f"t{k + 1}" for k in range(n_gates)]
+    names = [f"x{i + 1}" for i in range(c.n_inputs)] + [f"t{k + 1}" for k in range(n_gates)]
     name = names.__getitem__
-    lines = [f"inputs {n_inputs} connective {connective}" + (" layered" if layered else "")]
-    g = n_inputs
+    lines = [f"inputs {c.n_inputs} connective {c.connective}" + (" layered" if layered else "")]
+    g = c.n_inputs
     for d, layer in enumerate(layers):
         if layered:
             lines.append(f"layer {d + 1}")
@@ -395,18 +394,10 @@ def _write(
             lines.append(f"{names[g]} = {' + '.join(map(name, ops))}")
             g += 1
     outs = " ".join(
-        f"y{i + 1}={'0' if o is None else names[o]}" for i, o in enumerate(outputs)
+        f"y{i + 1}={'0' if o is None else names[o]}" for i, o in enumerate(c.outputs)
     )
     lines.append(f"outputs: {outs}")
     return "\n".join(lines) + "\n"
-
-
-def slp_dumps(c: Circuit) -> str:
-    return _write(c.n_inputs, c.connective, (c.gates,), c.outputs, False)
-
-
-def layered_dumps(layered: LayeredCircuit) -> str:
-    return _write(layered.n_inputs, layered.connective, layered.layers, layered.outputs, True)
 
 
 _HEADER_RE = re.compile(r"inputs\s+(\d+)\s+connective\s+(XOR|OR)(\s+layered)?\s*$")
@@ -521,9 +512,3 @@ def slp_loads(text: str) -> AnyCircuit:
     if layered:
         return LayeredCircuit(n_inputs, connective, tuple(map(tuple, layers)), outputs)
     return Circuit(n_inputs, connective, tuple(layers[0]), outputs)
-
-
-def dumps_circuit(c: AnyCircuit) -> str:
-    if isinstance(c, LayeredCircuit):
-        return layered_dumps(c)
-    return slp_dumps(c)

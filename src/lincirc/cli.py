@@ -30,10 +30,10 @@ from .circuits import (
     LayeredCircuit,
     cancellation_free_flag,
     depth,
-    dumps_circuit,
     flatten,
     size_gates,
     size_wires,
+    slp_dumps,
     slp_loads,
     verify,
 )
@@ -231,7 +231,7 @@ def cmd_synth(args) -> int:
         res = construct(n)
     else:
         res = construct(_input_matrix(args))
-    slp = dumps_circuit(res.circuit)
+    slp = slp_dumps(res.circuit)
     layered = isinstance(res.circuit, LayeredCircuit)
     report = {
         "type": "synth",
@@ -295,7 +295,7 @@ def cmd_exact(args) -> int:
         "exceeded": out.exceeded,
     }
     if out.witness is not None and args.emit_witness:
-        Path(args.emit_witness).write_text(dumps_circuit(out.witness))
+        Path(args.emit_witness).write_text(slp_dumps(out.witness))
     effort = f"{out.nodes_expanded} nodes, {out.peak_states} states"
     human = (
         f"optimal {model} size {out.optimal_size} ({effort})"

@@ -14,8 +14,9 @@ budget with only sound pruning:
 * each step adds exactly one signal, so the number of target rows not
   yet present never exceeds the remaining budget (admissible heuristic);
 * signal sets are canonical states (a candidate is never 0 and never a
-  value already present) and each set is expanded at most once per
-  iteration, at its first (hence shallowest) depth;
+  value already present), so a state at depth d holds exactly n + d
+  signals and can only recur within its own level; each level is one
+  dict, its own visited set, and each state is expanded at most once;
 * in the CF and OR models, candidates are only nonzero submasks of some
   target (under-target pruning).  There a signal is a subset of every
   signal derived from it.  A goal set at the optimal budget that held a
@@ -30,10 +31,10 @@ budget with only sound pruning:
   so iteration stops at that cost minus one.
 
 A state is one int, a bitmask over the 2^n value universe (bit v set when
-value v is present).  Each frontier entry carries that mask, the mask of
-candidate values derivable from it and the tuple of present signals, so
-a child costs one pass over that tuple and the signals are never decoded
-from the mask.  A mask has 2^n bits, so inputs are capped at 16 columns;
+value v is present).  A level maps each state to the mask of candidate
+values derivable from it and the tuple of present signals, so a child
+costs one pass over that tuple and the signals are never decoded from
+the mask.  A mask has 2^n bits, so inputs are capped at 16 columns;
 every search that finishes is far below that.  Expansion order is fixed
 -- candidate values ascending, missing targets first under a tight budget
 -- which makes ``nodes_expanded`` and the returned witness deterministic.
@@ -42,6 +43,7 @@ every search that finishes is far below that.  Expansion order is fixed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .matrices import BitMatrix, BudgetExceededError
@@ -55,10 +57,11 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
-# A visited state costs about 260 bytes of peak RSS (visited set plus
-# frontier: S_8 in CF with limit 12 peaked at 3.99 M states and 989 MiB
-# above the process's start), so this default stops a search near 2 GB.
-_DEFAULT_MAX_STATES = 8_000_000
+# A held state costs about 390-410 bytes of peak RSS: S_8 with limit 12
+# held at most 2.46 M states at 953 MiB max RSS in CF and 3.01 M at
+# 1 211 MiB in XOR, from a 34 MiB start.  So this default stops a search
+# near 2 GB.
+_DEFAULT_MAX_STATES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -69,43 +72,30 @@ class SearchOutcome:
     witness: Optional[Circuit]
     nodes_expanded: int
     limit: int
-    peak_states: int = 0  # largest visited-state set of any one sweep
+    peak_states: int = 0  # most states held at once in any one sweep
 
 
-def _derive_witness(n: int, model: str, extras: list[int], rows: list[int]) -> Circuit:
-    """Witness circuit for a goal signal set: the units plus ``extras``.
+def _derive_witness(n: int, model: str, sigs: tuple[int, ...], rows: list[int]) -> Circuit:
+    """Witness circuit for a goal's signal tuple: the n units, then the
+    added values in sweep order.
 
-    Repeatedly places the smallest remaining value that two placed signals
-    produce (disjoint ones in the CF model), with the first such index pair
-    ``(i, j)``, ``i < j``, as its gate.  The greedy choice never needs
-    undoing: placing a signal only adds pairs, so it makes no value
-    underivable; and the sweep added the values in a valid order, so the
-    earliest remaining one in that order, all of whose predecessors are
-    placed, is always producible.  Outputs point at the signal equal to
-    each row.
+    Each added value's gate is the lexicographically first pair ``(i, j)``,
+    ``i < j``, of earlier signals that produces it (disjoint ones in the CF
+    model).  The pair exists: every added value was a candidate, and the
+    candidates are exactly such combinations.  Outputs point at the signal
+    equal to each row.
     """
     cf = model == CF_MODEL
     union = model == OR_MODEL
-    sigs: list[int] = []
-    first: dict[int, tuple[int, int]] = {}  # value -> first pair producing it
     gates = []
-    todo = sorted(extras)
-    for k in range(n + len(todo)):
-        if k < n:
-            v = 1 << k
+    for k in range(n, len(sigs)):
+        for i, j in combinations(range(k), 2):
+            s, t = sigs[i], sigs[j]
+            if (s | t if union else s ^ t) == sigs[k] and not (cf and s & t):
+                gates.append((i, j))
+                break
         else:
-            v = next((w for w in todo if w in first), None)
-            if v is None:
-                raise RuntimeError("goal set admits no derivation order")
-            todo.remove(v)
-            gates.append(first[v])
-        for i, s in enumerate(sigs):
-            if cf and s & v:
-                continue
-            w = s | v if union else s ^ v
-            if w not in first or i < first[w][0]:
-                first[w] = (i, k)
-        sigs.append(v)
+            raise RuntimeError("goal signal admits no gate")
     index = {v: k for k, v in enumerate(sigs)}
     outputs = tuple(None if r == 0 else index[r] for r in rows)
     return Circuit(n, OR if union else XOR, tuple(gates), outputs)
@@ -147,20 +137,28 @@ def _sweep(
 ) -> tuple[Optional[tuple[int, ...]], int, int]:
     """Breadth-first exhaust at one budget.
 
-    A frontier entry is ``(state mask, candidate mask, signal tuple)``;
-    candidates are masked to ``allowed`` and never hold a present value.
-    Returns the goal's signals (units first, then the added values in
-    order) or None, the nodes expanded and the number of visited states.
+    ``root`` is ``(state mask, candidate mask, signal tuple)``; a level
+    maps each state to its candidates and signals, filled in expansion
+    order.  Candidates are masked to ``allowed`` and never hold a present
+    value.  Returns the goal's signals (units first, then the added values
+    in order) or None, the nodes expanded and the most states held at once
+    (the level being expanded plus the one being built).
+
+    No state is ever kept whose missing-target count exceeds its remaining
+    budget: the budget loop starts at the number of targets, so the root
+    has miss <= rem; a state with miss < rem gives children with
+    miss2 <= miss <= rem - 1, and one with miss = rem tries only missing
+    targets, so its children have miss2 = rem - 1.
     """
     xor = model == XOR_MODEL
     cf = model == CF_MODEL
-    visited = {root[0]}
-    level = [root]
-    nodes = 0
+    level = {root[0]: root[1:]}
+    nodes = peak = 0
     for depth_used in range(budget):
         rem = budget - depth_used
-        nxt = []
-        for st, cands, sigs in level:
+        room = max_states - len(level)  # what the next level may hold
+        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for st, (cands, sigs) in level.items():
             nodes += 1
             miss_mask = tmask & ~st
             miss = miss_mask.bit_count()
@@ -169,20 +167,11 @@ def _sweep(
                 low = use & -use
                 use ^= low
                 st2 = st | low
-                if st2 in visited:
+                if st2 in nxt:
                     continue
                 v = low.bit_length() - 1
-                miss2 = miss - ((tmask >> v) & 1)
-                if miss2 == 0:
-                    return sigs + (v,), nodes, len(visited)
-                if miss2 >= rem:
-                    continue
-                visited.add(st2)
-                if len(visited) > max_states:
-                    raise BudgetExceededError(
-                        f"search exceeded {max_states} states; "
-                        "raise max_states or lower the limit"
-                    )
+                if miss - ((tmask >> v) & 1) == 0:
+                    return sigs + (v,), nodes, max(peak, len(level) + len(nxt))
                 extra = 0
                 if xor:
                     for s in sigs:
@@ -194,11 +183,17 @@ def _sweep(
                 else:
                     for s in sigs:
                         extra |= 1 << (v | s)
-                nxt.append((st2, (cands | extra) & allowed & ~st2, sigs + (v,)))
+                nxt[st2] = ((cands | extra) & allowed & ~st2, sigs + (v,))
+                if len(nxt) > room:
+                    raise BudgetExceededError(
+                        f"search exceeded {max_states} states; "
+                        "raise max_states or lower the limit"
+                    )
+        peak = max(peak, len(level) + len(nxt))
         if not nxt:
             break
         level = nxt
-    return None, nodes, len(visited)
+    return None, nodes, peak
 
 
 def optimal_size(
@@ -211,8 +206,8 @@ def optimal_size(
     exhausting all smaller sizes (up to ``limit`` gates).
 
     The outcome carries a verified witness, the node count of the
-    deterministic sequential sweep and the largest visited-state set of
-    any one sweep.  ``a`` may have at most 16 columns (a state is a
+    deterministic sequential sweep and the most states any one sweep
+    held at once.  ``a`` may have at most 16 columns (a state is a
     bitmask over the 2^n possible signal values); wider input raises
     ``ValueError`` before any work is done.
     """
@@ -229,7 +224,7 @@ def optimal_size(
     unit_set = set(units)
     targets = sorted({r for r in rows if r and r not in unit_set})
     if not targets:
-        witness = _derive_witness(n, model, [], rows)
+        witness = _derive_witness(n, model, units, rows)
         return SearchOutcome(model, 0, False, _checked(witness, a, model), 0, limit)
 
     ub_cost, ub_circuit = _heuristic_upper_bound(a)
@@ -260,13 +255,12 @@ def optimal_size(
 
     nodes = peak = 0
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        goal, swept, seen = _sweep(root, budget, model, tmask, allowed, max_states)
+        goal, swept, held = _sweep(root, budget, model, tmask, allowed, max_states)
         nodes += swept
-        peak = max(peak, seen)
+        peak = max(peak, held)
         if goal is not None:
-            extras = list(goal[n:])
-            witness = _checked(_derive_witness(n, model, extras, rows), a, model)
-            return SearchOutcome(model, len(extras), False, witness, nodes, limit, peak)
+            witness = _checked(_derive_witness(n, model, goal, rows), a, model)
+            return SearchOutcome(model, len(goal) - n, False, witness, nodes, limit, peak)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)
         return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak)

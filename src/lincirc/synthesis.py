@@ -45,7 +45,8 @@ from .bounds import sierpinski_lb
 
 #: Node budget of each minimum disjoint cover search in
 #: :func:`boyar_peralta`; a search that runs out keeps its best cover so
-#: far and the result reports ``distances_exact=False``.
+#: far (the units if it found none) and the result reports
+#: ``distances_exact=False``.
 COVER_NODE_BUDGET = 20_000
 
 
@@ -226,9 +227,9 @@ def _min_disjoint_cover(
     exactly ``target``.
 
     Exact branch-and-bound on the lowest uncovered bit, falling back to
-    the best cover found once ``node_budget`` nodes are spent (the flag
-    reports whether the search stayed exact).  Unit signals are assumed
-    present, so a cover always exists.
+    the best cover found once ``node_budget`` nodes are spent, or to the
+    units if it found none (the flag reports whether the search stayed
+    exact).  Unit signals are assumed present, so a cover always exists.
     """
     by_bit: dict[int, list[int]] = {}
     for v in base_values:
@@ -241,7 +242,7 @@ def _min_disjoint_cover(
 
     search = _DisjointCoverSearch(by_bit, max_w, target.bit_count() + 1, node_budget)
     search.rec(target, [])
-    return search.best, search.exact
+    return search.best or [1 << i for i in _set_bits(target)], search.exact
 
 
 def boyar_peralta(a: BitMatrix) -> SynthesisResult:

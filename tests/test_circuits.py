@@ -5,7 +5,7 @@ import pytest
 
 import lincirc as lc
 from lincirc import BitMatrix, Circuit, LayeredCircuit, SplitMix64
-from lincirc.circuits import cancellation_free_flag, layered_dumps
+from lincirc.circuits import cancellation_free_flag
 from lincirc.cli import fixtures_dir
 
 
@@ -352,7 +352,7 @@ def test_layered_roundtrip():
     rng = SplitMix64(27)
     for _ in range(20):
         lay = _random_layered(rng, 4)
-        assert lc.slp_loads(layered_dumps(lay)) == lay
+        assert lc.slp_loads(lc.slp_dumps(lay)) == lay
 
 
 FLAT = "inputs 2 connective XOR\n"

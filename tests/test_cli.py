@@ -494,4 +494,4 @@ def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
         for argv, stdin in _transcript_cases()
     ]
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "3b1121a98cbcaf6522e0a0377050cc7f15964a49d715eef6c65763a7a0e5b203"
+    assert digest == "975ac5c101a5f5c061213fe4ec7581e02addd5738aa30348db51c41b009e4abe"

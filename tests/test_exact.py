@@ -151,6 +151,18 @@ def test_search_outputs_match_pinned_digest():
     assert xor_nodes == [4, 4, 1, 0, 0, 1, 3, 2, 3, 2]
 
 
+def test_state_limit_is_the_peak_held():
+    # peak_states is exactly the most states a sweep holds: that many
+    # solve, one fewer is refused
+    m = lc.example_b()
+    for model in lc.MODELS:
+        out = lc.optimal_size(m, model)
+        again = lc.optimal_size(m, model, max_states=out.peak_states)
+        assert again.optimal_size == out.optimal_size
+        with pytest.raises(lc.BudgetExceededError, match="exceeded"):
+            lc.optimal_size(m, model, max_states=out.peak_states - 1)
+
+
 def test_sixteen_column_input_still_solves():
     # the padded 4-row pattern still has XOR optimum 4 via cancellation,
     # below the heuristic upper bound, so the sweep itself must run

@@ -112,9 +112,11 @@ def test_trial_computes_each_quantity_once(monkeypatch):
     # the Sylvester check reads B_sub C_sub off A, each synthesis result
     # is flattened once for both verification and its CF flag, and one
     # all-ones search per question: A's (inside kfree_quantity) and its
-    # complement's
+    # complement's; at n = 256 exact k-freeness is out of reach, so
+    # kfree_quantity never calls is_k_free_exact
     counted = (
-        lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free, lc.find_allones_submatrix
+        lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free, lc.find_allones_submatrix,
+        lc.is_k_free_exact,
     )
     calls = Counter()
 
@@ -135,6 +137,7 @@ def test_trial_computes_each_quantity_once(monkeypatch):
         "mul_gf2": 3, "flatten": 3, "verify": 6, "is_cancellation_free": 6,
         "find_allones_submatrix": 2,
     }
+    assert calls["is_k_free_exact"] == 0
 
 
 def test_trial_allones_witness_is_the_kfree_witness():

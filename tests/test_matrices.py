@@ -197,6 +197,22 @@ def test_is_k_free_exact_against_brute_force():
                         assert a.entry(i, j) == 1
 
 
+def test_is_k_free_exact_witness_on_a_tall_matrix():
+    # more rows than columns: the search runs on the transpose and hands
+    # the witness back in the original orientation
+    a = BitMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 0, 1], [0, 0, 0], [1, 1, 1]])
+    got = lc.is_k_free_exact(a, 1)
+    assert not got.k_free and ref_has_allones(a, 2)
+    assert got.witness == lc.Submatrix((3, 5), (0, 2))
+    rng = SplitMix64(89)
+    for _ in range(20):
+        a = random_bits_matrix(rng, 9, 5)
+        got = lc.is_k_free_exact(a, 1)
+        assert got.k_free == (not ref_has_allones(a, 2))
+        if got.witness is not None:
+            assert all(a.entry(i, j) for i in got.witness.row_idx for j in got.witness.col_idx)
+
+
 def test_is_k_free_budget_refusal():
     big = lc.ones(4096, 4096)
     with pytest.raises(lc.BudgetExceededError):

@@ -30,6 +30,13 @@ def test_derive_seed_depends_on_path():
     assert derive_seed(7, 3, 4) == derive_seed(7, 3, 4)
 
 
+def test_shuffle_is_a_pinned_permutation():
+    xs = list(range(10))
+    SplitMix64(2013).shuffle(xs)
+    assert sorted(xs) == list(range(10))
+    assert xs == [4, 5, 8, 0, 3, 2, 7, 6, 9, 1]
+
+
 def test_bits_width_and_determinism():
     rng = SplitMix64(1)
     v = rng.bits(130)

@@ -7,7 +7,6 @@ import pytest
 
 import lincirc as lc
 from lincirc import BitMatrix, SplitMix64, derive_seed
-from lincirc.circuits import layered_dumps
 from conftest import random_bits_matrix
 
 
@@ -186,6 +185,19 @@ def test_bp_random_verification():
         res = lc.boyar_peralta(m)
         assert res.cancellation_free
         _verify_result(res, m)
+
+
+def test_bp_with_a_tiny_cover_budget_still_verifies(monkeypatch):
+    # budget 1 cuts most cover searches short before their first cover,
+    # and those distances come from the unit covers
+    for budget in (1, 5):
+        monkeypatch.setattr(lc.synthesis, "COVER_NODE_BUDGET", budget)
+        for seed in range(3):
+            m = lc.gen_random(9, 9, seed)
+            res = lc.boyar_peralta(m)
+            assert res.params == {"cover_node_budget": budget, "distances_exact": False}
+            assert res.cancellation_free
+            _verify_result(res, m)
 
 
 def test_bp_outputs_match_pinned_digest():
@@ -367,4 +379,4 @@ def test_all_synthesis_results_roundtrip_as_slp():
     ):
         assert lc.slp_loads(lc.slp_dumps(res.circuit)) == res.circuit
     lay = lc.lupanov_depth2(a)
-    assert lc.slp_loads(layered_dumps(lay.circuit)) == lay.circuit
+    assert lc.slp_loads(lc.slp_dumps(lay.circuit)) == lay.circuit
