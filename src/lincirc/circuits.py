@@ -308,19 +308,12 @@ def compose(outer: Circuit, inner: Circuit) -> Circuit:
     zero_ins = {i for i, o in enumerate(inner.outputs) if o is None}
     if zero_ins:
         outer = restrict_zero(outer, zero_ins).reduced
-    offset = len(inner.gates)
-
-    def tr(ref: Optional[int]) -> Optional[int]:
-        if ref is None:
-            return None
-        if ref < outer.n_inputs:
-            return inner.outputs[ref]
-        return inner.n_inputs + offset + (ref - outer.n_inputs)
-
+    # outer inputs read the inner outputs; outer gates follow the inner ones
+    base = inner.n_inputs + len(inner.gates)
+    sigmap = list(inner.outputs) + list(range(base, base + len(outer.gates)))
     gates = list(inner.gates)
-    for a, b in outer.gates:
-        gates.append((tr(a), tr(b)))
-    outputs = tuple(tr(o) for o in outer.outputs)
+    gates += [(sigmap[a], sigmap[b]) for a, b in outer.gates]
+    outputs = tuple(None if o is None else sigmap[o] for o in outer.outputs)
     return Circuit(inner.n_inputs, inner.connective, tuple(gates), outputs)
 
 

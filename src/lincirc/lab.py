@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import SplitMix64, derive_seed, words_np
+from .rng import derive_seed, words_np
 from .matrices import (
     EVIDENCE_BUDGET,
     BitMatrix,
@@ -94,12 +94,41 @@ class RankStats:
         return _report_dict(self)
 
 
-def _sample_indices(rng: SplitMix64, population: int, k: int) -> list[int]:
-    idx = list(range(population))
-    for i in range(k):
-        j = i + rng.randrange(population - i)
+#: Samples drawn per ``words_np`` call in :func:`_sample_pairs`; memory
+#: stays bounded whatever the number of samples.
+_SAMPLE_CHUNK = 256
+
+
+def _sample_pairs(seed: int, row_pop: int, col_pop: int, k: int, samples: int):
+    """Yield ``samples`` pairs (rows, cols) of sorted index lists, k rows
+    out of ``row_pop`` and k columns out of ``col_pop``, each drawn by a
+    partial Fisher-Yates shuffle.
+
+    Sample ``s`` uses words ``[2ks, 2k(s + 1))`` of the stream ``seed``,
+    rows first, and its i-th draw of each is ``word % (pop - i)``: the
+    indices are those of ``k`` sequential ``SplitMix64.randrange`` calls
+    per list.  The words of a chunk of samples come from one
+    :func:`words_np` call and are reduced in numpy; the swaps run in
+    Python.
+    """
+    mods = np.array(
+        [row_pop - i for i in range(k)] + [col_pop - i for i in range(k)], dtype=np.uint64
+    )
+    for first in range(0, samples, _SAMPLE_CHUNK):
+        cnt = min(_SAMPLE_CHUNK, samples - first)
+        draws = (words_np(seed, 2 * k * first, 2 * k * cnt).reshape(cnt, 2 * k) % mods).tolist()
+        for d in draws:
+            yield _shuffled_prefix(row_pop, d[:k]), _shuffled_prefix(col_pop, d[k:])
+
+
+def _shuffled_prefix(pop: int, draws: list[int]) -> list[int]:
+    """The first ``len(draws)`` entries of ``range(pop)`` after the swaps
+    ``i <-> i + draws[i]``, sorted."""
+    idx = list(range(pop))
+    for i, r in enumerate(draws):
+        j = i + r
         idx[i], idx[j] = idx[j], idx[i]
-    return sorted(idx[:k])
+    return sorted(idx[: len(draws)])
 
 
 def submatrix_rank_stats(
@@ -109,15 +138,15 @@ def submatrix_rank_stats(
 
     A rank does not depend on where the columns sit, so a submatrix is
     its rows masked to the sampled columns, never repacked."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if k > min(b.rows, b.cols):
         raise ValueError(f"k={k} exceeds min dimension of {b.rows}x{b.cols}")
-    rng = SplitMix64(seed)
     ranks = []
-    for _ in range(samples):
-        rows = _sample_indices(rng, b.rows, k)
-        colmask = sum(1 << j for j in _sample_indices(rng, b.cols, k))
+    for rows, cols in _sample_pairs(seed, b.rows, b.cols, k, samples):
+        colmask = sum(1 << j for j in cols)
         ranks.append(rank_gf2(BitMatrix(k, b.cols, [b.row(i) & colmask for i in rows])))
     return RankStats(
         k, clipped, samples, min(ranks), sum(ranks) / len(ranks)
@@ -215,10 +244,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     # the rank of its transpose, the rows ``cols`` of C^T.
     sylvester_ok = True
     ct = c.transpose()
-    rng = SplitMix64(derive_seed(seed, 8))
-    for _ in range(config.rank_samples):
-        rows = _sample_indices(rng, n, krank)
-        cols = _sample_indices(rng, n, krank)
+    for rows, cols in _sample_pairs(derive_seed(seed, 8), n, n, krank, config.rank_samples):
         rank_b = rank_gf2(BitMatrix(krank, inner, [b.row(i) for i in rows]))
         rank_c = rank_gf2(BitMatrix(krank, inner, [ct.row(j) for j in cols]))
         colmask = sum(1 << j for j in cols)

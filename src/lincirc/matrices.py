@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import xor
 from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .rng import SplitMix64
 
@@ -222,18 +225,27 @@ def identity(n: int) -> BitMatrix:
 
 
 def mul_gf2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2): entry (i,j) = XOR_k a(i,k) & b(k,j)."""
+    """Matrix product over GF(2): entry (i,j) = XOR_k a(i,k) & b(k,j).
+
+    Four Russians: for each group of 8 rows of B, a 256-entry table holds
+    the XOR of every subset of the group, and each output row takes one
+    lookup, indexed by the matching byte of its row of A.  The cost is
+    ``ceil(b.rows / 8) * (256 + a.rows)`` table operations whatever the
+    density, and one table is held at a time.  A very sparse A pays for
+    tables it barely reads: ``identity(4096) @ 4096x64`` is over 50 times
+    slower than XORing the rows of B that its set bits select.  Every
+    product in this package has dense random factors.
+    """
     if a.cols != b.rows:
         raise DimensionError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        acc = 0
-        r = a.row(i)
-        while r:
-            k = (r & -r).bit_length() - 1
-            acc ^= b.row(k)
-            r &= r - 1
-        out.append(acc)
+    width = (a.cols + 7) // 8
+    a_bytes = b"".join(r.to_bytes(width, "little") for r in a._data)
+    out = [0] * a.rows
+    for g in range(width):
+        table = [0]
+        for r in b._data[8 * g : 8 * g + 8]:
+            table += [t ^ r for t in table]
+        out = list(map(xor, out, map(table.__getitem__, a_bytes[g::width])))
     return BitMatrix(a.rows, b.cols, out)
 
 
@@ -453,9 +465,18 @@ def find_allones_submatrix(
 ) -> Optional[Submatrix]:
     """Randomized greedy search for a (k+1) x (k+1) all-ones submatrix.
 
-    Restarted greedy row accumulation within a step budget (one step per
-    row-intersection evaluation).  A returned witness is verified and
-    therefore a proof; ``None`` is evidence of absence, not a proof.
+    Restarted greedy row accumulation over the m rows with at least k + 1
+    ones.  Each restart starts from a random row; each step of it adds the
+    unchosen row whose intersection with the rows so far keeps the most
+    ones (the first such row on a tie), while that is at least k + 1.
+    A scan is one numpy popcount over a uint64 table of the m rows.
+
+    The budget counts ``steps``: a scan for the next row costs m, one per
+    row it evaluates, chosen rows included.  A scan that starts under the
+    budget completes, so ``steps`` may pass the budget by less than one
+    scan.  Every "evidence-free" verdict rests on this count.  A returned
+    witness is verified and therefore a proof; ``None`` is evidence of
+    absence, not a proof.
     """
     _require_freeness_k(k)
     s = k + 1
@@ -464,29 +485,27 @@ def find_allones_submatrix(
         return None
     rng = SplitMix64(seed)
     m = len(eligible)
+    width = 8 * ((a.cols + 63) // 64)
+    table = np.frombuffer(
+        b"".join(r.to_bytes(width, "little") for _, r in eligible), dtype="<u8"
+    ).reshape(m, -1)
     steps = 0
     while steps < budget:
         start = rng.randrange(m)
         chosen = [start]
-        acc = eligible[start][1]
+        acc = table[start]
         while len(chosen) < s and steps < budget:
-            best = -1
-            best_cnt = -1
-            for t in range(m):
-                steps += 1
-                if t in chosen:
-                    continue
-                cnt = (acc & eligible[t][1]).bit_count()
-                if cnt >= s and cnt > best_cnt:
-                    best_cnt = cnt
-                    best = t
-            if best < 0:
+            steps += m
+            cnt = np.bitwise_count(table & acc).sum(axis=1, dtype=np.int64)
+            cnt[chosen] = -1
+            best = int(cnt.argmax())
+            if cnt[best] < s:
                 break
             chosen.append(best)
-            acc &= eligible[best][1]
+            acc = acc & table[best]
         if len(chosen) == s:
             rows = tuple(sorted(eligible[t][0] for t in chosen))
-            cols = tuple(_set_bits(acc)[:s])
+            cols = tuple(_set_bits(int.from_bytes(acc.tobytes(), "little"))[:s])
             colmask = sum(1 << j for j in cols)  # returned witnesses are proofs
             if any(a.row(i) & colmask != colmask for i in rows):
                 raise RuntimeError("all-ones witness does not verify")

@@ -354,34 +354,38 @@ def lupanov(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
     """
     m, n = a.rows, a.cols
     width = max(1, m.bit_length() - 1)
-    b = _Builder(n, connective)
-    sig_of: dict[int, int] = {}
-
-    def build(mask: int) -> int:
-        # A loop, not recursion: a self-referencing closure is a reference
-        # cycle that keeps the builder's gates alive until a full collection.
-        peeled = []
-        while mask not in sig_of and mask.bit_count() > 1:
-            peeled.append(mask)
-            mask ^= 1 << (mask.bit_length() - 1)
-        sig = sig_of.setdefault(mask, mask.bit_length() - 1)
-        for m in reversed(peeled):
-            sig = sig_of[m] = b.gate(sig, m.bit_length() - 1)
-        return sig
-
     masks = _blocks(n, width)
+    gates: list[tuple[int, int]] = []
+    sig_of = {1 << j: j for j in range(n)}  # block pattern -> its signal
     outputs: list[Optional[int]] = []
     for i in range(m):
         row = a.row(i)
-        parts = [build(row & bm) for bm in masks if row & bm]
+        parts = []
+        for bm in masks:
+            mask = row & bm
+            if mask:
+                sig = sig_of.get(mask)
+                if sig is None:
+                    # peel top bits down to a built pattern, then rebuild upwards
+                    peeled = []
+                    while sig is None:
+                        peeled.append(mask)
+                        mask ^= 1 << (mask.bit_length() - 1)
+                        sig = sig_of.get(mask)
+                    for p in reversed(peeled):
+                        gates.append((sig, p.bit_length() - 1))
+                        sig = sig_of[p] = n + len(gates) - 1
+                parts.append(sig)
         if not parts:
             outputs.append(None)
             continue
         acc = parts[0]
         for p in parts[1:]:
-            acc = b.gate(acc, p)
+            gates.append((acc, p))
+            acc = n + len(gates) - 1
         outputs.append(acc)
-    return _result(b.circuit(outputs), "lupanov", a, block_width=width)
+    circuit = Circuit(n, connective, tuple(gates), tuple(outputs))
+    return _result(circuit, "lupanov", a, block_width=width)
 
 
 def lupanov_depth2(a: BitMatrix) -> SynthesisResult:

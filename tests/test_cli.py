@@ -294,6 +294,10 @@ def test_lab_commands_require_seed(capsys):
         (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "5", "--budget", "-5"],
          "submatrix_budget must be"),
         (["lab", "sweep", "--ns", "16,1", "--trials", "1", "--seed", "5"], "n must be"),
+        (["lab", "rankstats", "--in", "exampleA", "--k", "0", "--samples", "3", "--seed", "4"],
+         "k must be >= 1"),
+        (["lab", "rankstats", "--in", "exampleA", "--k", "-1", "--samples", "3", "--seed", "4"],
+         "k must be >= 1"),
     ],
 )
 def test_out_of_range_arguments_exit_invalid(capsys, argv, message):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import lincirc as lc
-from lincirc import ExperimentConfig
+from lincirc import ExperimentConfig, SplitMix64
 from lincirc import lab as lab_mod
 
 
@@ -113,10 +113,11 @@ def test_trial_computes_each_quantity_once(monkeypatch):
     # is flattened once for both verification and its CF flag, and one
     # all-ones search per question: A's (inside kfree_quantity) and its
     # complement's; at n = 256 exact k-freeness is out of reach, so
-    # kfree_quantity never calls is_k_free_exact
+    # kfree_quantity never calls is_k_free_exact; 50 ranks for each
+    # factor's statistics and 3 per Sylvester sample make 250
     counted = (
         lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free, lc.find_allones_submatrix,
-        lc.is_k_free_exact,
+        lc.is_k_free_exact, lc.rank_gf2, lc.gen_random,
     )
     calls = Counter()
 
@@ -135,7 +136,7 @@ def test_trial_computes_each_quantity_once(monkeypatch):
     lc.run_trial(ExperimentConfig(n=256, master_seed=1), 0)
     assert calls == {
         "mul_gf2": 3, "flatten": 3, "verify": 6, "is_cancellation_free": 6,
-        "find_allones_submatrix": 2,
+        "find_allones_submatrix": 2, "rank_gf2": 250, "gen_random": 2,
     }
     assert calls["is_k_free_exact"] == 0
 
@@ -165,6 +166,45 @@ def test_ratio_sweep_checks_every_size_before_any_trial(monkeypatch):
         lc.ratio_sweep([8, 1], CFG16)
 
 
+def _sequential_indices(rng: SplitMix64, population: int, k: int) -> list[int]:
+    """k indices by a partial Fisher-Yates shuffle, one randrange each."""
+    idx = list(range(population))
+    for i in range(k):
+        j = i + rng.randrange(population - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return sorted(idx[:k])
+
+
+def _sequential_pairs(seed, row_pop, col_pop, k, samples):
+    rng = SplitMix64(seed)
+    return [
+        (_sequential_indices(rng, row_pop, k), _sequential_indices(rng, col_pop, k))
+        for _ in range(samples)
+    ]
+
+
+@pytest.mark.parametrize(
+    "row_pop, col_pop, k", [(256, 112, 40), (112, 256, 40), (112, 112, 112), (40, 256, 40), (1, 1, 1)]
+)
+def test_sample_pairs_match_sequential_draws(row_pop, col_pop, k):
+    for seed in (0, 20131305):
+        got = list(lab_mod._sample_pairs(seed, row_pop, col_pop, k, 7))
+        assert got == _sequential_pairs(seed, row_pop, col_pop, k, 7)
+
+
+def test_rank_stats_chunking_is_invisible():
+    # a sampled submatrix of the identity has rank |rows & cols|, so the
+    # ranks spread over 0..k and a misdrawn sample moves the mean
+    b = lc.identity(24)
+    k, seed = 6, 11
+    samples = lab_mod._SAMPLE_CHUNK + 1
+    pairs = _sequential_pairs(seed, b.rows, b.cols, k, samples)
+    assert list(lab_mod._sample_pairs(seed, b.rows, b.cols, k, samples)) == pairs
+    ranks = [len(set(rows) & set(cols)) for rows, cols in pairs]
+    expected = lc.RankStats(k, False, samples, min(ranks), sum(ranks) / samples)
+    assert lc.submatrix_rank_stats(b, k, samples, seed) == expected
+
+
 def test_submatrix_rank_stats():
     z = lc.zeros(10, 10)
     st = lc.submatrix_rank_stats(z, 4, 20, seed=3)
@@ -176,6 +216,9 @@ def test_submatrix_rank_stats():
         lc.submatrix_rank_stats(ident, 13, 5, seed=0)
     with pytest.raises(ValueError, match="samples"):
         lc.submatrix_rank_stats(ident, 4, 0, seed=0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lc.submatrix_rank_stats(ident, k, 5, seed=0)
 
 
 def test_rank_stats_deterministic():

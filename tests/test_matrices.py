@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 import sympy
@@ -31,6 +32,37 @@ def test_mul_gf2_identity_and_base_cases():
     assert lc.mul_gf2(s2, s2) == lc.identity(2)
     empty = lc.mul_gf2(BitMatrix(4, 0, [0] * 4), BitMatrix(0, 4, []))
     assert empty == lc.zeros(4, 4)
+
+
+def _per_bit_mul_gf2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """The product as one XOR of B's rows per set bit of A's row."""
+    out = []
+    for i in range(a.rows):
+        acc = 0
+        r = a.row(i)
+        while r:
+            k = (r & -r).bit_length() - 1
+            acc ^= b.row(k)
+            r &= r - 1
+        out.append(acc)
+    return BitMatrix(a.rows, b.cols, out)
+
+
+@pytest.mark.parametrize(
+    "m, inner, n",
+    [(256, 112, 256), (112, 256, 256), (9, 13, 5), (3, 8, 17), (1, 1, 1), (6, 65, 3),
+     (0, 12, 7), (7, 12, 0), (5, 0, 4)],
+)
+def test_mul_gf2_matches_per_bit_loop(m, inner, n):
+    rng = SplitMix64(m * 1000 + inner * 10 + n)
+    for _ in range(3):
+        a = random_bits_matrix(rng, m, inner)
+        b = random_bits_matrix(rng, inner, n)
+        assert lc.mul_gf2(a, b) == _per_bit_mul_gf2(a, b)
+    if m == inner:
+        assert lc.mul_gf2(lc.identity(m), b) == b
+    if inner == n:
+        assert lc.mul_gf2(a, lc.identity(n)) == a
 
 
 def test_mul_bool_base_cases():
@@ -241,6 +273,78 @@ def test_find_allones_submatrix():
         exact = lc.is_k_free_exact(a, 1)
         if w is not None:
             assert not exact.k_free
+
+
+def _scalar_allones_search(a: BitMatrix, k: int, budget: int, seed: int):
+    """The all-ones search one row intersection at a time: one step per
+    row a scan evaluates, chosen rows included; first best row on a tie."""
+    s = k + 1
+    eligible = [(i, r) for i, r in enumerate(a._data) if r.bit_count() >= s]
+    if len(eligible) < s:
+        return None
+    rng = SplitMix64(seed)
+    m = len(eligible)
+    steps = 0
+    while steps < budget:
+        start = rng.randrange(m)
+        chosen = [start]
+        acc = eligible[start][1]
+        while len(chosen) < s and steps < budget:
+            best = -1
+            best_cnt = -1
+            for t in range(m):
+                steps += 1
+                if t in chosen:
+                    continue
+                cnt = (acc & eligible[t][1]).bit_count()
+                if cnt >= s and cnt > best_cnt:
+                    best_cnt = cnt
+                    best = t
+            if best < 0:
+                break
+            chosen.append(best)
+            acc &= eligible[best][1]
+        if len(chosen) == s:
+            rows = tuple(sorted(eligible[t][0] for t in chosen))
+            cols = []
+            for j in range(a.cols):
+                if (acc >> j) & 1 and len(cols) < s:
+                    cols.append(j)
+            return lc.Submatrix(rows, tuple(cols))
+    return None
+
+
+def test_find_allones_matches_scalar_scan():
+    # the c = 1, n = 128 trial A has rank 7, and it and its complement
+    # hold large all-ones blocks; the c = 14 trial A holds none to find
+    cfg = lc.ExperimentConfig(n=128, master_seed=3, c=1, trials=1)
+    _, _, a = lc.trial_matrices(cfg, 0)
+    _, _, dense = lc.trial_matrices(replace(cfg, c=14), 0)
+    k = cfg.freeness_k
+    m = sum(a.row(i).bit_count() > k for i in range(a.rows))
+    # budgets that end a restart after 1, 2 and 5 scans, one step into a
+    # scan, and mid-way through several restarts; at seed 0 A's witness
+    # needs a 26th scan, which starts only under a budget above 25 m
+    assert m == 127
+    assert lc.find_allones_submatrix(a, k, budget=25 * m, seed=0) is None
+    assert lc.find_allones_submatrix(a, k, budget=25 * m + 1, seed=0) is not None
+    budgets = (1, m, m + 1, 5 * m - 1, 5 * m, 25 * m, 25 * m + 1, 3000, 20_000)
+    found = missed = 0
+    for mat in (a, lc.complement(a), dense):
+        for seed in (0, 1, 7):
+            for budget in budgets:
+                got = lc.find_allones_submatrix(mat, k, budget=budget, seed=seed)
+                assert got == _scalar_allones_search(mat, k, budget, seed)
+                found += got is not None
+                missed += got is None
+    assert found and missed
+    rng = SplitMix64(5)
+    for shape in ((12, 70), (40, 9), (30, 30)):
+        mat = random_bits_matrix(rng, *shape)
+        for k in (1, 2, 3):
+            for seed in (2, 3):
+                got = lc.find_allones_submatrix(mat, k, budget=500, seed=seed)
+                assert got == _scalar_allones_search(mat, k, 500, seed)
 
 
 def test_kfree_searches_refuse_k_below_one():

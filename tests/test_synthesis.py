@@ -7,6 +7,7 @@ import pytest
 
 import lincirc as lc
 from lincirc import BitMatrix, SplitMix64, derive_seed
+from lincirc.circuits import _Builder
 from conftest import random_bits_matrix
 
 
@@ -252,6 +253,49 @@ def test_lupanov_or_connective():
     assert res.circuit.connective == lc.OR
     assert lc.matrix_of(res.circuit) == m  # OR semantics used by matrix_of
     assert res.cancellation_free  # OR circuits cannot cancel
+
+
+def _closure_lupanov(a: BitMatrix, connective: str) -> lc.Circuit:
+    """The block construction through a pattern-building closure and the
+    circuit builder: each pattern peels its top bits down to a built
+    pattern or a single input, then rebuilds."""
+    m, n = a.rows, a.cols
+    width = max(1, m.bit_length() - 1)
+    b = _Builder(n, connective)
+    sig_of: dict[int, int] = {}
+
+    def build(mask: int) -> int:
+        peeled = []
+        while mask not in sig_of and mask.bit_count() > 1:
+            peeled.append(mask)
+            mask ^= 1 << (mask.bit_length() - 1)
+        sig = sig_of.setdefault(mask, mask.bit_length() - 1)
+        for p in reversed(peeled):
+            sig = sig_of[p] = b.gate(sig, p.bit_length() - 1)
+        return sig
+
+    masks = [((1 << min(width, n - lo)) - 1) << lo for lo in range(0, n, width)]
+    outputs = []
+    for i in range(m):
+        row = a.row(i)
+        parts = [build(row & bm) for bm in masks if row & bm]
+        if not parts:
+            outputs.append(None)
+            continue
+        acc = parts[0]
+        for p in parts[1:]:
+            acc = b.gate(acc, p)
+        outputs.append(acc)
+    return b.circuit(outputs)
+
+
+@pytest.mark.parametrize("connective", [lc.XOR, lc.OR])
+def test_lupanov_matches_closure_builder(connective):
+    rng = SplitMix64(31)
+    mats = [lc.identity(9), lc.zeros(3, 5), BitMatrix(16, 4, list(range(16)))]
+    mats += [random_bits_matrix(rng, m, n) for m, n in ((256, 112), (112, 256), (13, 7), (1, 30))]
+    for a in mats:
+        assert lc.lupanov(a, connective).circuit == _closure_lupanov(a, connective)
 
 
 def test_lupanov_depth2_identity_and_golden():
