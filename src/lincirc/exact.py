@@ -31,20 +31,25 @@ budget with only sound pruning:
   so iteration stops at that cost minus one.
 
 A state is one int, a bitmask over the 2^n value universe (bit v set when
-value v is present).  A level maps each state to the mask of candidate
-values derivable from it and the tuple of present signals, so a child
-costs one pass over that tuple and the signals are never decoded from
-the mask.  A mask has 2^n bits, so inputs are capped at 16 columns;
-every search that finishes is far below that.  Expansion order is fixed
--- candidate values ascending, missing targets first under a tight budget
--- which makes ``nodes_expanded`` and the returned witness deterministic.
+value v is present), and a level is a dict from each state to its
+candidate mask, the values derivable from it and not yet present.  A
+child's new candidates come from the parent's state mask alone: the
+values ``s ^ v``, ``s | v`` over disjoint ``s``, or ``s | v``, for every
+present ``s``, are a few shifts and masks of that mask (see
+:func:`_combiner`).  The signals of a state are never stored; the
+witness's gate order is recovered by a second sweep restricted to the
+goal (see :func:`optimal_size`).  A mask has 2^n bits, so inputs are
+capped at 16 columns; every search that finishes is far below that.
+Expansion order is fixed -- candidate values ascending, missing targets
+first under a tight budget -- which makes ``nodes_expanded`` and the
+returned witness deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .matrices import BitMatrix, BudgetExceededError
 from .circuits import XOR, OR, Circuit, is_cancellation_free, verify
@@ -57,10 +62,10 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
-# A held state costs about 390-410 bytes of peak RSS: S_8 with limit 12
-# held at most 2.46 M states at 953 MiB max RSS in CF and 3.01 M at
-# 1 211 MiB in XOR, from a 34 MiB start.  So this default stops a search
-# near 2 GB.
+# A held state (a dict slot, its state mask and its candidate mask) costs
+# about 165-190 bytes of peak RSS at n = 8: S_8 with limit 12 held at
+# most 2.46 M states at 425 MiB max RSS in CF and 3.01 M at 585 MiB in
+# XOR, from a 34 MiB start.  So this default stops a search near 1 GB.
 _DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -127,22 +132,74 @@ def _submasks(t: int, n: int) -> int:
     return m
 
 
+def _combiner(model: str, n: int) -> Callable[[int, int], int]:
+    """``combine(state, v)``: the mask of every value the model makes from
+    ``v`` and a value present in ``state`` -- ``s ^ v`` (XOR), ``s | v``
+    over ``s`` disjoint from ``v`` (CF), or ``s | v`` (OR).
+
+    ``clr[b]`` is the mask of the values whose bit ``b`` (a power of two)
+    is clear, built with O(n) big-int operations.  Flipping bit b of every
+    value swaps each block of b values with the block above it, so XOR is
+    one block swap per set bit of v; OR moves the clear-bit blocks onto the
+    set-bit ones.  The values disjoint from v are the AND of clr over v's
+    bits, each shifted up by v; that mask is cached per value of v.
+    """
+    full = (1 << (1 << n)) - 1
+    clr = {1 << i: full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)}
+
+    if model == XOR_MODEL:
+        def combine(st: int, v: int) -> int:
+            while v:
+                b = v & -v
+                v ^= b
+                c = clr[b]
+                st = ((st & c) << b) | ((st >> b) & c)
+            return st
+
+    elif model == CF_MODEL:
+        disjoint: dict[int, int] = {}
+
+        def combine(st: int, v: int) -> int:
+            d = disjoint.get(v)
+            if d is None:
+                d = full
+                for b, c in clr.items():
+                    if v & b:
+                        d &= c
+                disjoint[v] = d
+            return (st & d) << v
+
+    else:
+        def combine(st: int, v: int) -> int:
+            while v:
+                b = v & -v
+                v ^= b
+                low = st & clr[b]
+                st = (st ^ low) | (low << b)
+            return st
+
+    return combine
+
+
 def _sweep(
-    root: tuple[int, int, tuple[int, ...]],
+    state0: int,
+    cands0: int,
     budget: int,
-    model: str,
+    combine: Callable[[int, int], int],
     tmask: int,
     allowed: int,
     max_states: int,
-) -> tuple[Optional[tuple[int, ...]], int, int]:
-    """Breadth-first exhaust at one budget.
+    parents: Optional[dict[int, int]] = None,
+) -> tuple[Optional[int], int, int]:
+    """Breadth-first exhaust at one budget from the state ``state0`` with
+    candidates ``cands0``.
 
-    ``root`` is ``(state mask, candidate mask, signal tuple)``; a level
-    maps each state to its candidates and signals, filled in expansion
+    A level maps each state to its candidate mask, filled in expansion
     order.  Candidates are masked to ``allowed`` and never hold a present
-    value.  Returns the goal's signals (units first, then the added values
-    in order) or None, the nodes expanded and the most states held at once
-    (the level being expanded plus the one being built).
+    value.  Returns the goal's state mask or None, the nodes expanded and
+    the most states held at once (the level being expanded plus the one
+    being built).  When ``parents`` is given, it receives the state that
+    first made each state, the goal included.
 
     No state is ever kept whose missing-target count exceeds its remaining
     budget: the budget loop starts at the number of targets, so the root
@@ -150,15 +207,13 @@ def _sweep(
     miss2 <= miss <= rem - 1, and one with miss = rem tries only missing
     targets, so its children have miss2 = rem - 1.
     """
-    xor = model == XOR_MODEL
-    cf = model == CF_MODEL
-    level = {root[0]: root[1:]}
+    level = {state0: cands0}
     nodes = peak = 0
     for depth_used in range(budget):
         rem = budget - depth_used
         room = max_states - len(level)  # what the next level may hold
-        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for st, (cands, sigs) in level.items():
+        nxt: dict[int, int] = {}
+        for st, cands in level.items():
             nodes += 1
             miss_mask = tmask & ~st
             miss = miss_mask.bit_count()
@@ -169,21 +224,12 @@ def _sweep(
                 st2 = st | low
                 if st2 in nxt:
                     continue
+                if parents is not None:
+                    parents[st2] = st
                 v = low.bit_length() - 1
                 if miss - ((tmask >> v) & 1) == 0:
-                    return sigs + (v,), nodes, max(peak, len(level) + len(nxt))
-                extra = 0
-                if xor:
-                    for s in sigs:
-                        extra |= 1 << (v ^ s)
-                elif cf:
-                    for s in sigs:
-                        if not v & s:  # disjoint, so XOR equals OR
-                            extra |= 1 << (v | s)
-                else:
-                    for s in sigs:
-                        extra |= 1 << (v | s)
-                nxt[st2] = ((cands | extra) & allowed & ~st2, sigs + (v,))
+                    return st2, nodes, max(peak, len(level) + len(nxt))
+                nxt[st2] = (cands | combine(st, v)) & allowed & ~st2
                 if len(nxt) > room:
                     raise BudgetExceededError(
                         f"search exceeded {max_states} states; "
@@ -210,6 +256,22 @@ def optimal_size(
     held at once.  ``a`` may have at most 16 columns (a state is a
     bitmask over the 2^n possible signal values); wider input raises
     ``ValueError`` before any work is done.
+
+    The sweeps keep no signal order, so the witness's gate order comes
+    from a second sweep at the goal's budget, with ``allowed`` and the
+    root candidates masked to the goal set G, that records each state's
+    first parent.  Every state on the path to G is a subset of G, and so is
+    its first parent.  By induction over the levels, the second sweep's
+    level d holds exactly the first sweep's states at depth d that are
+    subsets of G, in the same relative order: a state's candidates there
+    are its first-sweep candidates masked to G (the mask distributes over
+    the OR that builds them), so each parent makes the same children
+    within G, in the same ascending order, and a parent that made one
+    first in the first sweep makes it first here too.  The only goal among
+    subsets of G at G's depth is G, and none exists at a smaller depth, so
+    the second sweep returns G with the first sweep's parent chain and the
+    same witness.  It holds at most 2^d states for d gates and is not
+    counted in ``nodes_expanded`` or ``peak_states``.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -251,16 +313,29 @@ def optimal_size(
     for i in range(n):
         for j in range(i + 1, n):
             cands0 |= 1 << (units[i] | units[j])
-    root = (state0, cands0 & allowed, units)
+    cands0 &= allowed
+    combine = _combiner(model, n)
 
     nodes = peak = 0
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        goal, swept, held = _sweep(root, budget, model, tmask, allowed, max_states)
+        goal, swept, held = _sweep(state0, cands0, budget, combine, tmask, allowed, max_states)
         nodes += swept
         peak = max(peak, held)
         if goal is not None:
-            witness = _checked(_derive_witness(n, model, goal, rows), a, model)
-            return SearchOutcome(model, len(goal) - n, False, witness, nodes, limit, peak)
+            parents: dict[int, int] = {}
+            again, _, _ = _sweep(
+                state0, cands0 & goal, budget, combine, tmask, allowed & goal, max_states, parents
+            )
+            if again != goal:
+                raise RuntimeError("exact search bug: the goal's re-sweep found another goal")
+            added = []
+            while goal != state0:
+                parent = parents[goal]
+                added.append((goal ^ parent).bit_length() - 1)
+                goal = parent
+            sigs = units + tuple(reversed(added))
+            witness = _checked(_derive_witness(n, model, sigs, rows), a, model)
+            return SearchOutcome(model, len(added), False, witness, nodes, limit, peak)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)
         return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak)

@@ -95,12 +95,18 @@ class BitMatrix:
         return (self._data[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        out = []
-        for j in range(self.cols):
-            acc = 0
-            for i in range(self.rows):
-                acc |= ((self._data[i] >> j) & 1) << i
-            out.append(acc)
+        """The transpose: the rows unpacked by numpy into a rows x cols
+        table of bits, and its columns packed back into rows."""
+        width = (self.cols + 7) // 8
+        raw = np.frombuffer(
+            b"".join(r.to_bytes(width, "little") for r in self._data), dtype=np.uint8
+        ).reshape(self.rows, width)
+        bits = np.unpackbits(raw, axis=1, count=self.cols, bitorder="little")
+        packed = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+        step = (self.rows + 7) // 8  # bytes per output row
+        out = [
+            int.from_bytes(packed[j * step : (j + 1) * step], "little") for j in range(self.cols)
+        ]
         return BitMatrix(self.cols, self.rows, out)
 
     def __eq__(self, other) -> bool:

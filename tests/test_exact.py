@@ -212,6 +212,119 @@ def test_validated_against_unpruned_search():
             assert lc.optimal_size(m, model).optimal_size == _reference_optimum(m, model)
 
 
+def _per_signal_combine(model: str, st: int, v: int) -> int:
+    """The candidate values ``v`` makes with the signals of state ``st``,
+    one set bit ``s`` of the state at a time."""
+    extra = 0
+    for s, bit in enumerate(reversed(bin(st)[2:])):
+        if bit == "0":
+            continue
+        if model == "XOR":
+            extra |= 1 << (v ^ s)
+        elif model == "OR":
+            extra |= 1 << (v | s)
+        elif not v & s:
+            extra |= 1 << (v | s)
+    return extra
+
+
+def test_combiner_matches_per_signal_definition():
+    for model in lc.MODELS:
+        # every state and every value for n <= 3
+        for n in (1, 2, 3):
+            combine = exact_mod._combiner(model, n)
+            for st in range(1 << (1 << n)):
+                for v in range(1 << n):
+                    assert combine(st, v) == _per_signal_combine(model, st, v), (n, st, v)
+        # random states: dense ones at n = 6, sparse and dense at n = 16
+        rng = SplitMix64(46)
+        combine = exact_mod._combiner(model, 6)
+        for _ in range(300):
+            st, v = rng.bits(64), rng.bits(6)
+            assert combine(st, v) == _per_signal_combine(model, st, v)
+        combine = exact_mod._combiner(model, 16)
+        for k in range(12):
+            st = rng.bits(1 << 16) if k < 2 else sum(1 << rng.bits(16) for _ in range(40))
+            v = rng.bits(16)
+            assert combine(st, v) == _per_signal_combine(model, st, v)
+
+
+def _tuple_sweep(root, budget, model, tmask, allowed):
+    """The breadth-first sweep as it was when each state carried its
+    signal tuple and built a child's candidates one signal at a time;
+    returns the goal's signal tuple, nodes and peak as the search did."""
+    level = {root[0]: root[1:]}
+    nodes = peak = 0
+    for depth_used in range(budget):
+        rem = budget - depth_used
+        nxt = {}
+        for st, (cands, sigs) in level.items():
+            nodes += 1
+            miss_mask = tmask & ~st
+            miss = miss_mask.bit_count()
+            use = cands & miss_mask if miss == rem else cands
+            while use:
+                low = use & -use
+                use ^= low
+                st2 = st | low
+                if st2 in nxt:
+                    continue
+                v = low.bit_length() - 1
+                if miss - ((tmask >> v) & 1) == 0:
+                    return sigs + (v,), nodes, max(peak, len(level) + len(nxt))
+                extra = _per_signal_combine(model, st, v)
+                nxt[st2] = ((cands | extra) & allowed & ~st2, sigs + (v,))
+        peak = max(peak, len(level) + len(nxt))
+        if not nxt:
+            break
+        level = nxt
+    return None, nodes, peak
+
+
+def _tuple_search(a: BitMatrix, model: str):
+    """(optimum, nodes, peak states, witness) from the signal-tuple sweep."""
+    n = a.cols
+    rows = [a.row(i) for i in range(a.rows)]
+    units = tuple(1 << i for i in range(n))
+    targets = sorted({r for r in rows if r and r not in units})
+    if not targets:
+        return 0, 0, 0, exact_mod._derive_witness(n, model, units, rows)
+    ub_cost, ub_circuit = exact_mod._heuristic_upper_bound(a)
+    if model == "OR":
+        ub_circuit = lc.Circuit(n, lc.OR, ub_circuit.gates, ub_circuit.outputs)
+    tmask = sum(1 << t for t in targets)
+    if model == "XOR":
+        allowed = (1 << (1 << n)) - 2
+    else:
+        allowed = 0
+        for t in targets:
+            allowed |= exact_mod._submasks(t, n)
+        allowed &= ~1
+    cands0 = sum(1 << (u | w) for u, w in itertools.combinations(units, 2))
+    root = (sum(1 << u for u in units), cands0 & allowed, units)
+    nodes = peak = 0
+    for budget in range(len(targets), min(exact_mod.DEFAULT_LIMIT, ub_cost - 1) + 1):
+        goal, swept, held = _tuple_sweep(root, budget, model, tmask, allowed)
+        nodes += swept
+        peak = max(peak, held)
+        if goal is not None:
+            return len(goal) - n, nodes, peak, exact_mod._derive_witness(n, model, goal, rows)
+    return ub_cost, nodes, peak, ub_circuit
+
+
+def test_search_matches_signal_tuple_sweep():
+    # the mask-only sweep and the witness re-sweep give exactly what the
+    # sweep carrying signal tuples gave: optimum, effort and witness
+    rng = SplitMix64(47)
+    mats = [lc.example_a(), lc.example_b(), lc.gen_sierpinski(4)]
+    mats += [random_bits_matrix(rng, n, n) for n in (4, 5) for _ in range(15)]
+    for m in mats:
+        for model in lc.MODELS:
+            out = lc.optimal_size(m, model)
+            got = (out.optimal_size, out.nodes_expanded, out.peak_states, out.witness)
+            assert got == _tuple_search(m, model), (m.to_text(), model)
+
+
 def _row_column_classes(n: int) -> list[BitMatrix]:
     """One matrix per class of n x n 0/1 matrices under row and column
     permutation: the least sorted row tuple over all column orders."""

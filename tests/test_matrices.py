@@ -65,6 +65,28 @@ def test_mul_gf2_matches_per_bit_loop(m, inner, n):
         assert lc.mul_gf2(a, lc.identity(n)) == a
 
 
+def _per_bit_transpose(a: BitMatrix) -> BitMatrix:
+    """The transpose read off one entry at a time."""
+    out = []
+    for j in range(a.cols):
+        acc = 0
+        for i in range(a.rows):
+            acc |= a.entry(i, j) << i
+        out.append(acc)
+    return BitMatrix(a.cols, a.rows, out)
+
+
+@pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (1, 1), (9, 17), (112, 256)])
+def test_transpose_matches_per_bit_reference(m, n):
+    rng = SplitMix64(m * 1000 + n)
+    for _ in range(3):
+        a = random_bits_matrix(rng, m, n)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (n, m)
+        assert t == _per_bit_transpose(a)
+        assert t.transpose() == a
+
+
 def test_mul_bool_base_cases():
     a = lc.gen_random(5, 5, 12)
     assert lc.mul_bool(lc.identity(5), a) == a
