@@ -1,7 +1,7 @@
 """Optimal circuit-size search for small matrices, plus the tiny-n census.
 
 The search deepens iteratively over the allowed gate count.  Inside one
-iteration with budget L, it sweeps reachable signal sets breadth-first:
+iteration with budget L, it sweeps reachable signal sets depth-first:
 the state is the set of signal values present (the n unit vectors
 initially), a step adjoins the combination of two present signals (XOR,
 disjoint-support XOR in the CF model, or OR), and the goal is every
@@ -15,8 +15,23 @@ budget with only sound pruning:
   yet present never exceeds the remaining budget (admissible heuristic);
 * signal sets are canonical states (a candidate is never 0 and never a
   value already present), so a state at depth d holds exactly n + d
-  signals and can only recur within its own level; each level is one
-  dict, its own visited set, and each state is expanded at most once;
+  signals: its depth, and so its remaining budget, is fixed by the state.
+  One visited set per iteration therefore expands each state at most
+  once;
+* a state is *tight* when its missing targets number its remaining
+  budget.  Every further gate must then add a missing target, and
+  derivability only grows as values are added, so a tight state reaches
+  its one possible goal, the state and its missing targets, iff adding
+  missing targets that are candidates, for as long as one is, adds them
+  all (:func:`_close`).  Tight states are resolved by that closure and
+  never stored or expanded.  A child has at most as many missing targets
+  as its parent and one gate fewer left, so only a *spare-one* state (one
+  missing target fewer than gates left) has tight children, one per
+  non-target candidate; the children of a tight state are tight;
+* no goal lies below depth L in iteration L: its path would have been a
+  path of iteration d < L, at its own depth d, and every smaller
+  iteration found none (the first iteration is the number of targets).
+  So every goal is reached through a tight state;
 * in the CF and OR models, candidates are only nonzero submasks of some
   target (under-target pruning).  There a signal is a subset of every
   signal derived from it.  A goal set at the optimal budget that held a
@@ -24,25 +39,41 @@ budget with only sound pruning:
   derived from it, and still reach every target: a smaller solution, but
   every smaller budget was already exhausted.  Every state on the path to
   such a goal set is a subset of it, so every one of them survives the
-  filter, in the same breadth-first order; the first goal found, and so
-  the witness, is the one the unfiltered sweep finds;
+  filter, in the same order; the first goal found, and so the witness, is
+  the one the unfiltered sweep finds;
 * a cancellation-free heuristic circuit caps the optimum in all three
   models (it reads as an XOR and as an OR circuit for the same matrix),
   so iteration stops at that cost minus one.
 
+The witness is the path to the goal: the values added, in order.  It is
+the lexicographically least goal path, the one the breadth-first sweep
+that this search replaced returned too:
+
+* that sweep's level d is ordered by each state's least path.  By
+  induction over first parents: a state is first made by the earliest
+  state of the level before that makes it, with the least value, and a
+  least path extends the least path of its first parent.  So its first
+  goal was the goal of the least goal path, and the first-parent chain it
+  read the witness from was that path;
+* this sweep takes candidates in ascending order, so it meets paths in
+  lexicographic order, skipping only those through a state it visited
+  before.  A prefix of a least path is the least path to its state and is
+  met first, so the least goal path is never skipped, and no goal is met
+  before it;
+* from a tight state, the least completion adds the least ready missing
+  target first, since adding any ready target keeps the goal reachable.
+
 A state is one int, a bitmask over the 2^n value universe (bit v set when
-value v is present), and a level is a dict from each state to its
-candidate mask, the values derivable from it and not yet present.  A
-child's new candidates come from the parent's state mask alone: the
-values ``s ^ v``, ``s | v`` over disjoint ``s``, or ``s | v``, for every
-present ``s``, are a few shifts and masks of that mask (see
-:func:`_combiner`).  The signals of a state are never stored; the
-witness's gate order is recovered by a second sweep restricted to the
-goal (see :func:`optimal_size`).  A mask has 2^n bits, so inputs are
+value v is present), and the visited set holds nothing else.  The frames
+of the search stack, one per gate on the current path, also carry each
+state's candidate mask (the values derivable from it and not yet
+present) and its missing targets.  A child's new candidates come from the
+parent's state mask alone: the values ``s ^ v``, ``s | v`` over disjoint
+``s``, or ``s | v``, for every present ``s``, are a few shifts and masks
+of that mask (see :func:`_combiner`).  A mask has 2^n bits, so inputs are
 capped at 16 columns; every search that finishes is far below that.
-Expansion order is fixed -- candidate values ascending, missing targets
-first under a tight budget -- which makes ``nodes_expanded`` and the
-returned witness deterministic.
+Expansion order is fixed -- candidate values ascending -- which makes
+``nodes_expanded`` and the returned witness deterministic.
 """
 
 from __future__ import annotations
@@ -62,10 +93,11 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
-# A held state (a dict slot, its state mask and its candidate mask) costs
-# about 165-190 bytes of peak RSS at n = 8: S_8 with limit 12 held at
-# most 2.46 M states at 425 MiB max RSS in CF and 3.01 M at 585 MiB in
-# XOR, from a 34 MiB start.  So this default stops a search near 1 GB.
+# A held state (a set slot and its state mask) costs about 90-100 bytes
+# of peak RSS at n = 8: S_8 with limit 12 held at most 206 k states at
+# 54 MiB max RSS in CF and 224 k at 54 MiB in XOR, from a 34.5 MiB start
+# (tracemalloc: 96 B per state in CF).  So this default stops a search
+# near 0.5 GB.
 _DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -77,7 +109,7 @@ class SearchOutcome:
     witness: Optional[Circuit]
     nodes_expanded: int
     limit: int
-    peak_states: int = 0  # most states held at once in any one sweep
+    peak_states: int = 0  # largest visited set of any one sweep, root included
 
 
 def _derive_witness(n: int, model: str, sigs: tuple[int, ...], rows: list[int]) -> Circuit:
@@ -181,6 +213,44 @@ def _combiner(model: str, n: int) -> Callable[[int, int], int]:
     return combine
 
 
+def _close(
+    st: int,
+    cands: int,
+    miss_mask: int,
+    combine: Callable[[int, int], int],
+    order: Optional[list[int]] = None,
+) -> tuple[int, int, int]:
+    """Add missing targets that are candidates, the least one first, until
+    none is.  Returns the stuck state, its candidates (not masked to
+    ``allowed`` or the absent values; only their AND with the missing
+    targets is read) and the targets still missing.  When ``order`` is
+    given, it receives each added value.
+
+    Derivability only grows as values are added, so adding one ready
+    target never blocks another: the stuck state does not depend on the
+    order, and a tight state reaches its goal iff nothing is left missing.
+    Adding the least ready target each time then gives the
+    lexicographically least completion.
+    """
+    ready = cands & miss_mask
+    while ready:
+        low = ready & -ready
+        t = low.bit_length() - 1
+        if order is not None:
+            order.append(t)
+        cands |= combine(st, t)
+        st |= low
+        miss_mask ^= low
+        ready = cands & miss_mask
+    return st, cands, miss_mask
+
+
+def _exceeded(max_states: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"search exceeded {max_states} states; raise max_states or lower the limit"
+    )
+
+
 def _sweep(
     state0: int,
     cands0: int,
@@ -189,57 +259,85 @@ def _sweep(
     tmask: int,
     allowed: int,
     max_states: int,
-    parents: Optional[dict[int, int]] = None,
-) -> tuple[Optional[int], int, int]:
-    """Breadth-first exhaust at one budget from the state ``state0`` with
+) -> tuple[Optional[list[int]], int, int]:
+    """Depth-first exhaust at one budget from the state ``state0`` with
     candidates ``cands0``.
 
-    A level maps each state to its candidate mask, filled in expansion
-    order.  Candidates are masked to ``allowed`` and never hold a present
-    value.  Returns the goal's state mask or None, the nodes expanded and
-    the most states held at once (the level being expanded plus the one
-    being built).  When ``parents`` is given, it receives the state that
-    first made each state, the goal included.
+    Returns the values the goal path adds, in order, or None; the nodes
+    expanded (states whose candidates were enumerated; a tight root is
+    resolved by :func:`_close` and counts as one); and the size of the
+    visited set, root included, which ``max_states`` bounds.
 
-    No state is ever kept whose missing-target count exceeds its remaining
-    budget: the budget loop starts at the number of targets, so the root
-    has miss <= rem; a state with miss < rem gives children with
-    miss2 <= miss <= rem - 1, and one with miss = rem tries only missing
-    targets, so its children have miss2 = rem - 1.
+    Candidates are masked to ``allowed`` and never hold a present value.
+    Tight states are resolved where they are made and never stored.  Only
+    a spare-one state P has tight children, P | v for each non-target
+    candidate v.  Its stuck closure (S, C, M) is computed once.  The closure is
+    monotone, so the closure of the child P | v contains S, and it is the
+    closure of S | v, whose candidates are C | combine(S, v).  A child
+    fails at once unless combine(S, v) meets M.  When child v
+    succeeds, the frame only goes on to its target children below v and
+    then returns v's least completion.
+
+    A frame is ``[state, candidates, missing targets, children left, hit]``;
+    the stack replaces recursion, which a large ``limit`` could take past
+    the interpreter's depth limit.
     """
-    level = {state0: cands0}
-    nodes = peak = 0
-    for depth_used in range(budget):
-        rem = budget - depth_used
-        room = max_states - len(level)  # what the next level may hold
-        nxt: dict[int, int] = {}
-        for st, cands in level.items():
-            nodes += 1
-            miss_mask = tmask & ~st
-            miss = miss_mask.bit_count()
-            use = cands & miss_mask if miss == rem else cands
-            while use:
-                low = use & -use
-                use ^= low
-                st2 = st | low
-                if st2 in nxt:
-                    continue
-                if parents is not None:
-                    parents[st2] = st
+    if max_states < 1:
+        raise _exceeded(max_states)
+    miss0 = tmask & ~state0
+    if miss0.bit_count() == budget:
+        order: list[int] = []
+        left = _close(state0, cands0, miss0, combine, order)[2]
+        return (None if left else order), 1, 1
+    visited = {state0}
+    stack = [[state0, cands0, miss0, cands0, None]]
+    nodes = 0
+    while True:
+        # expand the frame on top: the state's children, its tight ones
+        # resolved here
+        frame = stack[-1]
+        st, cands, miss_mask = frame[0], frame[1], frame[2]
+        nodes += 1
+        if miss_mask.bit_count() == budget - len(stack):
+            s_p, c_p, m_p = _close(st, cands, miss_mask, combine)
+            use = cands & miss_mask
+            loose = cands & ~miss_mask
+            while loose:
+                low = loose & -loose
+                loose ^= low
                 v = low.bit_length() - 1
-                if miss - ((tmask >> v) & 1) == 0:
-                    return st2, nodes, max(peak, len(level) + len(nxt))
-                nxt[st2] = (cands | combine(st, v)) & allowed & ~st2
-                if len(nxt) > room:
-                    raise BudgetExceededError(
-                        f"search exceeded {max_states} states; "
-                        "raise max_states or lower the limit"
-                    )
-        peak = max(peak, len(level) + len(nxt))
-        if not nxt:
-            break
-        level = nxt
-    return None, nodes, peak
+                more = combine(s_p, v)
+                if more & m_p and not _close(s_p | low, c_p | more, m_p, combine)[2]:
+                    order = [v]
+                    _close(st | low, cands | combine(st, v), miss_mask, combine, order)
+                    frame[4] = order
+                    use &= low - 1
+                    break
+            frame[3] = use
+        # descend to the next unvisited child, backing up from spent frames
+        while True:
+            use = frame[3]
+            if use:
+                low = use & -use
+                frame[3] = use ^ low
+                st = frame[0]
+                st2 = st | low
+                if st2 in visited:
+                    continue
+                visited.add(st2)
+                if len(visited) > max_states:
+                    raise _exceeded(max_states)
+                v = low.bit_length() - 1
+                cands2 = (frame[1] | combine(st, v)) & allowed & ~st2
+                stack.append([st2, cands2, frame[2] & ~low, cands2, None])
+                break
+            if frame[4] is not None:
+                path = [(a[0] ^ b[0]).bit_length() - 1 for a, b in zip(stack[1:], stack)]
+                return path + frame[4], nodes, len(visited)
+            stack.pop()
+            if not stack:
+                return None, nodes, len(visited)
+            frame = stack[-1]
 
 
 def optimal_size(
@@ -251,27 +349,12 @@ def optimal_size(
     """Smallest circuit size for ``a`` in the given model, established by
     exhausting all smaller sizes (up to ``limit`` gates).
 
-    The outcome carries a verified witness, the node count of the
-    deterministic sequential sweep and the most states any one sweep
-    held at once.  ``a`` may have at most 16 columns (a state is a
-    bitmask over the 2^n possible signal values); wider input raises
-    ``ValueError`` before any work is done.
-
-    The sweeps keep no signal order, so the witness's gate order comes
-    from a second sweep at the goal's budget, with ``allowed`` and the
-    root candidates masked to the goal set G, that records each state's
-    first parent.  Every state on the path to G is a subset of G, and so is
-    its first parent.  By induction over the levels, the second sweep's
-    level d holds exactly the first sweep's states at depth d that are
-    subsets of G, in the same relative order: a state's candidates there
-    are its first-sweep candidates masked to G (the mask distributes over
-    the OR that builds them), so each parent makes the same children
-    within G, in the same ascending order, and a parent that made one
-    first in the first sweep makes it first here too.  The only goal among
-    subsets of G at G's depth is G, and none exists at a smaller depth, so
-    the second sweep returns G with the first sweep's parent chain and the
-    same witness.  It holds at most 2^d states for d gates and is not
-    counted in ``nodes_expanded`` or ``peak_states``.
+    The outcome carries a verified witness, the nodes expanded by the
+    deterministic sequential sweeps and the largest visited set of any one
+    sweep, root included; ``max_states`` bounds that set exactly.  ``a``
+    may have at most 16 columns (a state is a bitmask over the 2^n
+    possible signal values); wider input raises ``ValueError`` before any
+    work is done.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -318,23 +401,11 @@ def optimal_size(
 
     nodes = peak = 0
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        goal, swept, held = _sweep(state0, cands0, budget, combine, tmask, allowed, max_states)
+        added, swept, held = _sweep(state0, cands0, budget, combine, tmask, allowed, max_states)
         nodes += swept
         peak = max(peak, held)
-        if goal is not None:
-            parents: dict[int, int] = {}
-            again, _, _ = _sweep(
-                state0, cands0 & goal, budget, combine, tmask, allowed & goal, max_states, parents
-            )
-            if again != goal:
-                raise RuntimeError("exact search bug: the goal's re-sweep found another goal")
-            added = []
-            while goal != state0:
-                parent = parents[goal]
-                added.append((goal ^ parent).bit_length() - 1)
-                goal = parent
-            sigs = units + tuple(reversed(added))
-            witness = _checked(_derive_witness(n, model, sigs, rows), a, model)
+        if added is not None:
+            witness = _checked(_derive_witness(n, model, units + tuple(added), rows), a, model)
             return SearchOutcome(model, len(added), False, witness, nodes, limit, peak)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)

@@ -65,9 +65,13 @@ def test_criterion_03_small_sierpinski_optima():
 @pytest.mark.long
 def test_criterion_03_long_s8_optimum():
     out = lc.optimal_size(lc.gen_sierpinski(8), "XOR", limit=12)
-    ok = out.optimal_size == 12 and lc.verify(out.witness, lc.gen_sierpinski(8))
+    ok = (
+        out.optimal_size == 12
+        and lc.verify(out.witness, lc.gen_sierpinski(8))
+        and out.peak_states <= 250_000
+    )
     _report(3, "optimal XOR size S_8=12 (long)", ok,
-            f"got {out.optimal_size}, {out.nodes_expanded} nodes")
+            f"got {out.optimal_size}, {out.nodes_expanded} nodes, {out.peak_states} states")
 
 
 def test_criterion_04_morgenstern():

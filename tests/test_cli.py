@@ -498,4 +498,4 @@ def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
         for argv, stdin in _transcript_cases()
     ]
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "975ac5c101a5f5c061213fe4ec7581e02addd5738aa30348db51c41b009e4abe"
+    assert digest == "2503a497c3883f3a3381345cdaf884cf4003da2daea3af9da167995a6dab54b0"

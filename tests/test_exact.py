@@ -137,9 +137,10 @@ def test_search_is_deterministic():
 
 
 def test_search_outputs_match_pinned_digest():
-    # optima, witnesses and XOR node counts as the search gave them before
-    # under-target pruning and the one-mask state encoding; CF and OR node
-    # counts are left out because that pruning lowers them
+    # optima and witnesses as the search gave them before under-target
+    # pruning, the one-mask state encoding and the depth-first sweep; XOR
+    # node counts as the depth-first sweep gives them (CF and OR node
+    # counts are left out because under-target pruning lowers them)
     rng = SplitMix64(43)
     mats = [lc.example_a(), lc.gen_sierpinski(4)]
     mats += [random_bits_matrix(rng, 4, 4) for _ in range(8)]
@@ -148,7 +149,7 @@ def test_search_outputs_match_pinned_digest():
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert digest == "0685b1b6baae67606b587cf1435f5aa3fc280d43367347686ae256c29497d37f"
     xor_nodes = [o.nodes_expanded for o in outs if o.model == "XOR"]
-    assert xor_nodes == [4, 4, 1, 0, 0, 1, 3, 2, 3, 2]
+    assert xor_nodes == [1, 1, 1, 0, 0, 1, 1, 1, 1, 1]
 
 
 def test_state_limit_is_the_peak_held():
@@ -192,6 +193,7 @@ def test_sierpinski_s8_optimal_in_cf_and_or_models():
         out = lc.optimal_size(s8, model, limit=12)
         assert out.optimal_size == lc.sierpinski_lb(8) == 12
         assert lc.verify(out.witness, s8)
+        assert out.peak_states <= 250_000
 
 
 def test_validated_against_unpruned_search():
@@ -312,17 +314,65 @@ def _tuple_search(a: BitMatrix, model: str):
     return ub_cost, nodes, peak, ub_circuit
 
 
+def _assert_matches_tuple_search(m: BitMatrix) -> list[tuple[int, int]]:
+    """Checks every model against the tuple sweep; returns each model's
+    (nodes expanded, peak states)."""
+    effort = []
+    for model in lc.MODELS:
+        out = lc.optimal_size(m, model)
+        opt, nodes, _, witness = _tuple_search(m, model)
+        assert (out.optimal_size, out.witness) == (opt, witness), (m.to_text(), model)
+        assert out.nodes_expanded <= nodes, (m.to_text(), model)
+        effort.append((out.nodes_expanded, out.peak_states))
+    return effort
+
+
 def test_search_matches_signal_tuple_sweep():
-    # the mask-only sweep and the witness re-sweep give exactly what the
-    # sweep carrying signal tuples gave: optimum, effort and witness
+    # the depth-first sweep gives the optimum and witness of the
+    # breadth-first sweep carrying signal tuples, and expands no more
+    # states: it expands only non-tight states, which that sweep expands
+    # too
     rng = SplitMix64(47)
     mats = [lc.example_a(), lc.example_b(), lc.gen_sierpinski(4)]
     mats += [random_bits_matrix(rng, n, n) for n in (4, 5) for _ in range(15)]
     for m in mats:
-        for model in lc.MODELS:
-            out = lc.optimal_size(m, model)
-            got = (out.optimal_size, out.nodes_expanded, out.peak_states, out.witness)
-            assert got == _tuple_search(m, model), (m.to_text(), model)
+        _assert_matches_tuple_search(m)
+
+
+def test_search_matches_signal_tuple_sweep_at_6x6():
+    # 6x6 is the size exact-small solves, where spare-one states and their
+    # tight children are common; the effort is pinned as the depth-first
+    # sweep counts it (XOR, CF, OR per matrix)
+    effort = [_assert_matches_tuple_search(lc.gen_random(6, 6, seed)) for seed in range(8)]
+    assert effort == [
+        [(21, 19), (29, 27), (29, 27)],
+        [(320, 292), (346, 259), (346, 259)],
+        [(49, 46), (44, 41), (44, 41)],
+        [(19, 16), (19, 16), (19, 16)],
+        [(28, 19), (28, 19), (28, 19)],
+        [(1, 1), (1, 1), (1, 1)],
+        [(5, 4), (5, 4), (5, 4)],
+        [(3, 2), (50, 47), (50, 47)],
+    ]
+
+
+def test_row_order_leaves_search_unchanged():
+    # the search sees the set of row values, and the heuristic bound breaks
+    # ties on columns, so only the witness's outputs follow the rows;
+    # exact-small shows each matrix with its rows in a fresh order
+    rng = SplitMix64(48)
+    for seed in range(6):
+        a = lc.gen_random(6, 6, seed)
+        rows = [a.row(i) for i in range(a.rows)]
+        for _ in range(2):
+            rng.shuffle(rows)
+            moved = BitMatrix(a.rows, a.cols, list(rows))
+            for model in lc.MODELS:
+                out, again = lc.optimal_size(a, model), lc.optimal_size(moved, model)
+                assert (again.nodes_expanded, again.peak_states, again.witness.gates) == (
+                    out.nodes_expanded, out.peak_states, out.witness.gates
+                )
+                assert lc.verify(again.witness, moved)
 
 
 def _row_column_classes(n: int) -> list[BitMatrix]:
