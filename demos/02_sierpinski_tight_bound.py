@@ -19,10 +19,9 @@ while n <= 1024:
     n *= 2
 
 print("\nexhaustive optima (cancellation allowed):")
-for n in (2, 4):
-    out = lc.optimal_size(lc.gen_sierpinski(n), "XOR")
+for n in (2, 4, 8):  # S_8 takes a few seconds
+    out = lc.optimal_size(lc.gen_sierpinski(n), "XOR", limit=12)
     print(f"  S_{n}: XOR optimum {out.optimal_size} = closed form {lc.sierpinski_lb(n)}")
-print("  (S_8 = 12 as well; run pytest -m long to reproduce, ~1 minute)")
 
 # Restricting the first half of the inputs to zero eliminates exactly the
 # lower recursion plus the combining gates, leaving a circuit for S_{n/2}.

@@ -15,19 +15,34 @@ budget with only sound pruning:
   yet present never exceeds the remaining budget (admissible heuristic);
 * signal sets are canonical states (a candidate is never 0 and never a
   value already present), so a state at depth d holds exactly n + d
-  signals: its depth, and so its remaining budget, is fixed by the state.
-  One visited set per iteration therefore expands each state at most
-  once;
-* a state is *tight* when its missing targets number its remaining
-  budget.  Every further gate must then add a missing target, and
-  derivability only grows as values are added, so a tight state reaches
-  its one possible goal, the state and its missing targets, iff adding
-  missing targets that are candidates, for as long as one is, adds them
-  all (:func:`_close`).  Tight states are resolved by that closure and
-  never stored or expanded.  A child has at most as many missing targets
-  as its parent and one gate fewer left, so only a *spare-one* state (one
-  missing target fewer than gates left) has tight children, one per
-  non-target candidate; the children of a tight state are tight;
+  signals: its depth, and so its remaining budget, is fixed by the state;
+* every goal path from a state X adds all of X's missing targets.  A
+  missing target t that is already a candidate (*ready*) can move to the
+  front of any such path: each later value stays derivable from what
+  precedes it, because derivability only grows as values are added.  So X
+  reaches a goal within its budget iff X | t does, and so iff its *closure*
+  S does: X with ready targets added until none is (:func:`_close`).  The
+  closure does not depend on the order of adding, and it is monotone, so
+  every Y between X and S has the closure S, and the closure of Y | v is
+  that of S | v.  The sweep therefore holds only closed states, one
+  visited set of them per iteration; a child of S is the closure of S | v
+  for a *non-target* candidate v, the only real choice a closed state has;
+* a closed state whose missing targets number its remaining budget
+  (*tight*) fails: its next gate must add a missing target, and none is
+  ready.  A child has the parent's missing targets less those its closure
+  adds and one gate fewer left less the same, so only a *spare-one* state
+  (one missing target fewer than gates left) has tight children.  Those
+  are resolved where they are made and never stored: S | v succeeds iff
+  its closure adds every missing target, and it adds one only if the
+  values v makes with S, ``combine(S, v)``, meet the missing set M.  So a
+  spare-one state tries only the v in ``reach(S, M)``, the values whose
+  ``combine`` meets M (exact, see :func:`_combiner`);
+* a visited state has failed: a success ends the sweep, and a state's
+  descendants are strictly larger, so none of them is on the path above
+  it.  A child's outcome depends only on its closed state, so a child
+  whose closed state was visited is skipped.  A visited state is closed,
+  so when S | v itself is visited it is its own closure, and the child is
+  skipped before any of its candidates are made;
 * no goal lies below depth L in iteration L: its path would have been a
   path of iteration d < L, at its own depth d, and every smaller
   iteration found none (the first iteration is the number of targets).
@@ -47,33 +62,38 @@ budget with only sound pruning:
 
 The witness is the path to the goal: the values added, in order.  It is
 the lexicographically least goal path, the one the breadth-first sweep
-that this search replaced returned too:
+that this search replaced returned too.  That sweep's level d is ordered
+by each state's least path: by induction over first parents, a state is
+first made by the earliest state of the level before that makes it, with
+the least value, and a least path extends the least path of its first
+parent.  So its first goal was the goal of the least goal path, and the
+first-parent chain it read the witness from was that path.
 
-* that sweep's level d is ordered by each state's least path.  By
-  induction over first parents: a state is first made by the earliest
-  state of the level before that makes it, with the least value, and a
-  least path extends the least path of its first parent.  So its first
-  goal was the goal of the least goal path, and the first-parent chain it
-  read the witness from was that path;
-* this sweep takes candidates in ascending order, so it meets paths in
-  lexicographic order, skipping only those through a state it visited
-  before.  A prefix of a least path is the least path to its state and is
-  met first, so the least goal path is never skipped, and no goal is met
-  before it;
-* from a tight state, the least completion adds the least ready missing
-  target first, since adding any ready target keeps the goal reachable.
+This sweep finds that path by a *walk* from the state Y a frame is
+entered at (the root, or the parent's walk state plus the child's value),
+whose closure is the frame's closed state S.  At the current walk state,
+let t0 be the least ready target.  Adding t0 keeps a goal reachable, and
+no target below t0 is a candidate, so the least path starts with the
+least non-target candidate v < t0 whose closure of Y | v succeeds, then
+goes on with the least path from Y | v; if there is none, it starts with
+t0 and the walk goes on from Y | t0.  When no target is ready the walk
+state is S, and every non-target candidate of S is in play.  A v tried at
+an earlier walk state has the same closure, and so the same outcome, at
+every later one, so each v is tried once per S: a frame tries its
+non-target candidates in segments, one per walk step, each ascending.
 
 A state is one int, a bitmask over the 2^n value universe (bit v set when
 value v is present), and the visited set holds nothing else.  The frames
-of the search stack, one per gate on the current path, also carry each
-state's candidate mask (the values derivable from it and not yet
-present) and its missing targets.  A child's new candidates come from the
-parent's state mask alone: the values ``s ^ v``, ``s | v`` over disjoint
-``s``, or ``s | v``, for every present ``s``, are a few shifts and masks
-of that mask (see :func:`_combiner`).  A mask has 2^n bits, so inputs are
-capped at 16 columns; every search that finishes is far below that.
-Expansion order is fixed -- candidate values ascending -- which makes
-``nodes_expanded`` and the returned witness deterministic.
+of the search stack, one per closed state on the current path, carry the
+state's candidate mask (the values derivable from it, not yet present),
+its missing targets and its walk: each walk state with its candidates and
+the target added there.  A child's new candidates come from its walk
+state's mask alone: the values ``s ^ v``, ``s | v`` over disjoint ``s``,
+or ``s | v``, for every present ``s``, are a few shifts and masks of that
+mask (see :func:`_combiner`).  A mask has 2^n bits, so inputs are capped
+at 16 columns; every search that finishes is far below that.  Expansion
+order is fixed, which makes ``nodes_expanded`` and the returned witness
+deterministic.
 """
 
 from __future__ import annotations
@@ -93,11 +113,11 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
-# A held state (a set slot and its state mask) costs about 90-100 bytes
-# of peak RSS at n = 8: S_8 with limit 12 held at most 206 k states at
-# 54 MiB max RSS in CF and 224 k at 54 MiB in XOR, from a 34.5 MiB start
-# (tracemalloc: 96 B per state in CF).  So this default stops a search
-# near 0.5 GB.
+# A held state (a set slot and its state mask) costs about 130-150 bytes
+# of peak RSS at n = 8: S_8 with limit 12 held at most 24.4 k states in
+# CF and OR and 27.8 k in XOR, each at 38.0 MiB max RSS from a 34.5 MiB
+# start (tracemalloc: 145 B per state in CF).  So this default stops a
+# search near 0.7 GB.
 _DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -107,9 +127,11 @@ class SearchOutcome:
     optimal_size: Optional[int]  # None when the limit was exhausted
     exceeded: bool
     witness: Optional[Circuit]
-    nodes_expanded: int
+    nodes_expanded: int  # closed states whose non-target candidates were enumerated
     limit: int
-    peak_states: int = 0  # largest visited set of any one sweep, root included
+    # largest visited set of closed states of any one sweep, root included;
+    # max_states bounds it exactly
+    peak_states: int = 0
 
 
 def _derive_witness(n: int, model: str, sigs: tuple[int, ...], rows: list[int]) -> Circuit:
@@ -164,10 +186,14 @@ def _submasks(t: int, n: int) -> int:
     return m
 
 
-def _combiner(model: str, n: int) -> Callable[[int, int], int]:
-    """``combine(state, v)``: the mask of every value the model makes from
+def _combiner(model: str, n: int) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+    """``(combine, reach)`` for the model over n-bit values.
+
+    ``combine(state, v)`` is the mask of every value the model makes from
     ``v`` and a value present in ``state`` -- ``s ^ v`` (XOR), ``s | v``
     over ``s`` disjoint from ``v`` (CF), or ``s | v`` (OR).
+    ``reach(state, miss)`` is the mask of every value ``v`` whose
+    ``combine(state, v)`` meets the mask ``miss``.
 
     ``clr[b]`` is the mask of the values whose bit ``b`` (a power of two)
     is clear, built with O(n) big-int operations.  Flipping bit b of every
@@ -175,18 +201,37 @@ def _combiner(model: str, n: int) -> Callable[[int, int], int]:
     one block swap per set bit of v; OR moves the clear-bit blocks onto the
     set-bit ones.  The values disjoint from v are the AND of clr over v's
     bits, each shifted up by v; that mask is cached per value of v.
+
+    ``reach`` is the union over ``t`` in ``miss`` of the values that make
+    ``t``.  In XOR, ``s ^ v = t`` iff ``v = s ^ t``: ``combine(state, t)``.
+    In CF, ``s | v = t`` with ``s & v = 0`` iff ``s`` is a submask of ``t``
+    and ``v = t ^ s``: the present submasks of ``t``, flipped by ``t``.  In
+    OR, ``s | v = t`` iff ``s`` and ``v`` are submasks of ``t`` and ``v``
+    holds ``t ^ s``: that CF set closed upward within ``t``, one block move
+    per set bit of ``t``.  The submask mask of ``t`` is cached per value.
     """
     full = (1 << (1 << n)) - 1
     clr = {1 << i: full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)}
 
+    def flip(st: int, v: int) -> int:
+        while v:
+            b = v & -v
+            v ^= b
+            c = clr[b]
+            st = ((st & c) << b) | ((st >> b) & c)
+        return st
+
+    subs: dict[int, int] = {}
+
+    def flip_under(st: int, t: int) -> int:
+        """The present submasks of ``t``, flipped by ``t``."""
+        sub = subs.get(t)
+        if sub is None:
+            sub = subs[t] = _submasks(t, n)
+        return flip(st & sub, t)
+
     if model == XOR_MODEL:
-        def combine(st: int, v: int) -> int:
-            while v:
-                b = v & -v
-                v ^= b
-                c = clr[b]
-                st = ((st & c) << b) | ((st >> b) & c)
-            return st
+        combine = makers = flip
 
     elif model == CF_MODEL:
         disjoint: dict[int, int] = {}
@@ -201,6 +246,8 @@ def _combiner(model: str, n: int) -> Callable[[int, int], int]:
                 disjoint[v] = d
             return (st & d) << v
 
+        makers = flip_under
+
     else:
         def combine(st: int, v: int) -> int:
             while v:
@@ -210,7 +257,23 @@ def _combiner(model: str, n: int) -> Callable[[int, int], int]:
                 st = (st ^ low) | (low << b)
             return st
 
-    return combine
+        def makers(st: int, t: int) -> int:
+            x = flip_under(st, t)
+            while t:
+                b = t & -t
+                t ^= b
+                x |= (x & clr[b]) << b
+            return x
+
+    def reach(st: int, miss: int) -> int:
+        out = 0
+        while miss:
+            low = miss & -miss
+            miss ^= low
+            out |= makers(st, low.bit_length() - 1)
+        return out
+
+    return combine, reach
 
 
 def _close(
@@ -218,27 +281,25 @@ def _close(
     cands: int,
     miss_mask: int,
     combine: Callable[[int, int], int],
-    order: Optional[list[int]] = None,
+    walk: Optional[list[tuple[int, int, int]]] = None,
 ) -> tuple[int, int, int]:
     """Add missing targets that are candidates, the least one first, until
     none is.  Returns the stuck state, its candidates (not masked to
     ``allowed`` or the absent values; only their AND with the missing
-    targets is read) and the targets still missing.  When ``order`` is
-    given, it receives each added value.
+    targets, or with absent allowed values, is read) and the targets still
+    missing.  When ``walk`` is given, it receives ``(state, candidates,
+    bit of the target added)`` for each step.
 
     Derivability only grows as values are added, so adding one ready
     target never blocks another: the stuck state does not depend on the
-    order, and a tight state reaches its goal iff nothing is left missing.
-    Adding the least ready target each time then gives the
-    lexicographically least completion.
+    order.
     """
     ready = cands & miss_mask
     while ready:
         low = ready & -ready
-        t = low.bit_length() - 1
-        if order is not None:
-            order.append(t)
-        cands |= combine(st, t)
+        if walk is not None:
+            walk.append((st, cands, low))
+        cands |= combine(st, low.bit_length() - 1)
         st |= low
         miss_mask ^= low
         ready = cands & miss_mask
@@ -251,93 +312,113 @@ def _exceeded(max_states: int) -> BudgetExceededError:
     )
 
 
+def _path(stack: list[list], tail: list[tuple[int, int, int]]) -> list[int]:
+    """The values a goal path adds: each frame's walk up to the step where
+    its current child was tried, that child, then the ``tail`` walk."""
+    out: list[int] = []
+    for frame in stack:
+        out += [w[2].bit_length() - 1 for w in frame[0][:frame[5]]]
+        out.append(frame[7])
+    return out + [w[2].bit_length() - 1 for w in tail]
+
+
 def _sweep(
     state0: int,
     cands0: int,
     budget: int,
     combine: Callable[[int, int], int],
+    reach: Callable[[int, int], int],
     tmask: int,
     allowed: int,
     max_states: int,
 ) -> tuple[Optional[list[int]], int, int]:
-    """Depth-first exhaust at one budget from the state ``state0`` with
-    candidates ``cands0``.
+    """Depth-first exhaust at one budget over the closed states reachable
+    from the state ``state0`` with candidates ``cands0``.
 
-    Returns the values the goal path adds, in order, or None; the nodes
-    expanded (states whose candidates were enumerated; a tight root is
-    resolved by :func:`_close` and counts as one); and the size of the
-    visited set, root included, which ``max_states`` bounds.
+    Returns the values the least goal path adds, in order, or None; the
+    nodes expanded (closed states whose non-target candidates were
+    enumerated); and the size of the visited set of closed states, root
+    included, which ``max_states`` bounds.
 
-    Candidates are masked to ``allowed`` and never hold a present value.
-    Tight states are resolved where they are made and never stored.  Only
-    a spare-one state P has tight children, P | v for each non-target
-    candidate v.  Its stuck closure (S, C, M) is computed once.  The closure is
-    monotone, so the closure of the child P | v contains S, and it is the
-    closure of S | v, whose candidates are C | combine(S, v).  A child
-    fails at once unless combine(S, v) meets M.  When child v
-    succeeds, the frame only goes on to its target children below v and
-    then returns v's least completion.
-
-    A frame is ``[state, candidates, missing targets, children left, hit]``;
-    the stack replaces recursion, which a large ``limit`` could take past
-    the interpreter's depth limit.
+    A frame is ``[walk, state, candidates, missing targets, untried,
+    step, pending, child]``: the closure walk from the state the frame was
+    entered at, the closed state, the non-target candidates not yet put in
+    a segment, the walk step of the current segment, the segment's values
+    not yet tried and the value of the child being explored.  The stack
+    replaces recursion, which a large ``limit`` could take past the
+    interpreter's depth limit.
     """
     if max_states < 1:
         raise _exceeded(max_states)
-    miss0 = tmask & ~state0
-    if miss0.bit_count() == budget:
-        order: list[int] = []
-        left = _close(state0, cands0, miss0, combine, order)[2]
-        return (None if left else order), 1, 1
-    visited = {state0}
-    stack = [[state0, cands0, miss0, cands0, None]]
+    top = state0.bit_count() + budget  # the size of a state with no gate left
+    free = allowed & ~tmask
+    walk: list[tuple[int, int, int]] = []
+    st, cands, miss = _close(state0, cands0, tmask & ~state0, combine, walk)
+    if not miss:
+        return _path([], walk), 0, 1
+    if miss.bit_count() == top - st.bit_count():
+        return None, 0, 1
+    visited = {st}
+    stack = [[walk, st, cands, miss, 0, -1, 0, None]]
     nodes = 0
     while True:
-        # expand the frame on top: the state's children, its tight ones
-        # resolved here
+        # expand the frame on top: a spare-one state tries only the values
+        # that make a missing target ready
         frame = stack[-1]
-        st, cands, miss_mask = frame[0], frame[1], frame[2]
+        st, miss = frame[1], frame[3]
         nodes += 1
-        if miss_mask.bit_count() == budget - len(stack):
-            s_p, c_p, m_p = _close(st, cands, miss_mask, combine)
-            use = cands & miss_mask
-            loose = cands & ~miss_mask
-            while loose:
-                low = loose & -loose
-                loose ^= low
-                v = low.bit_length() - 1
-                more = combine(s_p, v)
-                if more & m_p and not _close(s_p | low, c_p | more, m_p, combine)[2]:
-                    order = [v]
-                    _close(st | low, cands | combine(st, v), miss_mask, combine, order)
-                    frame[4] = order
-                    use &= low - 1
-                    break
-            frame[3] = use
-        # descend to the next unvisited child, backing up from spent frames
+        spare = miss.bit_count() == top - st.bit_count() - 1
+        untried = free & ~st
+        if spare:
+            untried &= reach(st, miss)
+        frame[4] = untried
+        # try the children in walk order, descending into the first closed
+        # child not visited before
         while True:
-            use = frame[3]
-            if use:
-                low = use & -use
-                frame[3] = use ^ low
-                st = frame[0]
-                st2 = st | low
+            pending = frame[6]
+            if not pending:
+                walk = frame[0]
+                i = frame[5] + 1
+                if i > len(walk):
+                    stack.pop()
+                    if not stack:
+                        return None, nodes, len(visited)
+                    frame = stack[-1]
+                    spare = False  # only a frame that is not spare-one has children
+                    continue
+                # the next segment: the untried candidates of walk step i
+                # below the target added there, then those of the closed state
+                seg = frame[4] & (walk[i][1] & (walk[i][2] - 1) if i < len(walk) else frame[2])
+                frame[4] ^= seg
+                frame[5] = i
+                frame[6] = seg
+                continue
+            low = pending & -pending
+            frame[6] = pending ^ low
+            v = low.bit_length() - 1
+            st = frame[1]
+            if spare:
+                # the child is tight: it succeeds iff its closure is a goal
+                if _close(st | low, frame[2] | combine(st, v), frame[3], combine)[2]:
+                    continue
+            elif st | low in visited:
+                # a visited state is closed, so st | low is this child
+                continue
+            walk, i = frame[0], frame[5]
+            y, c = walk[i][:2] if i < len(walk) else (st, frame[2])
+            walk2: list[tuple[int, int, int]] = []
+            st2, c2, m2 = _close(y | low, c | combine(y, v), tmask & ~y, combine, walk2)
+            if not spare:
                 if st2 in visited:
                     continue
                 visited.add(st2)
                 if len(visited) > max_states:
                     raise _exceeded(max_states)
-                v = low.bit_length() - 1
-                cands2 = (frame[1] | combine(st, v)) & allowed & ~st2
-                stack.append([st2, cands2, frame[2] & ~low, cands2, None])
-                break
-            if frame[4] is not None:
-                path = [(a[0] ^ b[0]).bit_length() - 1 for a, b in zip(stack[1:], stack)]
-                return path + frame[4], nodes, len(visited)
-            stack.pop()
-            if not stack:
-                return None, nodes, len(visited)
-            frame = stack[-1]
+            frame[7] = v
+            if not m2:
+                return _path(stack, walk2), nodes, len(visited)
+            stack.append([walk2, st2, c2, m2, 0, -1, 0, None])
+            break
 
 
 def optimal_size(
@@ -397,11 +478,13 @@ def optimal_size(
         for j in range(i + 1, n):
             cands0 |= 1 << (units[i] | units[j])
     cands0 &= allowed
-    combine = _combiner(model, n)
+    combine, reach = _combiner(model, n)
 
     nodes = peak = 0
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        added, swept, held = _sweep(state0, cands0, budget, combine, tmask, allowed, max_states)
+        added, swept, held = _sweep(
+            state0, cands0, budget, combine, reach, tmask, allowed, max_states
+        )
         nodes += swept
         peak = max(peak, held)
         if added is not None:

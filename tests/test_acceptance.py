@@ -6,9 +6,8 @@ run of this implementation (empirical constants, recorded with their
 seeds), or statistical with the tolerance stated inline.
 """
 
+import hashlib
 import math
-
-import pytest
 
 import lincirc as lc
 from lincirc import BitMatrix, ExperimentConfig, SplitMix64
@@ -62,15 +61,22 @@ def test_criterion_03_small_sierpinski_optima():
     _report(3, "optimal XOR size S_2=1, S_4=4", (s2, s4) == (1, 4), f"got ({s2}, {s4})")
 
 
-@pytest.mark.long
+# sha256 of repr((gates, outputs)) of the S_8 witness at limit 12, the
+# same circuit in all three models, as the search gave it before it swept
+# closed states only
+S8_WITNESS_SHA256 = "998b7d91524635bfcb5fd11bf09e3ef12ce54e89fc0a42b98dc012c01285ad3c"
+
+
 def test_criterion_03_long_s8_optimum():
     out = lc.optimal_size(lc.gen_sierpinski(8), "XOR", limit=12)
     ok = (
         out.optimal_size == 12
         and lc.verify(out.witness, lc.gen_sierpinski(8))
-        and out.peak_states <= 250_000
+        and out.peak_states <= 40_000
+        and hashlib.sha256(repr((out.witness.gates, out.witness.outputs)).encode()).hexdigest()
+        == S8_WITNESS_SHA256
     )
-    _report(3, "optimal XOR size S_8=12 (long)", ok,
+    _report(3, "optimal XOR size S_8=12", ok,
             f"got {out.optimal_size}, {out.nodes_expanded} nodes, {out.peak_states} states")
 
 

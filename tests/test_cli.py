@@ -498,4 +498,4 @@ def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
         for argv, stdin in _transcript_cases()
     ]
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "2503a497c3883f3a3381345cdaf884cf4003da2daea3af9da167995a6dab54b0"
+    assert digest == "3c96ce8c3bbe2c75d980e77aa890ead426a3ccda04fa00e4eff022f0d8fdf6e9"

@@ -139,7 +139,8 @@ def test_search_is_deterministic():
 def test_search_outputs_match_pinned_digest():
     # optima and witnesses as the search gave them before under-target
     # pruning, the one-mask state encoding and the depth-first sweep; XOR
-    # node counts as the depth-first sweep gives them (CF and OR node
+    # node counts as the sweep over closed states gives them: each of these
+    # is solved by closing the root at its first budget (CF and OR node
     # counts are left out because under-target pruning lowers them)
     rng = SplitMix64(43)
     mats = [lc.example_a(), lc.gen_sierpinski(4)]
@@ -149,7 +150,7 @@ def test_search_outputs_match_pinned_digest():
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert digest == "0685b1b6baae67606b587cf1435f5aa3fc280d43367347686ae256c29497d37f"
     xor_nodes = [o.nodes_expanded for o in outs if o.model == "XOR"]
-    assert xor_nodes == [1, 1, 1, 0, 0, 1, 1, 1, 1, 1]
+    assert xor_nodes == [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_state_limit_is_the_peak_held():
@@ -186,14 +187,19 @@ def test_wider_input_is_refused_before_any_work(monkeypatch):
         lc.optimal_size(m, "XOR")
 
 
-@pytest.mark.long
 def test_sierpinski_s8_optimal_in_cf_and_or_models():
+    # the witness is the XOR one, as the search gave it before it swept
+    # closed states only (see test_acceptance.S8_WITNESS_SHA256)
     s8 = lc.gen_sierpinski(8)
     for model in ("CF", "OR"):
         out = lc.optimal_size(s8, model, limit=12)
         assert out.optimal_size == lc.sierpinski_lb(8) == 12
         assert lc.verify(out.witness, s8)
-        assert out.peak_states <= 250_000
+        assert out.peak_states <= 40_000
+        witness = repr((out.witness.gates, out.witness.outputs)).encode()
+        assert hashlib.sha256(witness).hexdigest() == (
+            "998b7d91524635bfcb5fd11bf09e3ef12ce54e89fc0a42b98dc012c01285ad3c"
+        )
 
 
 def test_validated_against_unpruned_search():
@@ -234,21 +240,52 @@ def test_combiner_matches_per_signal_definition():
     for model in lc.MODELS:
         # every state and every value for n <= 3
         for n in (1, 2, 3):
-            combine = exact_mod._combiner(model, n)
+            combine = exact_mod._combiner(model, n)[0]
             for st in range(1 << (1 << n)):
                 for v in range(1 << n):
                     assert combine(st, v) == _per_signal_combine(model, st, v), (n, st, v)
         # random states: dense ones at n = 6, sparse and dense at n = 16
         rng = SplitMix64(46)
-        combine = exact_mod._combiner(model, 6)
+        combine = exact_mod._combiner(model, 6)[0]
         for _ in range(300):
             st, v = rng.bits(64), rng.bits(6)
             assert combine(st, v) == _per_signal_combine(model, st, v)
-        combine = exact_mod._combiner(model, 16)
+        combine = exact_mod._combiner(model, 16)[0]
         for k in range(12):
             st = rng.bits(1 << 16) if k < 2 else sum(1 << rng.bits(16) for _ in range(40))
             v = rng.bits(16)
             assert combine(st, v) == _per_signal_combine(model, st, v)
+
+
+def test_reach_matches_its_definition():
+    for model in lc.MODELS:
+        # every state and every missing set for n <= 3
+        for n in (1, 2, 3):
+            combine, reach = exact_mod._combiner(model, n)
+            made = [[combine(st, v) for v in range(1 << n)] for st in range(1 << (1 << n))]
+            for st in range(1 << (1 << n)):
+                for miss in range(1 << (1 << n)):
+                    want = sum(1 << v for v, c in enumerate(made[st]) if c & miss)
+                    assert reach(st, miss) == want, (model, n, st, miss)
+        # random states: dense ones at n = 6, each with a few missing values
+        rng = SplitMix64(49)
+        combine, reach = exact_mod._combiner(model, 6)
+        for _ in range(100):
+            st = rng.bits(64)
+            miss = sum(1 << rng.bits(6) for _ in range(1 + rng.bits(3)))
+            want = sum(1 << v for v in range(64) if combine(st, v) & miss)
+            assert reach(st, miss) == want
+        # sparse states at n = 16: every value reach gives, and a sample of
+        # all values, against the definition
+        combine, reach = exact_mod._combiner(model, 16)
+        for _ in range(4):
+            st = sum(1 << rng.bits(16) for _ in range(40))
+            miss = sum(1 << rng.bits(16) for _ in range(3))
+            got = reach(st, miss)
+            values = [v for v in range(1 << 16) if (got >> v) & 1]
+            values += [rng.bits(16) for _ in range(200)]
+            for v in values:
+                assert bool((got >> v) & 1) == bool(combine(st, v) & miss), (model, st, miss, v)
 
 
 def _tuple_sweep(root, budget, model, tmask, allowed):
@@ -330,8 +367,8 @@ def _assert_matches_tuple_search(m: BitMatrix) -> list[tuple[int, int]]:
 def test_search_matches_signal_tuple_sweep():
     # the depth-first sweep gives the optimum and witness of the
     # breadth-first sweep carrying signal tuples, and expands no more
-    # states: it expands only non-tight states, which that sweep expands
-    # too
+    # states: it expands only closed states that are not tight, which that
+    # sweep expands too
     rng = SplitMix64(47)
     mats = [lc.example_a(), lc.example_b(), lc.gen_sierpinski(4)]
     mats += [random_bits_matrix(rng, n, n) for n in (4, 5) for _ in range(15)]
@@ -341,19 +378,34 @@ def test_search_matches_signal_tuple_sweep():
 
 def test_search_matches_signal_tuple_sweep_at_6x6():
     # 6x6 is the size exact-small solves, where spare-one states and their
-    # tight children are common; the effort is pinned as the depth-first
-    # sweep counts it (XOR, CF, OR per matrix)
+    # tight children are common; the effort is pinned as the sweep over
+    # closed states counts it (XOR, CF, OR per matrix)
     effort = [_assert_matches_tuple_search(lc.gen_random(6, 6, seed)) for seed in range(8)]
     assert effort == [
-        [(21, 19), (29, 27), (29, 27)],
-        [(320, 292), (346, 259), (346, 259)],
-        [(49, 46), (44, 41), (44, 41)],
-        [(19, 16), (19, 16), (19, 16)],
-        [(28, 19), (28, 19), (28, 19)],
-        [(1, 1), (1, 1), (1, 1)],
+        [(15, 14), (17, 16), (17, 16)],
+        [(209, 187), (204, 157), (204, 157)],
+        [(20, 19), (17, 16), (17, 16)],
         [(5, 4), (5, 4), (5, 4)],
-        [(3, 2), (50, 47), (50, 47)],
+        [(5, 4), (5, 4), (5, 4)],
+        [(0, 1), (0, 1), (0, 1)],
+        [(1, 1), (1, 1), (1, 1)],
+        [(1, 1), (13, 12), (13, 12)],
     ]
+
+
+def test_witness_uses_candidates_made_by_the_closure_walk():
+    # in each of these the least goal path adds a non-target value that
+    # becomes a candidate only once a frame's closure adds targets, so a
+    # sweep that tried only the candidates of the state a frame was entered
+    # at would return another witness
+    mats = [lc.gen_random(6, 6, 10)] + [
+        BitMatrix.from_text("6 6\n" + rows.replace("/", "\n"))
+        for rows in ("011111/100000/110010/010000/100100/100010",
+                     "001111/001010/010111/001110/001010/011011",
+                     "100110/100100/111011/010101/011100/010101")
+    ]
+    for m in mats:
+        _assert_matches_tuple_search(m)
 
 
 def test_row_order_leaves_search_unchanged():
@@ -425,7 +477,6 @@ def test_xor_optimum_may_need_a_signal_under_no_target():
     assert lc.optimal_size(m, "CF").optimal_size == 7
 
 
-@pytest.mark.long
 def test_validated_against_unpruned_search_all_3x3():
     for code in range(512):
         m = BitMatrix(3, 3, [(code >> (3 * i)) & 7 for i in range(3)])
