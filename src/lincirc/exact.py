@@ -85,14 +85,15 @@ non-target candidates in segments, one per walk step, each ascending.
 A state is one int, a bitmask over the 2^n value universe (bit v set when
 value v is present), and the visited set holds nothing else.  The frames
 of the search stack, one per closed state on the current path, carry the
-state's candidate mask (the values derivable from it, not yet present),
-its missing targets and its walk: each walk state with its candidates and
-the target added there.  A child's new candidates come from its walk
-state's mask alone: the values ``s ^ v``, ``s | v`` over disjoint ``s``,
-or ``s | v``, for every present ``s``, are a few shifts and masks of that
-mask (see :func:`_combiner`).  A mask has 2^n bits, so inputs are capped
-at 16 columns; every search that finishes is far below that.  Expansion
-order is fixed, which makes ``nodes_expanded`` and the returned witness
+state's walk (each walk state with its candidates and the target added
+there) and a generator of its children, which holds its candidate mask
+(the values derivable from it) and its missing targets.  A child's new
+candidates come from its walk state's mask alone, the root's from the
+units: the values ``s ^ v``, ``s | v`` over disjoint ``s``, or ``s | v``,
+for every present ``s``, are a few shifts and masks of that mask (see
+:func:`_combiner`).  A mask has 2^n bits, so inputs are capped at 16
+columns; every search that finishes is far below that.  Expansion order
+is fixed, which makes ``nodes_expanded`` and the returned witness
 deterministic.
 """
 
@@ -113,11 +114,12 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
-# A held state (a set slot and its state mask) costs about 130-150 bytes
-# of peak RSS at n = 8: S_8 with limit 12 held at most 24.4 k states in
-# CF and OR and 27.8 k in XOR, each at 38.0 MiB max RSS from a 34.5 MiB
-# start (tracemalloc: 145 B per state in CF).  So this default stops a
-# search near 0.7 GB.
+# The default cap on held states up to 8 columns.  At n = 8 a held state
+# (a set slot and its mask) costs 127-145 B of peak RSS: S_8 with limit 12
+# held at most 27.8 k states (XOR) and 24.4 k (CF, OR) at 38.0 MiB max RSS
+# from a 34.6 MiB start, so 5 M stop a search near 0.7 GB.  A mask has 2^n
+# bits, so the cap halves per column above 8: 19 531 states at n = 16,
+# where a mask is up to 8.8 KiB (7-8 KiB of max RSS per state), 0.17 GB.
 _DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -316,9 +318,9 @@ def _path(stack: list[list], tail: list[tuple[int, int, int]]) -> list[int]:
     """The values a goal path adds: each frame's walk up to the step where
     its current child was tried, that child, then the ``tail`` walk."""
     out: list[int] = []
-    for frame in stack:
-        out += [w[2].bit_length() - 1 for w in frame[0][:frame[5]]]
-        out.append(frame[7])
+    for walk, _, step, child in stack:
+        out += [w[2].bit_length() - 1 for w in walk[:step]]
+        out.append(child)
     return out + [w[2].bit_length() - 1 for w in tail]
 
 
@@ -340,13 +342,16 @@ def _sweep(
     enumerated); and the size of the visited set of closed states, root
     included, which ``max_states`` bounds.
 
-    A frame is ``[walk, state, candidates, missing targets, untried,
-    step, pending, child]``: the closure walk from the state the frame was
-    entered at, the closed state, the non-target candidates not yet put in
-    a segment, the walk step of the current segment, the segment's values
-    not yet tried and the value of the child being explored.  The stack
-    replaces recursion, which a large ``limit`` could take past the
-    interpreter's depth limit.
+    A frame is ``[walk, children, step, child]``: the closure walk from the
+    state the frame was entered at, a generator of the children it goes
+    into, and the walk step and value of the child being explored.  The
+    generator yields ``(step, v, walk, state, candidates, missing)`` per
+    child in walk order: for each walk step, the untried non-target
+    candidates below the target added there, then the rest of the closed
+    state's, each segment ascending.  It resolves tight children by
+    closure and skips and records visited states, so the loop only pushes,
+    pops and stops at a goal.  The stack replaces recursion, which a large
+    ``limit`` could take past the interpreter's depth limit.
     """
     if max_states < 1:
         raise _exceeded(max_states)
@@ -359,83 +364,71 @@ def _sweep(
     if miss.bit_count() == top - st.bit_count():
         return None, 0, 1
     visited = {st}
-    stack = [[walk, st, cands, miss, 0, -1, 0, None]]
-    nodes = 0
-    while True:
-        # expand the frame on top: a spare-one state tries only the values
-        # that make a missing target ready
-        frame = stack[-1]
-        st, miss = frame[1], frame[3]
-        nodes += 1
+
+    def children(walk: list, st: int, cands: int, miss: int):
+        # a spare-one state tries only the values that make a missing
+        # target ready
         spare = miss.bit_count() == top - st.bit_count() - 1
         untried = free & ~st
         if spare:
             untried &= reach(st, miss)
-        frame[4] = untried
-        # try the children in walk order, descending into the first closed
-        # child not visited before
-        while True:
-            pending = frame[6]
-            if not pending:
-                walk = frame[0]
-                i = frame[5] + 1
-                if i > len(walk):
-                    stack.pop()
-                    if not stack:
-                        return None, nodes, len(visited)
-                    frame = stack[-1]
-                    spare = False  # only a frame that is not spare-one has children
+        # the closed state ends the walk, with no target above its values
+        for step, (y, c, t) in enumerate(walk + [(st, cands, 0)]):
+            seg = untried & c & (t - 1)
+            untried ^= seg
+            while seg:
+                low = seg & -seg
+                seg ^= low
+                v = low.bit_length() - 1
+                if spare:
+                    # the child is tight: it succeeds iff its closure is a goal
+                    if _close(st | low, cands | combine(st, v), miss, combine)[2]:
+                        continue
+                elif st | low in visited:
+                    # a visited state is closed, so st | low is this child
                     continue
-                # the next segment: the untried candidates of walk step i
-                # below the target added there, then those of the closed state
-                seg = frame[4] & (walk[i][1] & (walk[i][2] - 1) if i < len(walk) else frame[2])
-                frame[4] ^= seg
-                frame[5] = i
-                frame[6] = seg
-                continue
-            low = pending & -pending
-            frame[6] = pending ^ low
-            v = low.bit_length() - 1
-            st = frame[1]
-            if spare:
-                # the child is tight: it succeeds iff its closure is a goal
-                if _close(st | low, frame[2] | combine(st, v), frame[3], combine)[2]:
-                    continue
-            elif st | low in visited:
-                # a visited state is closed, so st | low is this child
-                continue
-            walk, i = frame[0], frame[5]
-            y, c = walk[i][:2] if i < len(walk) else (st, frame[2])
-            walk2: list[tuple[int, int, int]] = []
-            st2, c2, m2 = _close(y | low, c | combine(y, v), tmask & ~y, combine, walk2)
-            if not spare:
-                if st2 in visited:
-                    continue
-                visited.add(st2)
-                if len(visited) > max_states:
-                    raise _exceeded(max_states)
-            frame[7] = v
-            if not m2:
-                return _path(stack, walk2), nodes, len(visited)
-            stack.append([walk2, st2, c2, m2, 0, -1, 0, None])
-            break
+                walk2: list[tuple[int, int, int]] = []
+                st2, c2, m2 = _close(y | low, c | combine(y, v), tmask & ~y, combine, walk2)
+                if not spare:
+                    if st2 in visited:
+                        continue
+                    visited.add(st2)
+                    if len(visited) > max_states:
+                        raise _exceeded(max_states)
+                yield step, v, walk2, st2, c2, m2
+
+    stack = [[walk, children(walk, st, cands, miss), 0, None]]
+    nodes = 1
+    while stack:
+        frame = stack[-1]
+        child = next(frame[1], None)
+        if child is None:
+            stack.pop()
+            continue
+        frame[2], frame[3], walk, st, cands, miss = child
+        if not miss:
+            return _path(stack, walk), nodes, len(visited)
+        stack.append([walk, children(walk, st, cands, miss), 0, None])
+        nodes += 1
+    return None, nodes, len(visited)
 
 
 def optimal_size(
     a: BitMatrix,
     model: str,
     limit: int = DEFAULT_LIMIT,
-    max_states: int = _DEFAULT_MAX_STATES,
+    max_states: Optional[int] = None,
 ) -> SearchOutcome:
     """Smallest circuit size for ``a`` in the given model, established by
     exhausting all smaller sizes (up to ``limit`` gates).
 
     The outcome carries a verified witness, the nodes expanded by the
     deterministic sequential sweeps and the largest visited set of any one
-    sweep, root included; ``max_states`` bounds that set exactly.  ``a``
-    may have at most 16 columns (a state is a bitmask over the 2^n
-    possible signal values); wider input raises ``ValueError`` before any
-    work is done.
+    sweep, root included; ``max_states`` bounds that set exactly (by
+    default 5 M up to 8 columns, halved per column above).  ``a`` may
+    have at most 16 columns (a state is a bitmask over the 2^n possible
+    signal values); wider input raises ``ValueError`` before any work is
+    done.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -445,6 +438,8 @@ def optimal_size(
             f"exact search takes at most {_MAX_INPUTS} columns "
             f"(a state is a 2^n-bit mask); got {n}"
         )
+    if max_states is None:
+        max_states = _DEFAULT_MAX_STATES >> max(0, n - 8)
     rows = [a.row(i) for i in range(a.rows)]
     units = tuple(1 << i for i in range(n))
     unit_set = set(units)
@@ -459,12 +454,8 @@ def optimal_size(
         # same matrix
         ub_circuit = Circuit(n, OR, ub_circuit.gates, ub_circuit.outputs)
 
-    tmask = 0
-    for t in targets:
-        tmask |= 1 << t
-    state0 = 0
-    for u in units:
-        state0 |= 1 << u
+    tmask = sum(1 << t for t in targets)
+    state0 = sum(1 << u for u in units)
     if model == XOR_MODEL:
         allowed = (1 << (1 << n)) - 2  # every nonzero value
     else:
@@ -472,13 +463,11 @@ def optimal_size(
         for t in targets:
             allowed |= _submasks(t, n)
         allowed &= ~1
-    # the units are disjoint, so every model combines two into their union
-    cands0 = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            cands0 |= 1 << (units[i] | units[j])
-    cands0 &= allowed
     combine, reach = _combiner(model, n)
+    cands0 = 0
+    for u in units:
+        cands0 |= combine(state0, u)
+    cands0 &= allowed
 
     nodes = peak = 0
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):

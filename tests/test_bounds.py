@@ -143,3 +143,9 @@ def test_bound_report_serializes():
     assert d["kfree"][0]["kind"] == "exact-not-free"
     assert d["kst"]["a"] == 2
     assert isinstance(d["matrix_sha256"], str) and len(d["matrix_sha256"]) == 64
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+def test_kst_cap_refuses_non_square_matrices(rows, cols):
+    with pytest.raises(lc.DimensionError, match="square matrices"):
+        lc.kst_cap(lc.BitMatrix(rows, cols, [0] * rows), 2)

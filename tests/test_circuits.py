@@ -402,3 +402,44 @@ def test_gate_reference_validation():
         Circuit(2, lc.XOR, (), (5,))
     with pytest.raises(ValueError):
         LayeredCircuit(2, lc.XOR, (((0, 2),),), (2,))  # same-layer reference
+
+
+_XOR2 = Circuit(2, lc.XOR, ((0, 1),), (2,))
+_OR2 = Circuit(2, lc.OR, ((0, 1),), (2,))
+_LAYERED_XOR2 = LayeredCircuit(2, lc.XOR, (((0, 1),),), (2,))
+_LAYERED_OR2 = LayeredCircuit(2, lc.OR, (((0, 1),),), (2,))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(lambda: Circuit(2, "AND", (), ()), ValueError, "unknown connective 'AND'",
+                     id="unknown-connective"),
+        pytest.param(lambda: Circuit(-1, lc.XOR, (), ()), ValueError, "negative input count",
+                     id="negative-inputs"),
+        pytest.param(lambda: LayeredCircuit(2, lc.XOR, (((),),), ()), ValueError,
+                     "empty gate in layer 1", id="layered-empty-gate"),
+        pytest.param(lambda: LayeredCircuit(2, lc.XOR, (), (2,)), ValueError,
+                     "output y1 references unknown signal 2", id="layered-unknown-output"),
+        pytest.param(lambda: lc.eval_circuit(_XOR2, [1]), lc.DimensionError,
+                     "expected 2 inputs, got 1", id="eval-input-count"),
+        pytest.param(lambda: lc.restrict_zero(_XOR2, {2}), ValueError, "unknown input x3",
+                     id="restrict-unknown-input"),
+        pytest.param(lambda: lc.compose(_XOR2, _OR2), ValueError, "connective mismatch",
+                     id="compose-connective"),
+        pytest.param(lambda: lc.compose(_XOR2, _XOR2), lc.DimensionError,
+                     "outer arity 2 != inner output count 1", id="compose-arity"),
+        pytest.param(lambda: lc.compose_layered(_LAYERED_XOR2, _LAYERED_OR2), ValueError,
+                     "connective mismatch", id="compose-layered-connective"),
+        pytest.param(lambda: lc.compose_layered(_LAYERED_XOR2, _LAYERED_XOR2), lc.DimensionError,
+                     "outer arity 2 != inner output count 1", id="compose-layered-arity"),
+        pytest.param(lambda: lc.slp_loads(""), lc.ParseError, "empty circuit text",
+                     id="slp-empty"),
+        pytest.param(lambda: lc.slp_loads("inputs 2 connective XOR\nt1 = x1 + x2\noutputs: z1=t1\n"),
+                     lc.ParseError, "bad output assignment 'z1=t1'", id="slp-bad-output-token"),
+    ],
+)
+def test_invalid_input_is_refused(make, error, message):
+    with pytest.raises(error, match=message) as err:
+        make()
+    assert type(err.value) is error

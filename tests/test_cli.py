@@ -53,6 +53,12 @@ def test_gen_bad_spec(capsys):
     assert code == 2 and "nonsense" in err
 
 
+@pytest.mark.parametrize("spec", ["random:a:b:c", "random:4:4:x"])
+def test_gen_bad_random_spec(capsys, spec):
+    code, out, err = run(capsys, "gen", spec)
+    assert code == 2 and out == "" and "bad random spec" in err
+
+
 def test_gen_refuses_oversized_specs_before_generating(capsys, monkeypatch):
     class Generated(Exception):
         pass

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lincirc as lc
-from lincirc import BitMatrix, SplitMix64
+from lincirc import BitMatrix, SplitMix64, derive_seed
 from lincirc import exact as exact_mod
 from conftest import random_bits_matrix
 from lincirc.cli import fixtures_dir
@@ -153,6 +153,21 @@ def test_search_outputs_match_pinned_digest():
     assert xor_nodes == [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
+def test_search_outputs_match_pinned_catalogue_digest():
+    # the 32 gen_random 6x6 matrices the exact-small benchmark solves, in
+    # all three models: optima, node counts, peak states and witness text
+    # as the depth-first sweep over closed states gives them
+    outs = [
+        lc.optimal_size(lc.gen_random(6, 6, derive_seed(0x6C696E63, i)), model)
+        for i in range(32)
+        for model in lc.MODELS
+    ]
+    got = [(o.optimal_size, o.nodes_expanded, o.peak_states, lc.slp_dumps(o.witness)) for o in outs]
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "ca434a82ff5c5e944de5fbbf802b7d59a790079101576fbb61a61457f2b45f2f"
+    assert sum(o.nodes_expanded for o in outs) == 4659
+
+
 def test_state_limit_is_the_peak_held():
     # peak_states is exactly the most states a sweep holds: that many
     # solve, one fewer is refused
@@ -163,6 +178,17 @@ def test_state_limit_is_the_peak_held():
         assert again.optimal_size == out.optimal_size
         with pytest.raises(lc.BudgetExceededError, match="exceeded"):
             lc.optimal_size(m, model, max_states=out.peak_states - 1)
+
+
+def test_default_state_cap_halves_per_column_above_eight(monkeypatch):
+    # a state mask has 2^n bits, so the default cap on held states scales
+    # down with width; an explicit max_states is taken as given
+    monkeypatch.setattr(exact_mod, "_DEFAULT_MAX_STATES", 255)
+    rows = [lc.example_a().row(i) for i in range(4)]
+    assert lc.optimal_size(BitMatrix(4, 4, rows), "XOR").optimal_size == 4
+    with pytest.raises(lc.BudgetExceededError, match="exceeded 0 states"):
+        lc.optimal_size(BitMatrix(4, 16, rows), "XOR")
+    assert lc.optimal_size(BitMatrix(4, 16, rows), "XOR", max_states=255).optimal_size == 4
 
 
 def test_sixteen_column_input_still_solves():
@@ -511,6 +537,12 @@ def test_heuristics_never_below_cf_optimum(m):
 
 # ---------------------------------------------------------------------------
 # census
+
+
+@pytest.mark.parametrize("model", ["AND", "xor", ""])
+def test_unknown_model_is_refused(model):
+    with pytest.raises(ValueError, match="unknown model"):
+        lc.optimal_size(lc.example_a(), model)
 
 
 def test_census_n1_and_n2():

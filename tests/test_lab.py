@@ -331,6 +331,24 @@ def test_bias_rejects_bad_masks():
         lc.estimate_conditional_bias(5, [[None] + [0] * 4] + [[0] * 5] * 4, samples=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: lc.estimate_conditional_bias(2, [[0, 0], [None]], 10, 0),
+                     "mask must be square", id="non-square"),
+        pytest.param(lambda: lc.estimate_conditional_bias(2, [[0, 2], [0, None]], 10, 0),
+                     "mask entry 2 is not 0, 1 or None", id="bad-entry"),
+        pytest.param(lambda: lc.estimate_conditional_bias(3, [[0, 0], [0, None]], 10, 0),
+                     "mask is 2x2, expected 3x3", id="size-not-m"),
+        pytest.param(lambda: lc.exact_conditional_bias([[0, 0, 0], [0, 0, 0], [0, 0, None]]),
+                     "implemented for m = 2", id="exact-oracle-m"),
+    ],
+)
+def test_bias_refuses_malformed_masks(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_bias_batching_is_invisible():
     mask = [[0, 0], [0, None]]
     a = lc.estimate_conditional_bias(2, mask, samples=30_000, seed=9, batch=1 << 10)

@@ -486,3 +486,35 @@ def _max_ones_one_free(n: int) -> int:
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kst_bound_caps_one_free_matrices(n):
     assert _max_ones_one_free(n) <= lc.kst_bound(n, 2)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(lambda: BitMatrix(-1, 2, []), lc.DimensionError, "negative shape -1x2",
+                     id="negative-shape"),
+        pytest.param(lambda: BitMatrix(2, 2, [1]), lc.DimensionError, "expected 2 rows, got 1",
+                     id="row-count"),
+        pytest.param(lambda: BitMatrix(1, 2, [4]), ValueError, "does not fit in 2 columns",
+                     id="row-too-wide"),
+        pytest.param(lambda: BitMatrix.from_rows([[1, 0], [1]]), lc.DimensionError, "ragged rows",
+                     id="ragged-rows"),
+        pytest.param(lambda: BitMatrix.from_rows([[0, 2]]), ValueError, "entry 2 is not Boolean",
+                     id="non-boolean-entry"),
+        pytest.param(lambda: BitMatrix.from_rows([]), lc.DimensionError, "from no rows",
+                     id="no-rows"),
+        pytest.param(lambda: BitMatrix.from_text("2 x\n10\n01\n"), ValueError, "bad header line",
+                     id="text-header-not-integer"),
+        pytest.param(lambda: BitMatrix.from_text("3 2\n10\n01\n"), ValueError,
+                     "expected 3 rows, found 2", id="text-too-few-rows"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 2, "cols": 2, "data": ["10"]}),
+                     ValueError, "row count mismatch", id="json-row-count"),
+        pytest.param(lambda: BitMatrix(1, 1, [1]).entry(0, 1), IndexError, r"\(0, 1\)",
+                     id="entry-out-of-range"),
+        pytest.param(lambda: lc.kst_bound(0, 2), ValueError, "n must be >= 1", id="kst-bound-n"),
+    ],
+)
+def test_invalid_input_is_refused(make, error, message):
+    with pytest.raises(error, match=message) as err:
+        make()
+    assert type(err.value) is error

@@ -424,3 +424,18 @@ def test_all_synthesis_results_roundtrip_as_slp():
         assert lc.slp_loads(lc.slp_dumps(res.circuit)) == res.circuit
     lay = lc.lupanov_depth2(a)
     assert lc.slp_loads(lc.slp_dumps(lay.circuit)) == lay.circuit
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: lc.product_circuit(lc.identity(2), lc.identity(2), "depth3"),
+                     "unknown depth mode 'depth3'", id="product-depth-mode"),
+        pytest.param(lambda: lc.complement_transform(lc.Circuit(2, lc.OR, ((0, 1),), (2,))),
+                     "defined for XOR circuits", id="complement-of-or"),
+    ],
+)
+def test_invalid_input_is_refused(make, message):
+    with pytest.raises(ValueError, match=message) as err:
+        make()
+    assert type(err.value) is ValueError
