@@ -217,10 +217,16 @@ def trial_matrices(config: ExperimentConfig, trial_index: int) -> tuple[BitMatri
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
+    return _measure_trial(config, trial_index, *trial_matrices(config, trial_index))
+
+
+def _measure_trial(
+    config: ExperimentConfig, trial_index: int, b: BitMatrix, c: BitMatrix, a: BitMatrix
+) -> TrialReport:
+    """The report of trial ``trial_index``, given its (B, C, A)."""
     n = config.n
     inner = config.inner_dim
     seed = derive_seed(config.master_seed, trial_index)
-    b, c, a = trial_matrices(config, trial_index)
     pc = popcount(a)
     k = config.freeness_k
 
@@ -276,8 +282,21 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialReport:
     )
 
 
-def _trial_worker(args: tuple[ExperimentConfig, int]) -> TrialReport:
-    return run_trial(*args)
+def _sweep_trial(config: ExperimentConfig, trial_index: int) -> tuple[TrialReport, float]:
+    """A trial's report and its (greedy-heuristic gate count) /
+    (composed product gate count), from one build of its matrices."""
+    b, c, a = trial_matrices(config, trial_index)
+    report = _measure_trial(config, trial_index, b, c, a)
+    return report, paar_greedy(a).cost / report.composed_gates
+
+
+def _map_trials(fn, config: ExperimentConfig, threads: int) -> list:
+    """``fn(config, t)`` for every trial t, in trial order; in a pool of
+    ``threads`` processes when that is more than one."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, [config] * config.trials, range(config.trials)))
+    return [fn(config, t) for t in range(config.trials)]
 
 
 @dataclass(frozen=True)
@@ -303,17 +322,8 @@ class SeparationReport:
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> SeparationReport:
-    """All trials of a config; aggregation is sorted by trial index, so
-    the report is independent of the execution schedule."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(_trial_worker, [(config, t) for t in range(config.trials)])
-            )
-    else:
-        reports = [run_trial(config, t) for t in range(config.trials)]
-    reports.sort(key=lambda r: r.trial_index)
-    return SeparationReport(config, tuple(reports))
+    """All trials of a config, in trial order whatever the schedule."""
+    return SeparationReport(config, tuple(_map_trials(run_trial, config, threads)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +383,17 @@ def _parse_mask(mask_pattern) -> tuple[int, tuple[int, int], list[tuple[int, int
     return m, undefined, defined
 
 
+#: Raw samples drawn per ``words_np`` call in
+#: :func:`estimate_conditional_bias`, which bounds its memory.
+_BIAS_CHUNK = 1 << 18
+
+
 def estimate_conditional_bias(
     m: int,
     mask_pattern,
     samples: int,
     seed: int,
     min_accepted: int = DEFAULT_MIN_ACCEPTED,
-    batch: int = 1 << 18,
 ) -> BiasReport:
     """Monte Carlo estimate of P(undefined product entry = 1 | the other
     entries match the mask), for uniform B (m x 7m) and C (7m x m).
@@ -402,7 +416,7 @@ def estimate_conditional_bias(
     ones = 0
     pos = 0
     while pos < samples:
-        cnt = min(batch, samples - pos)
+        cnt = min(_BIAS_CHUNK, samples - pos)
         w = words_np(seed, pos * lanes, cnt * lanes).reshape(cnt, lanes) & mask_bits
         bcols = w[:, :m]
         ccols = w[:, m:]
@@ -519,14 +533,8 @@ def ratio_sweep(ns: list[int], base: ExperimentConfig, threads: int = 1) -> Swee
     points = []
     configs = [replace(base, n=n) for n in ns]  # every n is checked before any trial
     for cfg in configs:
-        report = run_experiment(cfg, threads=threads)
-        proxies = [
-            t.ratio_proxy for t in report.trials if t.ratio_proxy is not None
-        ]
-        heuristic = []
-        for t in report.trials:
-            _, _, a = trial_matrices(cfg, t.trial_index)
-            heuristic.append(paar_greedy(a).cost / t.composed_gates)
+        reports, heuristic = zip(*_map_trials(_sweep_trial, cfg, threads))
+        proxies = [t.ratio_proxy for t in reports if t.ratio_proxy is not None]
         points.append(
             SweepPoint(
                 cfg.n,

@@ -402,6 +402,16 @@ def _require_freeness_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
+def _verified_block(a: BitMatrix, s: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> Submatrix:
+    """``rows`` x ``cols`` as a witness, once checked to be an s x s
+    all-ones block of ``a``: a returned witness is a proof."""
+    colmask = sum(1 << j for j in cols)
+    whole = len(set(rows)) == len(set(cols)) == s
+    if not whole or any(a.row(i) & colmask != colmask for i in rows):
+        raise RuntimeError("all-ones witness does not verify")
+    return Submatrix(rows, cols)
+
+
 def _allones_rows(rows: list[int], s: int, start: int, depth: int, acc: int) -> Optional[list[int]]:
     """Depth-first step of :func:`_first_allones`.  Module-level, not a
     nested function: a self-referencing closure is a reference cycle."""
@@ -463,7 +473,7 @@ def is_k_free_exact(a: BitMatrix, k: int) -> KFreeOutcome:
     cols = tuple(_set_bits(acc)[:s])
     if transposed:
         rows, cols = cols, rows
-    return KFreeOutcome(False, Submatrix(rows, cols))
+    return KFreeOutcome(False, _verified_block(a, s, rows, cols))
 
 
 def find_allones_submatrix(
@@ -512,10 +522,7 @@ def find_allones_submatrix(
         if len(chosen) == s:
             rows = tuple(sorted(eligible[t][0] for t in chosen))
             cols = tuple(_set_bits(int.from_bytes(acc.tobytes(), "little"))[:s])
-            colmask = sum(1 << j for j in cols)  # returned witnesses are proofs
-            if any(a.row(i) & colmask != colmask for i in rows):
-                raise RuntimeError("all-ones witness does not verify")
-            return Submatrix(rows, cols)
+            return _verified_block(a, s, rows, cols)
     return None
 
 

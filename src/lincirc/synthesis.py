@@ -44,8 +44,8 @@ from .circuits import (
 from .bounds import sierpinski_lb
 
 #: Node budget of each minimum disjoint cover search in
-#: :func:`boyar_peralta`; a search that runs out keeps its best cover so
-#: far (the units if it found none) and the result reports
+#: :func:`boyar_peralta`; a search that runs out keeps the size of its
+#: best cover so far (the units' if it found none) and the result reports
 #: ``distances_exact=False``.
 COVER_NODE_BUDGET = 20_000
 
@@ -186,50 +186,16 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
 
 
-class _DisjointCoverSearch:
-    """Branch-and-bound state of :func:`_min_disjoint_cover`.  A class,
-    not a nested recursive function: a self-referencing closure is a
-    reference cycle that keeps its state alive until a full collection."""
+def _min_cover_size(target: int, base_values: list[int], node_budget: int) -> tuple[int, bool]:
+    """Size of a smallest set of pairwise-disjoint base signals whose
+    union is exactly ``target``, and whether the search stayed exact.
 
-    def __init__(self, by_bit: dict[int, list[int]], max_w: int, best_size: int, node_budget: int):
-        self.by_bit = by_bit
-        self.max_w = max_w
-        self.best: list[int] = []
-        self.best_size = best_size
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.exact = True
-
-    def rec(self, remaining: int, used: list[int]) -> None:
-        if not remaining:
-            if len(used) < self.best_size:
-                self.best_size = len(used)
-                self.best = used[:]
-            return
-        if len(used) + (remaining.bit_count() + self.max_w - 1) // self.max_w >= self.best_size:
-            return
-        if self.nodes >= self.node_budget:
-            self.exact = False
-            return
-        self.nodes += 1
-        bit = (remaining & -remaining).bit_length() - 1
-        for v in self.by_bit.get(bit, ()):
-            if v & ~remaining == 0:
-                used.append(v)
-                self.rec(remaining & ~v, used)
-                used.pop()
-
-
-def _min_disjoint_cover(
-    target: int, base_values: list[int], node_budget: int
-) -> tuple[list[int], bool]:
-    """Smallest set of pairwise-disjoint base signals whose union is
-    exactly ``target``.
-
-    Exact branch-and-bound on the lowest uncovered bit, falling back to
-    the best cover found once ``node_budget`` nodes are spent, or to the
-    units if it found none (the flag reports whether the search stayed
-    exact).  Unit signals are assumed present, so a cover always exists.
+    Depth-first branch-and-bound on the lowest uncovered bit over a stack
+    of (remaining, gates used) pairs, heaviest values tried first, then
+    the smallest.  A node is pruned once the weight bound reaches the
+    best size found; after ``node_budget`` nodes the best size so far
+    stands, or the unit cover's.  Unit signals are assumed present, so a
+    cover always exists.
     """
     by_bit: dict[int, list[int]] = {}
     for v in base_values:
@@ -237,19 +203,36 @@ def _min_disjoint_cover(
             bit = (v & -v).bit_length() - 1
             by_bit.setdefault(bit, []).append(v)
     for vs in by_bit.values():
-        vs.sort(key=lambda v: (-v.bit_count(), v))
+        vs.sort(key=lambda v: (v.bit_count(), -v))  # popped in reverse
     max_w = max(v.bit_count() for vs in by_bit.values() for v in vs)
 
-    search = _DisjointCoverSearch(by_bit, max_w, target.bit_count() + 1, node_budget)
-    search.rec(target, [])
-    return search.best or [1 << i for i in _set_bits(target)], search.exact
+    best = target.bit_count() + 1
+    nodes = 0
+    exact = True
+    stack = [(target, 0)]
+    while stack:
+        remaining, used = stack.pop()
+        if not remaining:
+            best = min(best, used)
+        elif used + (remaining.bit_count() + max_w - 1) // max_w >= best:
+            continue
+        elif nodes >= node_budget:
+            exact = False
+        else:
+            nodes += 1
+            for v in by_bit.get((remaining & -remaining).bit_length() - 1, ()):
+                if v & ~remaining == 0:
+                    stack.append((remaining ^ v, used + 1))
+    return min(best, target.bit_count()), exact
 
 
 def boyar_peralta(a: BitMatrix) -> SynthesisResult:
     """Distance-guided greedy signal creation.
 
     The distance of a row is the minimum number of additional gates
-    needed to reach it from the current base by disjoint combination.
+    needed to reach it from the current base by disjoint combination:
+    the size of its smallest disjoint cover by base values, from
+    :func:`_min_cover_size`, minus one.
     Each step adds the disjoint pair that minimizes the total distance;
     ties maximize the Euclidean norm of the distance vector, then take
     the lowest signal-index pair.  Output is cancellation-free.
@@ -275,9 +258,9 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
 
     def cover_size(t: int) -> int:
         nonlocal exact_all
-        cover, exact = _min_disjoint_cover(t, base, COVER_NODE_BUDGET)
+        size, exact = _min_cover_size(t, base, COVER_NODE_BUDGET)
         exact_all = exact_all and exact
-        return len(cover)
+        return size
 
     def with_value(v: int) -> dict[int, int]:
         newd = dict(dist)

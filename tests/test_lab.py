@@ -161,7 +161,7 @@ def test_config_refuses_out_of_range_field(field, value):
 
 
 def test_ratio_sweep_checks_every_size_before_any_trial(monkeypatch):
-    monkeypatch.setattr(lab_mod, "run_experiment", lambda *a, **k: pytest.fail("ran trials"))
+    monkeypatch.setattr(lab_mod, "_map_trials", lambda *a, **k: pytest.fail("ran trials"))
     with pytest.raises(ValueError, match="n must be"):
         lc.ratio_sweep([8, 1], CFG16)
 
@@ -349,10 +349,12 @@ def test_bias_refuses_malformed_masks(make, message):
         make()
 
 
-def test_bias_batching_is_invisible():
+def test_bias_batching_is_invisible(monkeypatch):
     mask = [[0, 0], [0, None]]
-    a = lc.estimate_conditional_bias(2, mask, samples=30_000, seed=9, batch=1 << 10)
-    b = lc.estimate_conditional_bias(2, mask, samples=30_000, seed=9, batch=1 << 14)
+    monkeypatch.setattr(lab_mod, "_BIAS_CHUNK", 1 << 10)
+    a = lc.estimate_conditional_bias(2, mask, samples=30_000, seed=9)
+    monkeypatch.setattr(lab_mod, "_BIAS_CHUNK", 1 << 14)
+    b = lc.estimate_conditional_bias(2, mask, samples=30_000, seed=9)
     assert a == b
 
 
@@ -372,6 +374,21 @@ def test_ratio_sweep_small():
     assert rep.ratio_proxy_nondecreasing is True
     assert rep.heuristic_ratio_nondecreasing is True
     assert all(p.median_heuristic_ratio >= 1.0 or p.n <= 32 for p in rep.points)
+
+
+def test_ratio_sweep_builds_each_trials_matrices_once(monkeypatch):
+    built = Counter()
+    trial_matrices = lab_mod.trial_matrices
+
+    def counting(config, t):
+        built[config.n, t] += 1
+        return trial_matrices(config, t)
+
+    monkeypatch.setattr(lab_mod, "trial_matrices", counting)
+    serial = lc.ratio_sweep([16, 32], CFG16)
+    assert built == {(n, t): 1 for n in (16, 32) for t in range(CFG16.trials)}
+    monkeypatch.undo()
+    assert lc.ratio_sweep([16, 32], CFG16, threads=2) == serial
 
 
 def test_ratio_sweep_single_point_has_no_trend():

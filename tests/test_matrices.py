@@ -267,6 +267,23 @@ def test_is_k_free_exact_witness_on_a_tall_matrix():
             assert all(a.entry(i, j) for i in got.witness.row_idx for j in got.witness.col_idx)
 
 
+@pytest.mark.parametrize("found", [([0, 1], 0b11), ([0], 0b1)], ids=["not-all-ones", "too-small"])
+def test_is_k_free_exact_checks_its_witness(monkeypatch, found):
+    # a returned witness is a proof, so a wrong block from the search
+    # must raise instead of coming back as a Submatrix
+    monkeypatch.setattr(lc.matrices, "_first_allones", lambda rows, s: found)
+    with pytest.raises(RuntimeError, match="does not verify"):
+        lc.is_k_free_exact(lc.identity(4), 1)
+
+
+def test_find_allones_submatrix_checks_its_witness(monkeypatch):
+    a = BitMatrix.from_rows([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
+    assert lc.find_allones_submatrix(a, 1, budget=100, seed=0) == lc.Submatrix((0, 1), (0, 1))
+    monkeypatch.setattr(lc.matrices, "_set_bits", lambda x: [2, 3])  # the wrong columns
+    with pytest.raises(RuntimeError, match="does not verify"):
+        lc.find_allones_submatrix(a, 1, budget=100, seed=0)
+
+
 def test_is_k_free_budget_refusal():
     big = lc.ones(4096, 4096)
     with pytest.raises(lc.BudgetExceededError):

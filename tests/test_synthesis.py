@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import itertools
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 import lincirc as lc
 from lincirc import BitMatrix, SplitMix64, derive_seed
 from lincirc.circuits import _Builder
+from lincirc.synthesis import _min_cover_size
 from conftest import random_bits_matrix
 
 
@@ -219,6 +221,54 @@ def test_bp_outputs_match_pinned_digest():
         h.update(lc.slp_dumps(res.circuit).encode())
         h.update(json.dumps(res.params).encode())
     assert h.hexdigest() == "45d583ad966865770f6ded50958bb8de1192b434bb5439dd3e5a122788b2d0fb"
+
+
+def _brute_min_cover(target, base):
+    """Fewest pairwise-disjoint base values whose union is ``target``."""
+    under = [v for v in base if v and v & ~target == 0]
+    for size in range(1, target.bit_count() + 1):
+        for combo in itertools.combinations(under, size):
+            if sum(combo) == target and sum(v.bit_count() for v in combo) == target.bit_count():
+                return size
+    raise AssertionError("the units always cover the target")
+
+
+def _cover_cases(seed, count):
+    """Seeded (target, base) pairs over n <= 8 bits; each base holds the
+    units and up to 11 other values."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        n = 2 + rng.randrange(7)
+        base = [1 << i for i in range(n)]
+        base += sorted({1 + rng.randrange((1 << n) - 1) for _ in range(rng.randrange(12))} - set(base))
+        yield 1 + rng.randrange((1 << n) - 1), base
+
+
+def test_min_cover_size_matches_brute_force():
+    checked = 0
+    for target, base in _cover_cases(4242, 300):
+        best = _brute_min_cover(target, base)
+        assert _min_cover_size(target, base, 10**9) == (best, True)
+        for budget in range(1, 6):
+            size, _ = _min_cover_size(target, base, budget)
+            assert best <= size <= target.bit_count()
+        checked += best < target.bit_count()
+    assert checked > 50  # a third of the targets beat the unit cover
+
+
+def test_min_cover_size_budget_cuts_match_pinned_digest():
+    # pinned with the recursive search the loop replaced: the nodes a
+    # search takes (the least budget that finishes it) and its result at
+    # budgets 1-5 follow from the order in which it tries covers
+    out = []
+    for target, base in _cover_cases(77, 300):
+        nodes = 0
+        while not _min_cover_size(target, base, nodes)[1]:
+            nodes += 1
+        out.append((nodes, [_min_cover_size(target, base, b) for b in range(1, 6)]))
+    assert sum(n for n, _ in out) == 639
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "6c061cdce242b44c660f765da4ee8d06a855cfd5c6d7ba7946f71a7efe8a6544"
 
 
 # ---------------------------------------------------------------------------
