@@ -37,6 +37,18 @@ budget with only sound pruning:
   values v makes with S, ``combine(S, v)``, meet the missing set M.  So a
   spare-one state tries only the v in ``reach(S, M)``, the values whose
   ``combine`` meets M (exact, see :func:`_combiner`);
+* a spare-one state S that reaches a goal is completed by M and exactly
+  one non-target value v, its spare gate.  For t in M let X_t be S | M
+  less t, and call t *hard* when no gate over X_t makes it:
+  ``makers(X_t, t)`` misses X_t.  In the completed set t is a gate over
+  two other values, both in X_t unless one is v, so a hard t has v as an
+  operand and v lies in ``makers(X_t, t)``.  So S tries only the v in
+  ``reach(S, M)`` that lie in that mask for every hard t: a hard t is more
+  than one gate from X_t, in Boyar, Matthews and Peralta's distance.  The
+  argument ignores the order of the gates, so the condition is necessary
+  only, and it holds in every model because ``makers`` is the model's
+  own.  It drops only tight children whose closure fails, so the nodes,
+  the goal and the witness are those of the unfiltered sweep;
 * a visited state has failed: a success ends the sweep, and a state's
   descendants are strictly larger, so none of them is on the path above
   it.  A child's outcome depends only on its closed state, so a child
@@ -134,6 +146,8 @@ class SearchOutcome:
     # largest visited set of closed states of any one sweep, root included;
     # max_states bounds it exactly
     peak_states: int = 0
+    # tight children resolved by closure, summed over budgets
+    tight_children: int = 0
 
 
 def _derive_witness(n: int, model: str, sigs: tuple[int, ...], rows: list[int]) -> Circuit:
@@ -188,14 +202,20 @@ def _submasks(t: int, n: int) -> int:
     return m
 
 
-def _combiner(model: str, n: int) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
-    """``(combine, reach)`` for the model over n-bit values.
+def _combiner(
+    model: str, n: int
+) -> tuple[Callable[[int, int], int], Callable[[int, int], int], Callable[[int, int], int]]:
+    """``(combine, reach, makers)`` for the model over n-bit values.
 
     ``combine(state, v)`` is the mask of every value the model makes from
     ``v`` and a value present in ``state`` -- ``s ^ v`` (XOR), ``s | v``
     over ``s`` disjoint from ``v`` (CF), or ``s | v`` (OR).
+    ``makers(state, t)`` is the mask of every value ``v`` whose
+    ``combine(state, v)`` holds the value ``t``: the values that make ``t``
+    in one gate with a value present in ``state``.
     ``reach(state, miss)`` is the mask of every value ``v`` whose
-    ``combine(state, v)`` meets the mask ``miss``.
+    ``combine(state, v)`` meets the mask ``miss``: the union of
+    ``makers(state, t)`` over ``t`` in ``miss``.
 
     ``clr[b]`` is the mask of the values whose bit ``b`` (a power of two)
     is clear, built with O(n) big-int operations.  Flipping bit b of every
@@ -204,13 +224,13 @@ def _combiner(model: str, n: int) -> tuple[Callable[[int, int], int], Callable[[
     set-bit ones.  The values disjoint from v are the AND of clr over v's
     bits, each shifted up by v; that mask is cached per value of v.
 
-    ``reach`` is the union over ``t`` in ``miss`` of the values that make
-    ``t``.  In XOR, ``s ^ v = t`` iff ``v = s ^ t``: ``combine(state, t)``.
-    In CF, ``s | v = t`` with ``s & v = 0`` iff ``s`` is a submask of ``t``
-    and ``v = t ^ s``: the present submasks of ``t``, flipped by ``t``.  In
-    OR, ``s | v = t`` iff ``s`` and ``v`` are submasks of ``t`` and ``v``
-    holds ``t ^ s``: that CF set closed upward within ``t``, one block move
-    per set bit of ``t``.  The submask mask of ``t`` is cached per value.
+    The makers of ``t``: in XOR, ``s ^ v = t`` iff ``v = s ^ t``, so they
+    are ``combine(state, t)``.  In CF, ``s | v = t`` with ``s & v = 0`` iff
+    ``s`` is a submask of ``t`` and ``v = t ^ s``: the present submasks of
+    ``t``, flipped by ``t``.  In OR, ``s | v = t`` iff ``s`` and ``v`` are
+    submasks of ``t`` and ``v`` holds ``t ^ s``: that CF set closed upward
+    within ``t``, one block move per set bit of ``t``.  The submask mask of
+    ``t`` is cached per value.
     """
     full = (1 << (1 << n)) - 1
     clr = {1 << i: full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)}
@@ -275,7 +295,7 @@ def _combiner(model: str, n: int) -> tuple[Callable[[int, int], int], Callable[[
             out |= makers(st, low.bit_length() - 1)
         return out
 
-    return combine, reach
+    return combine, reach, makers
 
 
 def _close(
@@ -324,23 +344,49 @@ def _path(stack: list[list], tail: list[tuple[int, int, int]]) -> list[int]:
     return out + [w[2].bit_length() - 1 for w in tail]
 
 
+def _spare_one(
+    untried: int,
+    st: int,
+    miss: int,
+    reach: Callable[[int, int], int],
+    makers: Callable[[int, int], int],
+) -> int:
+    """The values of ``untried`` that a spare-one closed state ``st`` with
+    missing targets ``miss`` still tries: each is an operand of every hard
+    missing target and makes some missing target ready (see the module
+    docstring).  The hard targets come first, because they mostly leave
+    no value, and ``reach`` is then never computed."""
+    done = st | miss
+    rest = miss
+    while rest and untried:
+        low = rest & -rest
+        rest ^= low
+        x = done ^ low
+        need = makers(x, low.bit_length() - 1)
+        if not need & x:
+            untried &= need
+    return untried & reach(st, miss) if untried else 0
+
+
 def _sweep(
     state0: int,
     cands0: int,
     budget: int,
     combine: Callable[[int, int], int],
     reach: Callable[[int, int], int],
+    makers: Callable[[int, int], int],
     tmask: int,
     allowed: int,
     max_states: int,
-) -> tuple[Optional[list[int]], int, int]:
+) -> tuple[Optional[list[int]], int, int, int]:
     """Depth-first exhaust at one budget over the closed states reachable
     from the state ``state0`` with candidates ``cands0``.
 
     Returns the values the least goal path adds, in order, or None; the
     nodes expanded (closed states whose non-target candidates were
-    enumerated); and the size of the visited set of closed states, root
-    included, which ``max_states`` bounds.
+    enumerated); the size of the visited set of closed states, root
+    included, which ``max_states`` bounds; and the tight children resolved
+    by closure.
 
     A frame is ``[walk, children, step, child]``: the closure walk from the
     state the frame was entered at, a generator of the children it goes
@@ -360,18 +406,18 @@ def _sweep(
     walk: list[tuple[int, int, int]] = []
     st, cands, miss = _close(state0, cands0, tmask & ~state0, combine, walk)
     if not miss:
-        return _path([], walk), 0, 1
+        return _path([], walk), 0, 1, 0
     if miss.bit_count() == top - st.bit_count():
-        return None, 0, 1
+        return None, 0, 1, 0
     visited = {st}
+    tight = 0
 
     def children(walk: list, st: int, cands: int, miss: int):
-        # a spare-one state tries only the values that make a missing
-        # target ready
+        nonlocal tight
         spare = miss.bit_count() == top - st.bit_count() - 1
         untried = free & ~st
         if spare:
-            untried &= reach(st, miss)
+            untried = _spare_one(untried, st, miss, reach, makers)
         # the closed state ends the walk, with no target above its values
         for step, (y, c, t) in enumerate(walk + [(st, cands, 0)]):
             seg = untried & c & (t - 1)
@@ -382,6 +428,7 @@ def _sweep(
                 v = low.bit_length() - 1
                 if spare:
                     # the child is tight: it succeeds iff its closure is a goal
+                    tight += 1
                     if _close(st | low, cands | combine(st, v), miss, combine)[2]:
                         continue
                 elif st | low in visited:
@@ -407,10 +454,10 @@ def _sweep(
             continue
         frame[2], frame[3], walk, st, cands, miss = child
         if not miss:
-            return _path(stack, walk), nodes, len(visited)
+            return _path(stack, walk), nodes, len(visited), tight
         stack.append([walk, children(walk, st, cands, miss), 0, None])
         nodes += 1
-    return None, nodes, len(visited)
+    return None, nodes, len(visited), tight
 
 
 def optimal_size(
@@ -427,8 +474,8 @@ def optimal_size(
     sweep, root included; ``max_states`` bounds that set exactly (by
     default 5 M up to 8 columns, halved per column above).  ``a`` may
     have at most 16 columns (a state is a bitmask over the 2^n possible
-    signal values); wider input raises ``ValueError`` before any work is
-    done.
+    signal values); wider input, or a negative ``limit``, raises
+    ``ValueError`` before any work is done.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -438,6 +485,8 @@ def optimal_size(
             f"exact search takes at most {_MAX_INPUTS} columns "
             f"(a state is a 2^n-bit mask); got {n}"
         )
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0; got {limit}")
     if max_states is None:
         max_states = _DEFAULT_MAX_STATES >> max(0, n - 8)
     rows = [a.row(i) for i in range(a.rows)]
@@ -463,26 +512,27 @@ def optimal_size(
         for t in targets:
             allowed |= _submasks(t, n)
         allowed &= ~1
-    combine, reach = _combiner(model, n)
+    combine, reach, makers = _combiner(model, n)
     cands0 = 0
     for u in units:
         cands0 |= combine(state0, u)
     cands0 &= allowed
 
-    nodes = peak = 0
+    nodes = peak = tight = 0
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        added, swept, held = _sweep(
-            state0, cands0, budget, combine, reach, tmask, allowed, max_states
+        added, swept, held, closed = _sweep(
+            state0, cands0, budget, combine, reach, makers, tmask, allowed, max_states
         )
         nodes += swept
         peak = max(peak, held)
+        tight += closed
         if added is not None:
             witness = _checked(_derive_witness(n, model, units + tuple(added), rows), a, model)
-            return SearchOutcome(model, len(added), False, witness, nodes, limit, peak)
+            return SearchOutcome(model, len(added), False, witness, nodes, limit, peak, tight)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)
-        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak)
-    return SearchOutcome(model, None, True, None, nodes, limit, peak)
+        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak, tight)
+    return SearchOutcome(model, None, True, None, nodes, limit, peak, tight)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,15 @@ def test_exact_refuses_more_than_16_columns(capsys):
     assert "at most 16 columns" in err
 
 
+def test_exact_refuses_a_negative_limit(capsys):
+    # invalid input (exit 2), not an exhausted budget (exit 3)
+    code, out, err = run(
+        capsys, "exact", "--in", "random:4:4:1", "--model", "xor", "--limit", "-2"
+    )
+    assert code == 2
+    assert "limit must be at least 0" in err and "no circuit" not in out
+
+
 def test_bound_command(capsys):
     code, report, _ = run_json(capsys, "bound", "--in", "sierpinski:8", "--kfree", "1")
     assert code == 0

@@ -166,6 +166,9 @@ def test_search_outputs_match_pinned_catalogue_digest():
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert digest == "ca434a82ff5c5e944de5fbbf802b7d59a790079101576fbb61a61457f2b45f2f"
     assert sum(o.nodes_expanded for o in outs) == 4659
+    # the spare-one states' hard-target filter leaves these tight children
+    # of the 35 165 that reach alone would close
+    assert sum(o.tight_children for o in outs) == 316
 
 
 def test_state_limit_is_the_peak_held():
@@ -211,6 +214,20 @@ def test_wider_input_is_refused_before_any_work(monkeypatch):
     m = BitMatrix(2, 17, [3, 5])
     with pytest.raises(ValueError, match="at most 16 columns"):
         lc.optimal_size(m, "XOR")
+
+
+def test_negative_limit_is_refused_before_any_work(monkeypatch):
+    def no_work(a):
+        raise AssertionError("upper bound computed for a refused input")
+
+    m = lc.example_a()
+    zero = lc.optimal_size(m, "XOR", limit=0)
+    assert zero.exceeded and zero.optimal_size is None
+    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", no_work)
+    assert lc.optimal_size(lc.identity(4), "XOR", limit=0).optimal_size == 0
+    for limit in (-1, -3):
+        with pytest.raises(ValueError, match="limit must be at least 0"):
+            lc.optimal_size(m, "XOR", limit=limit)
 
 
 def test_sierpinski_s8_optimal_in_cf_and_or_models():
@@ -287,7 +304,7 @@ def test_reach_matches_its_definition():
     for model in lc.MODELS:
         # every state and every missing set for n <= 3
         for n in (1, 2, 3):
-            combine, reach = exact_mod._combiner(model, n)
+            combine, reach, _ = exact_mod._combiner(model, n)
             made = [[combine(st, v) for v in range(1 << n)] for st in range(1 << (1 << n))]
             for st in range(1 << (1 << n)):
                 for miss in range(1 << (1 << n)):
@@ -295,7 +312,7 @@ def test_reach_matches_its_definition():
                     assert reach(st, miss) == want, (model, n, st, miss)
         # random states: dense ones at n = 6, each with a few missing values
         rng = SplitMix64(49)
-        combine, reach = exact_mod._combiner(model, 6)
+        combine, reach, _ = exact_mod._combiner(model, 6)
         for _ in range(100):
             st = rng.bits(64)
             miss = sum(1 << rng.bits(6) for _ in range(1 + rng.bits(3)))
@@ -303,7 +320,7 @@ def test_reach_matches_its_definition():
             assert reach(st, miss) == want
         # sparse states at n = 16: every value reach gives, and a sample of
         # all values, against the definition
-        combine, reach = exact_mod._combiner(model, 16)
+        combine, reach, _ = exact_mod._combiner(model, 16)
         for _ in range(4):
             st = sum(1 << rng.bits(16) for _ in range(40))
             miss = sum(1 << rng.bits(16) for _ in range(3))
@@ -312,6 +329,69 @@ def test_reach_matches_its_definition():
             values += [rng.bits(16) for _ in range(200)]
             for v in values:
                 assert bool((got >> v) & 1) == bool(combine(st, v) & miss), (model, st, miss, v)
+
+
+def test_makers_matches_its_definition():
+    # makers(st, t) is the set of v whose combine(st, v) holds t
+    for model in lc.MODELS:
+        # every state and every value for n <= 3
+        for n in (1, 2, 3):
+            combine, _, makers = exact_mod._combiner(model, n)
+            for st in range(1 << (1 << n)):
+                made = [combine(st, v) for v in range(1 << n)]
+                for t in range(1 << n):
+                    want = sum(1 << v for v, c in enumerate(made) if (c >> t) & 1)
+                    assert makers(st, t) == want, (model, n, st, t)
+        # random dense states at n = 6
+        rng = SplitMix64(53)
+        combine, _, makers = exact_mod._combiner(model, 6)
+        for _ in range(100):
+            st, t = rng.bits(64), rng.bits(6)
+            want = sum(1 << v for v in range(64) if (combine(st, v) >> t) & 1)
+            assert makers(st, t) == want, (model, st, t)
+
+
+def _spare_one_states(monkeypatch, m, model):
+    """The (untried values, state, missing targets) of every spare-one
+    closed state the search meets on ``m`` in ``model``."""
+    seen = []
+    real = exact_mod._spare_one
+
+    def record(untried, st, miss, reach, makers):
+        seen.append((untried, st, miss))
+        return real(untried, st, miss, reach, makers)
+
+    monkeypatch.setattr(exact_mod, "_spare_one", record)
+    lc.optimal_size(m, model)
+    monkeypatch.undo()
+    return seen
+
+
+def test_spare_one_filter_drops_only_failing_children(monkeypatch):
+    # every value of reach(S, M) that the hard-target filter drops has a
+    # tight child whose closure leaves a target missing; filtering on every
+    # missing target, not only the hard ones, would drop goals here
+    rng = SplitMix64(59)
+    mats = [random_bits_matrix(rng, n, n) for n in (4, 5) for _ in range(12)]
+    for model in lc.MODELS:
+        dropped = 0
+        for m in mats:
+            n = m.cols
+            combine, reach, makers = exact_mod._combiner(model, n)
+            for untried, st, miss in _spare_one_states(monkeypatch, m, model):
+                cands = 0
+                for u in range(1 << n):
+                    if (st >> u) & 1:
+                        cands |= combine(st, u)
+                kept = exact_mod._spare_one(untried, st, miss, reach, makers)
+                assert kept & ~untried == 0
+                drop = untried & reach(st, miss) & ~kept
+                dropped += drop.bit_count()
+                for v in range(1 << n):
+                    if (drop >> v) & 1:
+                        child = (st | 1 << v, cands | combine(st, v), miss, combine)
+                        assert exact_mod._close(*child)[2], (m.to_text(), model, st, v)
+        assert dropped > 0, model
 
 
 def _tuple_sweep(root, budget, model, tmask, allowed):
