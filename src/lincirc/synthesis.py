@@ -105,14 +105,24 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     Each row's list stays ascending: removals keep the order, and a new
     gate's signal is the largest index so far and goes at the back.
 
-    Phase 1 keeps a lazy max-heap of the pairs that share at least two
-    rows.  Counts only ever shrink, so a stored count bounds the current
-    one; a stale entry is re-pushed with its current count, or dropped
-    once that is below two.  A new gate's count against a signal t is the
-    number of the gate's rows that hold t, so only the signals in those
-    rows are counted, and each pair is pushed as ``(t, new)``.
+    Phase 1 takes the pairs that share at least two rows from a queue
+    bucketed by count: ``buckets[c]`` holds int keys ``(si << shift) | sj``
+    with ``si < sj``, so key order is pair order.  Every signal index is
+    below ``n`` plus the total row weight, since each gate removes at
+    least one entry from the rows, and ``shift`` is that sum's bit length.
+    A pair's count only shrinks, so a stored count bounds the current
+    one.  The loop pops only from ``buckets[top]``: a stale entry moves to
+    the bucket of its current count, below ``top``, or is dropped once
+    that is below two.  A new gate's count against a signal t is the
+    number of the gate's rows that hold t, at most ``top``, so only the
+    signals in those rows are counted, and each pair is pushed as
+    ``(t, new)``.  So nothing is ever pushed above ``top``, which only
+    descends, and every pair whose current count is ``top`` sits in
+    ``buckets[top]``; the least key there is the pair one lazy max-heap
+    of ``(-count, si, sj)`` would take.  Only ``buckets[top]`` is a heap;
+    a lower bucket is a plain list until ``top`` reaches it.
 
-    Phase 2 starts when that heap is empty: no two signals share two
+    Phase 2 starts when that queue is empty: no two signals share two
     rows, and none ever will, since each later gate covers a single row.
     Every pair left to take shares exactly one row, and the
     lexicographically smallest one is the two smallest signals of some
@@ -127,60 +137,70 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     m, n = a.rows, a.cols
     b = _Builder(n, XOR)
     rows = [_set_bits(a.row(i)) for i in range(m)]  # row -> its live signals, ascending
-    usage: dict[int, int] = {}  # signal -> bitmask of rows containing it
+    total = sum(map(len, rows))
+    shift = (n + total).bit_length()
+    low = (1 << shift) - 1
+    usage = [0] * (n + total)  # signal -> bitmask of rows containing it, 0 once used up
     for i, sigs in enumerate(rows):
         for j in sigs:
-            usage[j] = usage.get(j, 0) | (1 << i)
+            usage[j] |= 1 << i
 
-    heap: list[tuple[int, int, int]] = []
-    live = sorted(usage)
-    for ai in range(len(live)):
-        ua = usage[live[ai]]
-        for bi in range(ai + 1, len(live)):
-            cnt = (ua & usage[live[bi]]).bit_count()
+    buckets: list[list[int]] = [[], []]  # count -> keys of the pairs stored with it
+    live = [j for j in range(n) if usage[j]]
+    for ai, si in enumerate(live):
+        ua = usage[si]
+        hi = si << shift
+        for sj in live[ai + 1 :]:
+            cnt = (ua & usage[sj]).bit_count()
             if cnt >= 2:
-                heap.append((-cnt, live[ai], live[bi]))
-    heapq.heapify(heap)
+                while len(buckets) <= cnt:
+                    buckets.append([])
+                buckets[cnt].append(hi | sj)
+    top = len(buckets) - 1
 
-    while heap:
-        negcnt, si, sj = heapq.heappop(heap)
-        ui = usage.get(si, 0)
-        uj = usage.get(sj, 0)
-        both = ui & uj
-        cur = both.bit_count()
-        if cur < 2:
-            continue
-        if cur != -negcnt:
-            heapq.heappush(heap, (-cur, si, sj))
-            continue
-        snew = b.gate(si, sj)
-        usage[snew] = both
-        for s, u in ((si, ui & ~both), (sj, uj & ~both)):
-            if u:
-                usage[s] = u
-            else:
-                del usage[s]
-        shared: dict[int, int] = {}
-        for r in _set_bits(both):
-            sigs = rows[r]
-            sigs.remove(si)
-            sigs.remove(sj)
-            for t in sigs:
-                shared[t] = shared.get(t, 0) + 1
-            sigs.append(snew)
-        for t, cnt in shared.items():
-            if cnt >= 2:
-                heapq.heappush(heap, (-cnt, t, snew))
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while top >= 2:
+        bucket = buckets[top]
+        heapq.heapify(bucket)
+        while bucket:
+            key = heappop(bucket)
+            si, sj = key >> shift, key & low
+            ui = usage[si]
+            uj = usage[sj]
+            both = ui & uj
+            cur = both.bit_count()
+            if cur != top:
+                if cur >= 2:
+                    buckets[cur].append(key)
+                continue
+            snew = b.gate(si, sj)
+            usage[snew] = both
+            usage[si] = ui & ~both
+            usage[sj] = uj & ~both
+            shared: dict[int, int] = {}
+            for r in _set_bits(both):
+                sigs = rows[r]
+                sigs.remove(si)
+                sigs.remove(sj)
+                for t in sigs:
+                    shared[t] = shared.get(t, 0) + 1
+                sigs.append(snew)
+            for t, cnt in shared.items():
+                if cnt == top:
+                    heappush(bucket, (t << shift) | snew)
+                elif cnt >= 2:
+                    buckets[cnt].append((t << shift) | snew)
+        top -= 1
 
     keys = [(sigs[0], sigs[1], r) for r, sigs in enumerate(rows) if len(sigs) >= 2]
     heapq.heapify(keys)
     while keys:
-        s1, s2, r = heapq.heappop(keys)
+        s1, s2, r = heappop(keys)
         sigs = rows[r]
         del sigs[:2]
         sigs.append(b.gate(s1, s2))
         if len(sigs) >= 2:
-            heapq.heappush(keys, (sigs[0], sigs[1], r))
+            heappush(keys, (sigs[0], sigs[1], r))
 
     outputs: list[Optional[int]] = [sigs[-1] if sigs else None for sigs in rows]
     return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
@@ -327,6 +347,11 @@ def _blocks(n: int, width: int) -> list[int]:
     return out
 
 
+def _lupanov_width(m: int) -> int:
+    """Block width of :func:`lupanov` for m rows."""
+    return max(1, m.bit_length() - 1)
+
+
 def lupanov(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
     """Shared block-pattern construction, block width floor(log2 m).
 
@@ -335,9 +360,15 @@ def lupanov(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
     combines its nonzero block signals.  Cancellation-free; gate count is
     at most ``(#blocks) * min(2^b, m) * (b - 1) + m * (#blocks - 1)``.
     """
+    circuit = _lupanov_circuit(a, connective)
+    return _result(circuit, "lupanov", a, block_width=_lupanov_width(a.rows))
+
+
+def _lupanov_circuit(a: BitMatrix, connective: str) -> Circuit:
+    """:func:`lupanov`'s circuit, unverified: the block builders that
+    compose it into a larger circuit verify only their result."""
     m, n = a.rows, a.cols
-    width = max(1, m.bit_length() - 1)
-    masks = _blocks(n, width)
+    masks = _blocks(n, _lupanov_width(m))
     gates: list[tuple[int, int]] = []
     sig_of = {1 << j: j for j in range(n)}  # block pattern -> its signal
     outputs: list[Optional[int]] = []
@@ -367,8 +398,7 @@ def lupanov(a: BitMatrix, connective: str = XOR) -> SynthesisResult:
             gates.append((acc, p))
             acc = n + len(gates) - 1
         outputs.append(acc)
-    circuit = Circuit(n, connective, tuple(gates), tuple(outputs))
-    return _result(circuit, "lupanov", a, block_width=width)
+    return Circuit(n, connective, tuple(gates), tuple(outputs))
 
 
 def lupanov_depth2(a: BitMatrix) -> SynthesisResult:
@@ -453,14 +483,13 @@ def setintersection_or_circuit(n: int) -> SynthesisResult:
     target = gen_setintersection(n)
     logn = n.bit_length() - 1
     bmat = BitMatrix(n, logn, list(range(n)))
-    outer = lupanov(bmat, OR)
-    inner = lupanov(bmat.transpose(), OR)
-    circuit = compose(outer.circuit, inner.circuit)
+    outer = _lupanov_circuit(bmat, OR)
+    inner = _lupanov_circuit(bmat.transpose(), OR)
     return _result(
-        circuit,
+        compose(outer, inner),
         "setint",
         target,
-        factor_gates=(len(outer.circuit.gates), len(inner.circuit.gates)),
+        factor_gates=(len(outer.gates), len(inner.gates)),
     )
 
 
@@ -470,10 +499,9 @@ def hadamard_circuit(n: int) -> SynthesisResult:
     cancels heavily, so the result is generally not cancellation-free."""
     target = gen_hadamard(n)
     fac = rank_factorize_gf2(target)
-    outer = lupanov(fac.left)
-    inner = lupanov(fac.right)
-    circuit = compose(outer.circuit, inner.circuit)
-    return _result(circuit, "hadamard", target, rank=fac.rank)
+    outer = _lupanov_circuit(fac.left, XOR)
+    inner = _lupanov_circuit(fac.right, XOR)
+    return _result(compose(outer, inner), "hadamard", target, rank=fac.rank)
 
 
 def complement_transform(c: Circuit) -> Circuit:

@@ -66,10 +66,11 @@ def test_paar_never_worse_than_naive():
         _verify_result(paar, m)
 
 
-def _reference_paar(a):
+def _reference_paar(a, taken=None):
     """Paar's greedy as a plain lazy heap over every pair that shares a
     row, with a full recount against every live signal after each gate:
-    the oracle for :func:`lincirc.paar_greedy`'s two-phase loop."""
+    the oracle for :func:`lincirc.paar_greedy`'s two-phase loop.  If
+    ``taken`` is a list, the count of each pair taken is appended to it."""
     n = a.cols
     gates = []
     usage = {}
@@ -95,6 +96,8 @@ def _reference_paar(a):
             heapq.heappush(heap, (-cur, si, sj))
             continue
         gates.append((si, sj))
+        if taken is not None:
+            taken.append(cur)
         snew = n + len(gates) - 1
         both = ui & uj
         usage[snew] = both
@@ -148,6 +151,20 @@ def test_paar_matches_full_recount_oracle():
     for a in mats:
         res = lc.paar_greedy(a)
         assert lc.slp_dumps(res.circuit) == lc.slp_dumps(_reference_paar(a)), (a.rows, a.cols)
+
+
+def test_paar_taken_counts_never_rise():
+    # the fact paar_greedy's count-bucketed queue rests on: while the pair
+    # taken shares two or more rows, its count never rises from one gate
+    # to the next
+    steps = 0
+    for a in _paar_oracle_matrices():
+        taken = []
+        _reference_paar(a, taken)
+        shared = [c for c in taken if c >= 2]
+        assert shared == sorted(shared, reverse=True), (a.rows, a.cols)
+        steps += len(shared)
+    assert steps > 1000
 
 
 def test_paar_outputs_match_pinned_digest():
@@ -412,6 +429,28 @@ def test_hadamard_circuit():
         _verify_result(big, lc.gen_hadamard(n))
     small = lc.hadamard_circuit(2)
     _verify_result(small, lc.gen_hadamard(2))
+
+
+def test_block_builders_verify_only_their_result(monkeypatch):
+    # the set-intersection and Hadamard builders compose two unverified
+    # lupanov factors and verify the composed circuit once; SLP text,
+    # cost, CF flag and params are pinned byte for byte
+    calls = []
+
+    def counting_verify(circuit, target):
+        calls.append(target.rows)
+        return lc.verify(circuit, target)
+
+    monkeypatch.setattr(lc.synthesis, "verify", counting_verify)
+    h = hashlib.sha256()
+    for n in (2, 4, 16, 64, 256):
+        for build in (lc.setintersection_or_circuit, lc.hadamard_circuit):
+            calls.clear()
+            res = build(n)
+            assert calls == [n], (build.__name__, n)
+            h.update(lc.slp_dumps(res.circuit).encode())
+            h.update(repr((res.cost, res.cancellation_free, sorted(res.params.items()))).encode())
+    assert h.hexdigest() == "37a0d3e531e4a32775c5b4b0f428144e1fe4039efa6b1effbc3448928dbf1cc4"
 
 
 def test_complement_transform():
