@@ -23,7 +23,10 @@ output).  A ``layered`` header word makes the gates fall into sections,
 each opened by a ``layer <d>`` marker, whose operands lie strictly below
 the gate's layer; without it the text is a fan-in-2 SLP: no markers and
 exactly two operands per gate.  One writer emits both, a flat circuit
-being a single unmarked layer.
+being a single unmarked layer.  The reader allows blanks (or none)
+around ``=`` and ``+``, ignores blank lines, accepts leading zeros in
+``x``/``t`` references (``x01`` is ``x1``), and wants the outputs in
+order, ``y1`` first.
 """
 
 from __future__ import annotations
@@ -273,14 +276,8 @@ def restrict_zero(c: Circuit, zero_inputs: set[int]) -> EliminationResult:
     eliminated = []
     for k, (a, b) in enumerate(c.gates):
         ma, mb = sigmap[a], sigmap[b]
-        if ma is None and mb is None:
-            sigmap.append(None)
-            eliminated.append(k)
-        elif ma is None:
-            sigmap.append(mb)
-            eliminated.append(k)
-        elif mb is None:
-            sigmap.append(ma)
+        if ma is None or mb is None:
+            sigmap.append(mb if ma is None else ma)  # constant zero if both are
             eliminated.append(k)
         else:
             sigmap.append(c.n_inputs + len(new_gates))
@@ -296,8 +293,8 @@ def compose(outer: Circuit, inner: Circuit) -> Circuit:
 
     The result computes the product of the two matrices (GF(2) product
     for XOR circuits, Boolean product for OR circuits) on the inner
-    circuit's inputs.  Gate counts add; constant-zero inner outputs are
-    handled by restricting the outer circuit first.
+    circuit's inputs.  Gate counts add, less the outer gates that
+    constant-zero inner outputs make trivial.
     """
     if outer.connective != inner.connective:
         raise ValueError("connective mismatch in composition")
@@ -305,14 +302,21 @@ def compose(outer: Circuit, inner: Circuit) -> Circuit:
         raise DimensionError(
             f"outer arity {outer.n_inputs} != inner output count {len(inner.outputs)}"
         )
-    zero_ins = {i for i, o in enumerate(inner.outputs) if o is None}
-    if zero_ins:
-        outer = restrict_zero(outer, zero_ins).reduced
-    # outer inputs read the inner outputs; outer gates follow the inner ones
-    base = inner.n_inputs + len(inner.gates)
-    sigmap = list(inner.outputs) + list(range(base, base + len(outer.gates)))
+    # outer inputs read the inner outputs, outer gates follow the inner ones;
+    # as in restrict_zero, a constant-zero operand forwards the other one
+    sigmap: list[Optional[int]] = list(inner.outputs)
     gates = list(inner.gates)
-    gates += [(sigmap[a], sigmap[b]) for a, b in outer.gates]
+    next_id = inner.n_inputs + len(gates)
+    for a, b in outer.gates:
+        ma, mb = sigmap[a], sigmap[b]
+        if ma is None:
+            sigmap.append(mb)
+        elif mb is None:
+            sigmap.append(ma)
+        else:
+            sigmap.append(next_id)
+            next_id += 1
+            gates.append((ma, mb))
     outputs = tuple(None if o is None else sigmap[o] for o in outer.outputs)
     return Circuit(inner.n_inputs, inner.connective, tuple(gates), outputs)
 
@@ -397,42 +401,8 @@ _HEADER_RE = re.compile(r"inputs\s+(\d+)\s+connective\s+(XOR|OR)(\s+layered)?\s*
 _LAYER_RE = re.compile(r"layer\s+(\d+)$")
 _GATE_RE = re.compile(r"(t\d+)\s*=\s*(.+)$")
 _REF_RE = re.compile(r"[xt]\d+$")
-
-
-def _parse_ref(tok: str, n_inputs: int, n_gates: int, lineno: int, col: int) -> int:
-    if not _REF_RE.match(tok):
-        raise ParseError(f"bad signal reference {tok!r}", lineno, col)
-    ix = int(tok[1:])
-    if tok[0] == "x":
-        if not 1 <= ix <= n_inputs:
-            raise ParseError(f"input {tok} out of range", lineno, col)
-        return ix - 1
-    if not 1 <= ix <= n_gates:
-        raise ParseError(f"gate {tok} not yet defined", lineno, col)
-    return n_inputs + ix - 1
-
-
-def _parse_outputs(
-    line: str, n_inputs: int, n_gates: int, lineno: int
-) -> tuple[Optional[int], ...]:
-    outs: list[Optional[int]] = []
-    pos = len("outputs:")
-    for tok in line[pos:].split():
-        pos = line.find(tok, pos)
-        m = re.match(r"y(\d+)=(\S+)$", tok)
-        if not m:
-            raise ParseError(f"bad output assignment {tok!r}", lineno, pos + 1)
-        if int(m.group(1)) != len(outs) + 1:
-            raise ParseError(
-                f"outputs must appear in order; expected y{len(outs) + 1}", lineno, pos + 1
-            )
-        ref = m.group(2)
-        if ref == "0":
-            outs.append(None)
-        else:
-            outs.append(_parse_ref(ref, n_inputs, n_gates, lineno, pos + m.start(2) + 1))
-        pos += len(tok)
-    return tuple(outs)
+_OUTPUT_RE = re.compile(r"y(\d+)=(\S+)$")
+_WORD_RE = re.compile(r"\S+")
 
 
 def slp_loads(text: str) -> AnyCircuit:
@@ -443,7 +413,7 @@ def slp_loads(text: str) -> AnyCircuit:
     ``layer <d>`` marker, and its operands must lie strictly below the
     gate's layer.
     """
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
     if not lines:
         raise ParseError("empty circuit text", 1)
     lineno, header = lines[0]
@@ -454,15 +424,46 @@ def slp_loads(text: str) -> AnyCircuit:
     connective = m.group(2)
     layered = bool(m.group(3))
     layers: list[list[tuple[int, ...]]] = [] if layered else [[]]
-    known: dict[str, int] = {}  # operand token -> signal, filled as tokens resolve
+    known: dict[str, int] = {}  # reference token -> signal, filled as tokens resolve
     n_gates = 0
     below = n_inputs  # first signal of the current layer (layered text)
     outputs = None
+
+    def resolve(tok: str, lineno: int, col: int) -> int:
+        """The signal a gate operand or an output names (1-indexed ``col``)."""
+        ref = known.get(tok)
+        if ref is not None:
+            return ref
+        if not _REF_RE.match(tok):
+            raise ParseError(f"bad signal reference {tok!r}", lineno, col)
+        ix = int(tok[1:])
+        if tok[0] == "x":
+            if not 1 <= ix <= n_inputs:
+                raise ParseError(f"input {tok} out of range", lineno, col)
+            ref = ix - 1
+        elif 1 <= ix <= n_gates:
+            ref = n_inputs + ix - 1
+        else:
+            raise ParseError(f"gate {tok} not yet defined", lineno, col)
+        known[tok] = ref
+        return ref
+
     for lineno, ln in lines[1:]:
         if ln.startswith("outputs:"):
             if outputs is not None:
                 raise ParseError("duplicate outputs block", lineno)
-            outputs = _parse_outputs(ln, n_inputs, n_gates, lineno)
+            outputs = []
+            for wm in _WORD_RE.finditer(ln, len("outputs:")):
+                col = wm.start() + 1
+                om = _OUTPUT_RE.match(wm.group())
+                if not om:
+                    raise ParseError(f"bad output assignment {wm.group()!r}", lineno, col)
+                if int(om.group(1)) != len(outputs) + 1:
+                    raise ParseError(
+                        f"outputs must appear in order; expected y{len(outputs) + 1}", lineno, col
+                    )
+                ref = om.group(2)
+                outputs.append(None if ref == "0" else resolve(ref, lineno, col + om.start(2)))
             continue
         if outputs is not None:
             raise ParseError("content after outputs block", lineno)
@@ -480,28 +481,24 @@ def slp_loads(text: str) -> AnyCircuit:
             raise ParseError("gate before any 'layer' marker", lineno)
         if int(gm.group(1)[1:]) != n_gates + 1:
             raise ParseError(f"expected gate t{n_gates + 1}", lineno)
-        toks = [tok.strip() for tok in gm.group(2).split("+")]
-        if not layered and len(toks) != 2:
-            raise ParseError("fan-in-2 SLP gates take exactly two operands", lineno,
-                             gm.start(2) + 1)
+        at = gm.start(2) + 1  # column where the current operand's piece starts
+        pieces = gm.group(2).split("+")
+        if not layered and len(pieces) != 2:
+            raise ParseError("fan-in-2 SLP gates take exactly two operands", lineno, at)
         ops = []
-        pos = gm.start(2)
-        for tok in toks:
-            pos = ln.find(tok, pos)
-            ref = known.get(tok)
-            if ref is None:
-                ref = known[tok] = _parse_ref(tok, n_inputs, n_gates, lineno, pos + 1)
+        for piece in pieces:
+            tok = piece.strip()
+            col = at + len(piece) - len(piece.lstrip())
+            ref = resolve(tok, lineno, col)
             if layered and ref >= below:
-                raise ParseError(
-                    f"{tok} is not strictly below layer {len(layers)}", lineno, pos + 1
-                )
+                raise ParseError(f"{tok} is not strictly below layer {len(layers)}", lineno, col)
             ops.append(ref)
-            pos += len(tok)
+            at += len(piece) + 1
         layers[-1].append(tuple(ops))
         known[gm.group(1)] = n_inputs + n_gates
         n_gates += 1
     if outputs is None:
         raise ParseError("missing outputs block", lines[-1][0])
     if layered:
-        return LayeredCircuit(n_inputs, connective, tuple(map(tuple, layers)), outputs)
-    return Circuit(n_inputs, connective, tuple(layers[0]), outputs)
+        return LayeredCircuit(n_inputs, connective, tuple(map(tuple, layers)), tuple(outputs))
+    return Circuit(n_inputs, connective, tuple(layers[0]), tuple(outputs))

@@ -224,11 +224,18 @@ def test_compose_matches_matrix_product():
             comp = lc.compose(outer, inner)
             assert lc.size_gates(comp) == 11
             assert lc.matrix_of(comp) == mul(lc.matrix_of(outer), lc.matrix_of(inner))
-        # constant-zero inner outputs: the outer circuit is restricted first
+        # constant-zero inner outputs: the gates are those of the outer
+        # circuit restricted to zero there, fed by the inner outputs
         for _ in range(20):
             inner = _zero_some_outputs(rng, _random_circuit(rng, 4, 6, conn))
             outer = _random_circuit(rng, len(inner.outputs), 5, conn)
             comp = lc.compose(outer, inner)
+            zeros = {i for i, o in enumerate(inner.outputs) if o is None}
+            reduced = lc.restrict_zero(outer, zeros).reduced
+            base = inner.n_inputs + len(inner.gates)
+            feed = list(inner.outputs) + list(range(base, base + len(reduced.gates)))
+            assert comp.gates == inner.gates + tuple((feed[a], feed[b]) for a, b in reduced.gates)
+            assert comp.outputs == tuple(None if o is None else feed[o] for o in reduced.outputs)
             assert lc.size_gates(comp) <= 11
             assert lc.matrix_of(comp) == mul(lc.matrix_of(outer), lc.matrix_of(inner))
     # layered pairs: layer counts add, depths add at most, and wires add
@@ -377,15 +384,49 @@ PARSE_REFUSALS = [
     (LAYERED + "layer 1\nt1 = x1 + x3\noutputs: y1=t1\n", 3, 11),
     (LAYERED + "layer 1\nt1 = x1 + x2\n", 3, 1),  # no outputs
     (LAYERED + "layer 1\nt1 = x1 + x2\noutputs: y1=t1\nlayer 2\n", 5, 1),
+    # an empty operand's column is the one after its '+' and any blanks
+    (FLAT + "t1 = x1 +\noutputs: y1=t1\n", 2, 10, "bad signal reference ''"),
+    (FLAT + "t1 = x1 +  + x2\noutputs: y1=t1\n", 2, 6,
+     "fan-in-2 SLP gates take exactly two operands"),
+    (FLAT + "t1 = x1 + x1 x2\noutputs: y1=t1\n", 2, 11, "bad signal reference 'x1 x2'"),
+    (LAYERED + "layer 1\nt1 = x1 + x2 +\noutputs: y1=t1\n", 3, 15, "bad signal reference ''"),
 ]
 
 
 def test_parse_errors_carry_position():
     # flat and layered text go through one grammar, so through one table
-    for text, line, column in PARSE_REFUSALS:
+    for text, line, column, *message in PARSE_REFUSALS:
         with pytest.raises(lc.ParseError) as err:
             lc.slp_loads(text)
         assert (err.value.line, err.value.column) == (line, column), text
+        if message:
+            assert str(err.value) == f"line {line}, column {column}: {message[0]}"
+
+
+def _flat(gates, outputs):
+    return Circuit(2, lc.XOR, gates, outputs)
+
+
+SLP_ACCEPTS = [
+    (FLAT + "t1=x1+x2\noutputs: y1=t1\n", _flat(((0, 1),), (2,))),
+    (FLAT + "t1\t=\tx1\t+\tx2\noutputs:\ty1=t1\ty2=x2\n", _flat(((0, 1),), (2, 1))),
+    (FLAT.replace("\n", "\r\n") + "t1 = x1 + x2\r\noutputs: y1=t1\r\n", _flat(((0, 1),), (2,))),
+    ("\n" + FLAT + "\n  \nt1 = x1 + x2\n\noutputs: y1=t1\n\n", _flat(((0, 1),), (2,))),
+    (FLAT + "t1 = x01 + x002\noutputs: y1=x02 y2=0\n", _flat(((0, 1),), (1, None))),
+    (FLAT + "t01 = x1 + x2\nt2 = t01 + t1\noutputs: y1=t001 y2=t2\n",
+     _flat(((0, 1), (2, 2)), (2, 3))),
+    (FLAT + "outputs:\n", _flat((), ())),
+    (LAYERED + "layer 1\nt1=x1+x2+x01\nlayer 2\nt2 = t01\noutputs: y1=t2\n",
+     LayeredCircuit(2, lc.XOR, (((0, 1, 0),), ((2,),)), (3,))),
+    (LAYERED + "outputs:", LayeredCircuit(2, lc.XOR, (), ())),
+]
+
+
+def test_slp_loads_token_rules():
+    # whitespace around '=' and '+' is optional, blank lines are ignored,
+    # and references may carry leading zeros
+    for text, circuit in SLP_ACCEPTS:
+        assert lc.slp_loads(text) == circuit, text
 
 
 def test_layered_text_with_two_outputs_blocks_is_refused():

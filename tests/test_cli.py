@@ -259,10 +259,10 @@ def test_bound_all_refuses_shapes_without_default_k(capsys):
 
 
 def test_bound_requires_seed_for_evidence(capsys):
-    code, _, err = run(capsys, "bound", "--in", "random:300:300:5", "--kfree", "16")
+    code, _, err = run(capsys, "bound", "--in", "random:300:299:5", "--kfree", "16")
     assert code == 2 and "--seed" in err
     code, report, _ = run_json(
-        capsys, "bound", "--in", "random:300:300:5", "--kfree", "16", "--seed", "9"
+        capsys, "bound", "--in", "random:300:299:5", "--kfree", "16", "--seed", "9"
     )
     assert code == 0
     assert report["kfree"][0]["kind"] in ("evidence-free", "exact-not-free")
