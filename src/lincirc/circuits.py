@@ -26,7 +26,8 @@ exactly two operands per gate.  One writer emits both, a flat circuit
 being a single unmarked layer.  The reader allows blanks (or none)
 around ``=`` and ``+``, ignores blank lines, accepts leading zeros in
 ``x``/``t`` references (``x01`` is ``x1``), and wants the outputs in
-order, ``y1`` first.
+order, ``y1`` first.  Every number in the text is ASCII digits
+``[0-9]+``; other Unicode digits (``x١``) are refused.
 """
 
 from __future__ import annotations
@@ -397,11 +398,11 @@ def slp_dumps(c: AnyCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HEADER_RE = re.compile(r"inputs\s+(\d+)\s+connective\s+(XOR|OR)(\s+layered)?\s*$")
-_LAYER_RE = re.compile(r"layer\s+(\d+)$")
-_GATE_RE = re.compile(r"(t\d+)\s*=\s*(.+)$")
-_REF_RE = re.compile(r"[xt]\d+$")
-_OUTPUT_RE = re.compile(r"y(\d+)=(\S+)$")
+_HEADER_RE = re.compile(r"inputs\s+([0-9]+)\s+connective\s+(XOR|OR)(\s+layered)?\s*$")
+_LAYER_RE = re.compile(r"layer\s+([0-9]+)$")
+_GATE_RE = re.compile(r"(t[0-9]+)\s*=\s*(.+)$")
+_REF_RE = re.compile(r"[xt][0-9]+$")
+_OUTPUT_RE = re.compile(r"y([0-9]+)=(\S+)$")
 _WORD_RE = re.compile(r"\S+")
 
 

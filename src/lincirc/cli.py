@@ -42,6 +42,7 @@ from .matrices import (
     BudgetExceededError,
     DimensionError,
     EVIDENCE_BUDGET,
+    _ascii_size,
     _json_value,
     example_a,
     example_b,
@@ -91,7 +92,7 @@ def parse_genspec(spec: str) -> Optional[BitMatrix]:
     makers = {"sierpinski": gen_sierpinski, "hadamard": gen_hadamard, "setint": gen_setintersection}
     if head in makers:
         try:
-            n = int(rest)
+            n = _ascii_size(rest)
             _check_spec_cells(spec, n, n)
             return makers[head](n)
         except ValueError as exc:
@@ -101,7 +102,7 @@ def parse_genspec(spec: str) -> Optional[BitMatrix]:
         if len(parts) != 3:
             raise CliError(f"random spec takes m:n:seed, got {spec!r}")
         try:
-            m, n, seed = (int(p) for p in parts)
+            m, n, seed = _ascii_size(parts[0]), _ascii_size(parts[1]), int(parts[2])
         except ValueError as exc:
             raise CliError(f"bad random spec {spec!r}") from exc
         _check_spec_cells(spec, m, n)

@@ -125,7 +125,8 @@ class BitMatrix:
 
     def to_text(self) -> str:
         """Interchange format: a ``"m n"`` header line, then one line of
-        '0'/'1' characters per row."""
+        '0'/'1' characters per row.  The reader takes ``m`` and ``n`` in
+        ASCII digits ``[0-9]+`` only."""
         lines = [f"{self.rows} {self.cols}"]
         lines += [_encode_row(r, self.cols) for r in self._data]
         return "\n".join(lines) + "\n"
@@ -136,10 +137,8 @@ class BitMatrix:
         if not lines:
             raise ValueError("empty matrix text")
         head = lines[0].split()
-        if len(head) != 2:
-            raise ValueError(f"bad header line {lines[0]!r}")
         try:
-            m, n = int(head[0]), int(head[1])
+            m, n = map(_ascii_size, head)
         except ValueError as exc:
             raise ValueError(f"bad header line {lines[0]!r}") from exc
         if n == 0 and len(lines) == 1:
@@ -162,6 +161,14 @@ class BitMatrix:
         if len(rows) != m:
             raise ValueError("row count mismatch in JSON matrix")
         return cls(m, n, [_decode_row(ln, n) for ln in rows])
+
+
+def _ascii_size(tok: str) -> int:
+    """A size written in ASCII digits ``[0-9]+``; ``int`` alone would also
+    take signs, ``_`` separators and other Unicode digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"size {tok!r} is not [0-9]+")
+    return int(tok)
 
 
 def _encode_row(r: int, cols: int) -> str:

@@ -101,9 +101,11 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     invariant that each row is a disjoint partition of its support makes
     the output cancellation-free.
 
-    The loop runs in two phases over one row -> live-signals index.
-    Each row's list stays ascending: removals keep the order, and a new
-    gate's signal is the largest index so far and goes at the back.
+    The loop runs in two phases over two mirrored indexes: ``usage[t]``,
+    the bitmask of the rows that hold signal t, and ``rowsig[r]``, the
+    bitmask of the live signals of row r.  ``rowsig[r]`` has bit t iff
+    ``usage[t]`` has bit r; a gate on ``(si, sj)`` over the rows ``both``
+    clears both bits in each of those rows and sets the new signal's.
 
     Phase 1 takes the pairs that share at least two rows from a queue
     bucketed by count: ``buckets[c]`` holds int keys ``(si << shift) | sj``
@@ -111,16 +113,25 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     below ``n`` plus the total row weight, since each gate removes at
     least one entry from the rows, and ``shift`` is that sum's bit length.
     A pair's count only shrinks, so a stored count bounds the current
-    one.  The loop pops only from ``buckets[top]``: a stale entry moves to
-    the bucket of its current count, below ``top``, or is dropped once
-    that is below two.  A new gate's count against a signal t is the
-    number of the gate's rows that hold t, at most ``top``, so only the
-    signals in those rows are counted, and each pair is pushed as
-    ``(t, new)``.  So nothing is ever pushed above ``top``, which only
-    descends, and every pair whose current count is ``top`` sits in
-    ``buckets[top]``; the least key there is the pair one lazy max-heap
-    of ``(-count, si, sj)`` would take.  Only ``buckets[top]`` is a heap;
-    a lower bucket is a plain list until ``top`` reaches it.
+    one.  A new gate's count against a signal t is the number of the
+    gate's rows that hold t, at most ``top``.  While it rewrites those
+    rows the loop gathers ``once``, the signals in one row or more, and
+    ``twice``, those in two or more; only the signals in ``twice`` can
+    pair with the gate in two rows, so only they are counted, and each
+    pair is pushed as ``(t, new)``.  So nothing is ever pushed above
+    ``top``, which only descends.
+
+    When ``top`` reaches a bucket, one pass recounts its keys: a key whose
+    count is still ``top`` stays, a stale one moves to the bucket of its
+    current count, below ``top``, or is dropped once that is below two.
+    Only the kept keys are heapified.  Every pair sharing two rows or
+    more holds one key, stored with a count between its current one and
+    ``top``; so each pair whose current count is ``top`` is kept by that
+    pass or pushed at ``top`` after it.  A pair that goes stale later at
+    this level is caught on pop and moved down the same way.  So the
+    least key the heap yields with count ``top`` is the pair one lazy
+    max-heap of ``(-count, si, sj)`` would take.  A lower bucket is a
+    plain list until ``top`` reaches it.
 
     Phase 2 starts when that queue is empty: no two signals share two
     rows, and none ever will, since each later gate covers a single row.
@@ -129,20 +140,22 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     row; distinct rows give distinct pairs.  So a heap holds one key
     ``(s1, s2, row)`` per row with two or more signals, a gate replaces
     the front two signals of its row by the new one at the back, and
-    only that row's key changes.  Count-1 pairs sort after every pair
-    sharing two or more rows, so they decide nothing in phase 1, and
-    phase 2 takes them in the order one heap over all pairs would.  Each
-    nonzero row ends held by exactly one signal: its output.
+    only that row's key changes.  Each row's list comes ascending from
+    its mask and stays so, since a new gate's signal is the largest index
+    so far.  Count-1 pairs sort after every pair sharing two or more
+    rows, so they decide nothing in phase 1, and phase 2 takes them in
+    the order one heap over all pairs would.  Each nonzero row ends held
+    by exactly one signal: its output.
     """
     m, n = a.rows, a.cols
     b = _Builder(n, XOR)
-    rows = [_set_bits(a.row(i)) for i in range(m)]  # row -> its live signals, ascending
-    total = sum(map(len, rows))
+    rowsig = [a.row(i) for i in range(m)]  # row -> bitmask of its live signals
+    total = sum(rs.bit_count() for rs in rowsig)
     shift = (n + total).bit_length()
     low = (1 << shift) - 1
     usage = [0] * (n + total)  # signal -> bitmask of rows containing it, 0 once used up
-    for i, sigs in enumerate(rows):
-        for j in sigs:
+    for i, rs in enumerate(rowsig):
+        for j in _set_bits(rs):
             usage[j] |= 1 << i
 
     buckets: list[list[int]] = [[], []]  # count -> keys of the pairs stored with it
@@ -160,7 +173,13 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
 
     heappop, heappush = heapq.heappop, heapq.heappush
     while top >= 2:
-        bucket = buckets[top]
+        bucket = []
+        for key in buckets.pop():
+            cur = (usage[key >> shift] & usage[key & low]).bit_count()
+            if cur == top:
+                bucket.append(key)
+            elif cur >= 2:
+                buckets[cur].append(key)
         heapq.heapify(bucket)
         while bucket:
             key = heappop(bucket)
@@ -177,21 +196,23 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
             usage[snew] = both
             usage[si] = ui & ~both
             usage[sj] = uj & ~both
-            shared: dict[int, int] = {}
+            pair = (1 << si) | (1 << sj)
+            bit = 1 << snew
+            once = twice = 0
             for r in _set_bits(both):
-                sigs = rows[r]
-                sigs.remove(si)
-                sigs.remove(sj)
-                for t in sigs:
-                    shared[t] = shared.get(t, 0) + 1
-                sigs.append(snew)
-            for t, cnt in shared.items():
+                rs = rowsig[r] ^ pair
+                twice |= once & rs
+                once |= rs
+                rowsig[r] = rs | bit
+            for t in _set_bits(twice):
+                cnt = (usage[t] & both).bit_count()
                 if cnt == top:
                     heappush(bucket, (t << shift) | snew)
-                elif cnt >= 2:
+                else:
                     buckets[cnt].append((t << shift) | snew)
         top -= 1
 
+    rows = [_set_bits(rs) for rs in rowsig]  # row -> its live signals, ascending
     keys = [(sigs[0], sigs[1], r) for r, sigs in enumerate(rows) if len(sigs) >= 2]
     heapq.heapify(keys)
     while keys:

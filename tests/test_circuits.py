@@ -390,6 +390,14 @@ PARSE_REFUSALS = [
      "fan-in-2 SLP gates take exactly two operands"),
     (FLAT + "t1 = x1 + x1 x2\noutputs: y1=t1\n", 2, 11, "bad signal reference 'x1 x2'"),
     (LAYERED + "layer 1\nt1 = x1 + x2 +\noutputs: y1=t1\n", 3, 15, "bad signal reference ''"),
+    # numbers are ASCII digits only: other Unicode digits are refused
+    ("inputs \u0662 connective XOR\noutputs: y1=x1\n", 1, 1,
+     "expected 'inputs <n> connective <XOR|OR>'"),
+    (FLAT + "t\u0661 = x1 + x2\noutputs: y1=t1\n", 2, 1, "bad gate line 't\u0661 = x1 + x2'"),
+    (FLAT + "t1 = x1 + x\u0662\noutputs: y1=t1\n", 2, 11, "bad signal reference 'x\u0662'"),
+    (FLAT + "t1 = x1 + x2\noutputs: y\u0661=t1\n", 3, 10, "bad output assignment 'y\u0661=t1'"),
+    (FLAT + "t1 = x1 + x2\noutputs: y1=t\u0661\n", 3, 13, "bad signal reference 't\u0661'"),
+    (LAYERED + "layer \u0661\nt1 = x1 + x2\noutputs: y1=t1\n", 2, 1, "bad gate line 'layer \u0661'"),
 ]
 
 

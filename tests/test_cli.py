@@ -53,10 +53,20 @@ def test_gen_bad_spec(capsys):
     assert code == 2 and "nonsense" in err
 
 
-@pytest.mark.parametrize("spec", ["random:a:b:c", "random:4:4:x"])
+@pytest.mark.parametrize(
+    "spec",
+    # sizes are ASCII digits only: no other Unicode digits, sign or '_'
+    ["random:a:b:c", "random:4:4:x", "random:\u0663:\u0663:1", "random:-3:3:1", "random:1_0:3:1"],
+)
 def test_gen_bad_random_spec(capsys, spec):
     code, out, err = run(capsys, "gen", spec)
     assert code == 2 and out == "" and "bad random spec" in err
+
+
+@pytest.mark.parametrize("spec", ["sierpinski:\u0668", "hadamard:+4", "setint:1_6", "sierpinski:"])
+def test_gen_refuses_family_size_not_ascii_digits(capsys, spec):
+    code, out, err = run(capsys, "gen", spec)
+    assert code == 2 and out == "" and "bad generator spec" in err and "is not [0-9]+" in err
 
 
 def test_gen_refuses_oversized_specs_before_generating(capsys, monkeypatch):

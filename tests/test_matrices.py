@@ -522,6 +522,12 @@ def test_kst_bound_caps_one_free_matrices(n):
                      id="no-rows"),
         pytest.param(lambda: BitMatrix.from_text("2 x\n10\n01\n"), ValueError, "bad header line",
                      id="text-header-not-integer"),
+        pytest.param(lambda: BitMatrix.from_text("\u0662 \u0662\n10\n01\n"), ValueError,
+                     "bad header line", id="text-header-unicode-digits"),
+        pytest.param(lambda: BitMatrix.from_text("+2 2\n10\n01\n"), ValueError, "bad header line",
+                     id="text-header-sign"),
+        pytest.param(lambda: BitMatrix.from_text("2 2 2\n10\n01\n"), ValueError, "bad header line",
+                     id="text-header-three-numbers"),
         pytest.param(lambda: BitMatrix.from_text("3 2\n10\n01\n"), ValueError,
                      "expected 3 rows, found 2", id="text-too-few-rows"),
         pytest.param(lambda: BitMatrix.from_json_dict({"rows": 2, "cols": 2, "data": ["10"]}),
