@@ -102,7 +102,7 @@ def parse_genspec(spec: str) -> Optional[BitMatrix]:
         if len(parts) != 3:
             raise CliError(f"random spec takes m:n:seed, got {spec!r}")
         try:
-            m, n, seed = _ascii_size(parts[0]), _ascii_size(parts[1]), int(parts[2])
+            m, n, seed = (_ascii_size(p) for p in parts)
         except ValueError as exc:
             raise CliError(f"bad random spec {spec!r}") from exc
         _check_spec_cells(spec, m, n)

@@ -49,6 +49,22 @@ budget with only sound pruning:
   only, and it holds in every model because ``makers`` is the model's
   own.  It drops only tight children whose closure fails, so the nodes,
   the goal and the witness are those of the unfiltered sweep;
+* a *spare-two* state S (two gates left beyond its missing targets) that
+  reaches a goal does so by a path that adds M and exactly two non-target
+  values, since no goal lies below depth L (see below).  No target is
+  ready in S, so the first value is a non-target candidate v of S; the
+  second, w, is a new allowed non-target, a gate over values before it and
+  so one gate over S | M | v.  In the completed set a hard t (as above,
+  over X_t = S | M less t) is a gate over two values not both in X_t: v
+  and a value of X_t, w and one, or v and w.  So v lies in
+  ``makers(X_t, t)``, or w lies in ``makers(X_t, t)`` or in
+  ``partners(v, t)``, the makers of t over v alone.  S gets no children
+  when no v leaves a w that meets this for every hard t
+  (:func:`_spare_two`; a state with no hard target is kept).  As above,
+  the condition is necessary only and holds in every model.  It drops
+  only states that fail, whose subtrees hold no goal, so the goal and
+  the witness are those of the unbounded sweep, which expands every state
+  this one does;
 * a visited state has failed: a success ends the sweep, and a state's
   descendants are strictly larger, so none of them is on the path above
   it.  A child's outcome depends only on its closed state, so a child
@@ -148,6 +164,9 @@ class SearchOutcome:
     peak_states: int = 0
     # tight children resolved by closure, summed over budgets
     tight_children: int = 0
+    # spare-two states the two-spare bound gave no children, summed over
+    # budgets
+    spare_two_dead: int = 0
 
 
 def _derive_witness(n: int, model: str, sigs: tuple[int, ...], rows: list[int]) -> Circuit:
@@ -204,8 +223,13 @@ def _submasks(t: int, n: int) -> int:
 
 def _combiner(
     model: str, n: int
-) -> tuple[Callable[[int, int], int], Callable[[int, int], int], Callable[[int, int], int]]:
-    """``(combine, reach, makers)`` for the model over n-bit values.
+) -> tuple[
+    Callable[[int, int], int],
+    Callable[[int, int], int],
+    Callable[[int, int], int],
+    Callable[[int, int], int],
+]:
+    """``(combine, reach, makers, partners)`` for the model over n-bit values.
 
     ``combine(state, v)`` is the mask of every value the model makes from
     ``v`` and a value present in ``state`` -- ``s ^ v`` (XOR), ``s | v``
@@ -216,6 +240,8 @@ def _combiner(
     ``reach(state, miss)`` is the mask of every value ``v`` whose
     ``combine(state, v)`` meets the mask ``miss``: the union of
     ``makers(state, t)`` over ``t`` in ``miss``.
+    ``partners(v, t)`` is ``makers`` over the single value ``v``: the mask
+    of every value ``w`` that makes ``t`` in one gate with ``v``.
 
     ``clr[b]`` is the mask of the values whose bit ``b`` (a power of two)
     is clear, built with O(n) big-int operations.  Flipping bit b of every
@@ -231,6 +257,11 @@ def _combiner(
     submasks of ``t`` and ``v`` holds ``t ^ s``: that CF set closed upward
     within ``t``, one block move per set bit of ``t``.  The submask mask of
     ``t`` is cached per value.
+
+    The partners of ``v`` for ``t``: ``v ^ t`` in XOR; in CF, ``t ^ v`` if
+    ``v`` is a submask of ``t``, else none; in OR, likewise, every value
+    between ``t ^ v`` and ``t``: the submasks of ``v``, shifted up by
+    ``t ^ v``.
     """
     full = (1 << (1 << n)) - 1
     clr = {1 << i: full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n)}
@@ -245,15 +276,21 @@ def _combiner(
 
     subs: dict[int, int] = {}
 
-    def flip_under(st: int, t: int) -> int:
-        """The present submasks of ``t``, flipped by ``t``."""
+    def under(t: int) -> int:
         sub = subs.get(t)
         if sub is None:
             sub = subs[t] = _submasks(t, n)
-        return flip(st & sub, t)
+        return sub
+
+    def flip_under(st: int, t: int) -> int:
+        """The present submasks of ``t``, flipped by ``t``."""
+        return flip(st & under(t), t)
 
     if model == XOR_MODEL:
         combine = makers = flip
+
+        def partners(v: int, t: int) -> int:
+            return 1 << (v ^ t)
 
     elif model == CF_MODEL:
         disjoint: dict[int, int] = {}
@@ -269,6 +306,9 @@ def _combiner(
             return (st & d) << v
 
         makers = flip_under
+
+        def partners(v: int, t: int) -> int:
+            return 0 if v & ~t else 1 << (t ^ v)
 
     else:
         def combine(st: int, v: int) -> int:
@@ -287,6 +327,9 @@ def _combiner(
                 x |= (x & clr[b]) << b
             return x
 
+        def partners(v: int, t: int) -> int:
+            return 0 if v & ~t else under(v) << (t ^ v)
+
     def reach(st: int, miss: int) -> int:
         out = 0
         while miss:
@@ -295,7 +338,7 @@ def _combiner(
             out |= makers(st, low.bit_length() - 1)
         return out
 
-    return combine, reach, makers
+    return combine, reach, makers, partners
 
 
 def _close(
@@ -344,6 +387,21 @@ def _path(stack: list[list], tail: list[tuple[int, int, int]]) -> list[int]:
     return out + [w[2].bit_length() - 1 for w in tail]
 
 
+def _hard_targets(st: int, miss: int, makers: Callable[[int, int], int]):
+    """Yield ``(t, makers(X_t, t))`` for each *hard* missing target t of
+    the closed state ``st``, X_t being ``st | miss`` less t: no gate over
+    X_t makes t."""
+    done = st | miss
+    while miss:
+        low = miss & -miss
+        miss ^= low
+        x = done ^ low
+        t = low.bit_length() - 1
+        need = makers(x, t)
+        if not need & x:
+            yield t, need
+
+
 def _spare_one(
     untried: int,
     st: int,
@@ -356,16 +414,60 @@ def _spare_one(
     missing target and makes some missing target ready (see the module
     docstring).  The hard targets come first, because they mostly leave
     no value, and ``reach`` is then never computed."""
-    done = st | miss
-    rest = miss
-    while rest and untried:
-        low = rest & -rest
-        rest ^= low
-        x = done ^ low
-        need = makers(x, low.bit_length() - 1)
-        if not need & x:
+    if untried:
+        for _, need in _hard_targets(st, miss, makers):
             untried &= need
-    return untried & reach(st, miss) if untried else 0
+            if not untried:
+                return 0
+        untried &= reach(st, miss)
+    return untried
+
+
+def _spare_two(
+    st: int,
+    cands: int,
+    miss: int,
+    free: int,
+    combine: Callable[[int, int], int],
+    makers: Callable[[int, int], int],
+    partners: Callable[[int, int], int],
+) -> bool:
+    """Whether some pair of spare values may complete a spare-two closed
+    state ``st`` with candidates ``cands`` and missing targets ``miss``: a
+    first value v of ``free`` among its candidates and a second w of
+    ``free``, one gate over ``st | miss | v``, such that every hard missing
+    target has v or w as an operand (see the module docstring).  False
+    means the state fails.  The hard targets' masks come first, because
+    they mostly leave no w, and the candidates over ``st | miss`` are then
+    never computed."""
+    hard = list(_hard_targets(st, miss, makers))
+    if not hard:
+        return True
+    done = st | miss
+    free &= ~done
+    firsts = free & cands
+    over = None  # the candidates of st | miss
+    while firsts:
+        low = firsts & -firsts
+        firsts ^= low
+        v = low.bit_length() - 1
+        w = free ^ low
+        for t, need in hard:
+            if not (need >> v) & 1:
+                w &= need | partners(v, t)
+                if not w:
+                    break
+        if w:
+            if over is None:
+                over = cands
+                rest = miss
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    over |= combine(done, bit.bit_length() - 1)
+            if w & (over | combine(done, v)):
+                return True
+    return False
 
 
 def _sweep(
@@ -375,18 +477,20 @@ def _sweep(
     combine: Callable[[int, int], int],
     reach: Callable[[int, int], int],
     makers: Callable[[int, int], int],
+    partners: Callable[[int, int], int],
     tmask: int,
     allowed: int,
     max_states: int,
-) -> tuple[Optional[list[int]], int, int, int]:
+) -> tuple[Optional[list[int]], int, int, int, int]:
     """Depth-first exhaust at one budget over the closed states reachable
     from the state ``state0`` with candidates ``cands0``.
 
     Returns the values the least goal path adds, in order, or None; the
     nodes expanded (closed states whose non-target candidates were
     enumerated); the size of the visited set of closed states, root
-    included, which ``max_states`` bounds; and the tight children resolved
-    by closure.
+    included, which ``max_states`` bounds; the tight children resolved by
+    closure; and the spare-two states that :func:`_spare_two` gave no
+    children.
 
     A frame is ``[walk, children, step, child]``: the closure walk from the
     state the frame was entered at, a generator of the children it goes
@@ -395,9 +499,10 @@ def _sweep(
     child in walk order: for each walk step, the untried non-target
     candidates below the target added there, then the rest of the closed
     state's, each segment ascending.  It resolves tight children by
-    closure and skips and records visited states, so the loop only pushes,
-    pops and stops at a goal.  The stack replaces recursion, which a large
-    ``limit`` could take past the interpreter's depth limit.
+    closure, gives a failing spare-two state none, and skips and records
+    visited states, so the loop only pushes, pops and stops at a goal.  The
+    stack replaces recursion, which a large ``limit`` could take past the
+    interpreter's depth limit.
     """
     if max_states < 1:
         raise _exceeded(max_states)
@@ -406,15 +511,19 @@ def _sweep(
     walk: list[tuple[int, int, int]] = []
     st, cands, miss = _close(state0, cands0, tmask & ~state0, combine, walk)
     if not miss:
-        return _path([], walk), 0, 1, 0
+        return _path([], walk), 0, 1, 0, 0
     if miss.bit_count() == top - st.bit_count():
-        return None, 0, 1, 0
+        return None, 0, 1, 0, 0
     visited = {st}
-    tight = 0
+    tight = dead = 0
 
     def children(walk: list, st: int, cands: int, miss: int):
-        nonlocal tight
-        spare = miss.bit_count() == top - st.bit_count() - 1
+        nonlocal tight, dead
+        gap = top - st.bit_count() - miss.bit_count()  # the gates to spare
+        if gap == 2 and not _spare_two(st, cands, miss, free, combine, makers, partners):
+            dead += 1
+            return
+        spare = gap == 1
         untried = free & ~st
         if spare:
             untried = _spare_one(untried, st, miss, reach, makers)
@@ -454,10 +563,10 @@ def _sweep(
             continue
         frame[2], frame[3], walk, st, cands, miss = child
         if not miss:
-            return _path(stack, walk), nodes, len(visited), tight
+            return _path(stack, walk), nodes, len(visited), tight, dead
         stack.append([walk, children(walk, st, cands, miss), 0, None])
         nodes += 1
-    return None, nodes, len(visited), tight
+    return None, nodes, len(visited), tight, dead
 
 
 def optimal_size(
@@ -512,27 +621,28 @@ def optimal_size(
         for t in targets:
             allowed |= _submasks(t, n)
         allowed &= ~1
-    combine, reach, makers = _combiner(model, n)
+    combine, reach, makers, partners = _combiner(model, n)
     cands0 = 0
     for u in units:
         cands0 |= combine(state0, u)
     cands0 &= allowed
 
-    nodes = peak = tight = 0
+    nodes = peak = tight = dead = 0
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        added, swept, held, closed = _sweep(
-            state0, cands0, budget, combine, reach, makers, tmask, allowed, max_states
+        added, swept, held, closed, failed = _sweep(
+            state0, cands0, budget, combine, reach, makers, partners, tmask, allowed, max_states
         )
         nodes += swept
         peak = max(peak, held)
         tight += closed
+        dead += failed
         if added is not None:
             witness = _checked(_derive_witness(n, model, units + tuple(added), rows), a, model)
-            return SearchOutcome(model, len(added), False, witness, nodes, limit, peak, tight)
+            return SearchOutcome(model, len(added), False, witness, nodes, limit, peak, tight, dead)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)
-        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak, tight)
-    return SearchOutcome(model, None, True, None, nodes, limit, peak, tight)
+        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak, tight, dead)
+    return SearchOutcome(model, None, True, None, nodes, limit, peak, tight, dead)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ the composed product circuit (fan-in-2 and depth-4), which is verified
 exactly.  The ratio of the k-freeness density quantity to the composed
 gate count is the per-trial proxy for the OR-vs-XOR separation.
 
+The Sylvester check ``rank_a < rank_b + rank_c - inner`` can fire only
+when 2 * krank > inner, krank = min(5 * ceil(log2 n), inner, n) being the
+side of the sampled submatrices, since neither factor's rank exceeds
+krank.  That never holds for c >= 12 (nor for c >= 10 at a power-of-two
+n), so at the paper's default c = 14 ``sylvester_ok`` is True by
+arithmetic and the check's three ``rank_gf2`` calls per sampled pair,
+150 per trial at the default 50 samples, test nothing there.
+
 Everything is a pure function of (config, trial index): sub-streams are
 derived per trial and per stage, so trials are order-independent and can
 run in parallel.

@@ -55,8 +55,12 @@ def test_gen_bad_spec(capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    # sizes are ASCII digits only: no other Unicode digits, sign or '_'
-    ["random:a:b:c", "random:4:4:x", "random:\u0663:\u0663:1", "random:-3:3:1", "random:1_0:3:1"],
+    # sizes and seeds are ASCII digits only: no other Unicode digits, sign
+    # or '_'
+    [
+        "random:a:b:c", "random:4:4:x", "random:\u0663:\u0663:1", "random:-3:3:1",
+        "random:1_0:3:1", "random:3:3:\u0661", "random:3:3:-1", "random:3:3:1_0",
+    ],
 )
 def test_gen_bad_random_spec(capsys, spec):
     code, out, err = run(capsys, "gen", spec)
