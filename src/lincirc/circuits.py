@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .matrices import BitMatrix, DimensionError
@@ -70,10 +71,9 @@ class Circuit:
         _check_connective(self.connective)
         if self.n_inputs < 0:
             raise ValueError("negative input count")
-        for k, (a, b) in enumerate(self.gates):
-            bound = self.n_inputs + k
+        for bound, (a, b) in enumerate(self.gates, self.n_inputs):
             if not (0 <= a < bound and 0 <= b < bound):
-                raise ValueError(f"gate t{k + 1} references a later signal")
+                raise ValueError(f"gate t{bound - self.n_inputs + 1} references a later signal")
         n_signals = self.n_inputs + len(self.gates)
         for i, o in enumerate(self.outputs):
             if o is not None and not 0 <= o < n_signals:
@@ -351,22 +351,56 @@ def compose_layered(outer: LayeredCircuit, inner: LayeredCircuit) -> LayeredCirc
     return LayeredCircuit(inner.n_inputs, inner.connective, tuple(layers), outputs)
 
 
+def _pairing_plan(k: int) -> itemgetter:
+    """Operand pairs of a fan-in-k gate's k - 1 fan-in-2 gates, as one
+    getter over its local slots: 0..k-1 its operands, k..2k-2 the new
+    gates in emission order.  The rounds pair each level's slots left to
+    right, an odd last slot passing to the next round."""
+    level = list(range(k))
+    nxt = k
+    plan: list[int] = []
+    while len(level) > 1:
+        paired = []
+        for i in range(0, len(level) - 1, 2):
+            plan += level[i], level[i + 1]
+            paired.append(nxt)
+            nxt += 1
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return itemgetter(*plan)
+
+
 def flatten(layered: LayeredCircuit) -> Circuit:
     """Expand fan-in-k gates into k-1 fan-in-2 gates (balanced,
-    left-to-right pairwise rounds); fan-in-1 gates become forwarding."""
-    b = _Builder(layered.n_inputs, layered.connective)
-    emit = b.gate
-    sigmap: list[int] = list(range(layered.n_inputs))
+    left-to-right pairwise rounds); fan-in-1 gates become forwarding.
+
+    The pairing depends on k alone, so each distinct fan-in gets one
+    plan (:func:`_pairing_plan`) per call, and a gate reads its pairs
+    off its mapped operands and its new gates' signals in one lookup.
+    """
+    n = layered.n_inputs
+    gates: list[tuple[int, int]] = []
+    plans: dict[int, itemgetter] = {}
+    sigmap: list[int] = list(range(n))
+    nxt = n  # the next gate's signal
     for layer in layered.layers:
         for ops in layer:
-            level = [sigmap[r] for r in ops]
-            while len(level) > 1:
-                level = [
-                    emit(level[i], level[i + 1]) if i + 1 < len(level) else level[i]
-                    for i in range(0, len(level), 2)
-                ]
-            sigmap.append(level[0])
-    return b.circuit(None if o is None else sigmap[o] for o in layered.outputs)
+            k = len(ops)
+            if k == 1:
+                sigmap.append(sigmap[ops[0]])
+                continue
+            plan = plans.get(k)
+            if plan is None:
+                plan = plans[k] = _pairing_plan(k)
+            slots = [sigmap[r] for r in ops]
+            slots += range(nxt, nxt + k - 1)
+            it = iter(plan(slots))
+            gates += zip(it, it)
+            nxt += k - 1
+            sigmap.append(nxt - 1)  # the last gate is the final round's
+    outputs = tuple(None if o is None else sigmap[o] for o in layered.outputs)
+    return Circuit(n, layered.connective, tuple(gates), outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,20 @@ A trial draws B (n x c*log2(n)) and C (c*log2(n) x n) with i.i.d. uniform
 entries, forms A = B*C over GF(2), and measures: the density of A, the
 absence of large all-ones/all-zeros submatrices (budgeted evidence), rank
 statistics of random square submatrices of the factors with the exact
-Sylvester rank inequality checked on every sampled pair, and the size of
-the composed product circuit (fan-in-2 and depth-4), which is verified
-exactly.  The ratio of the k-freeness density quantity to the composed
-gate count is the per-trial proxy for the OR-vs-XOR separation.
+Sylvester rank inequality checked on every sampled pair where it can
+bind, and the size of the composed product circuit (fan-in-2 and
+depth-4), which is verified exactly.  The ratio of the k-freeness
+density quantity to the composed gate count is the per-trial proxy for
+the OR-vs-XOR separation.
 
-The Sylvester check ``rank_a < rank_b + rank_c - inner`` can fire only
-when 2 * krank > inner, krank = min(5 * ceil(log2 n), inner, n) being the
-side of the sampled submatrices, since neither factor's rank exceeds
-krank.  That never holds for c >= 12 (nor for c >= 10 at a power-of-two
-n), so at the paper's default c = 14 ``sylvester_ok`` is True by
-arithmetic and the check's three ``rank_gf2`` calls per sampled pair,
-150 per trial at the default 50 samples, test nothing there.
+The Sylvester check ``rank_a < rank_b + rank_c - inner`` runs only
+where it can bind, when 2 * krank > inner, krank = min(5 * ceil(log2 n),
+inner, n) being the side of the sampled submatrices: neither factor's
+rank exceeds krank, so otherwise the right side is at most 0 and
+``sylvester_ok`` is True by arithmetic.  That skips it for every n at
+c >= 12 (and for c >= 10 at a power-of-two n), so at the paper's default
+c = 14 a trial makes 100 ``rank_gf2`` calls, all for the factors'
+statistics, instead of 250.
 
 Everything is a pure function of (config, trial index): sub-streams are
 derived per trial and per stage, so trials are order-independent and can
@@ -255,16 +257,19 @@ def _measure_trial(
     )
 
     # Sylvester on B[rows,:] C[:,cols] = A[rows,cols]; rank(C[:,cols]) is
-    # the rank of its transpose, the rows ``cols`` of C^T.
+    # the rank of its transpose, the rows ``cols`` of C^T.  Neither factor
+    # rank exceeds krank, so when 2 * krank <= inner the bound
+    # rank_b + rank_c - inner is at most 0 and no sample can break it.
     sylvester_ok = True
-    ct = c.transpose()
-    for rows, cols in _sample_pairs(derive_seed(seed, 8), n, n, krank, config.rank_samples):
-        rank_b = rank_gf2(BitMatrix(krank, inner, [b.row(i) for i in rows]))
-        rank_c = rank_gf2(BitMatrix(krank, inner, [ct.row(j) for j in cols]))
-        colmask = sum(1 << j for j in cols)
-        rank_a = rank_gf2(BitMatrix(krank, n, [a.row(i) & colmask for i in rows]))
-        if rank_a < rank_b + rank_c - inner:
-            sylvester_ok = False  # would contradict exact linear algebra
+    if 2 * krank > inner:
+        ct = c.transpose()
+        for rows, cols in _sample_pairs(derive_seed(seed, 8), n, n, krank, config.rank_samples):
+            rank_b = rank_gf2(BitMatrix(krank, inner, [b.row(i) for i in rows]))
+            rank_c = rank_gf2(BitMatrix(krank, inner, [ct.row(j) for j in cols]))
+            colmask = sum(1 << j for j in cols)
+            rank_a = rank_gf2(BitMatrix(krank, n, [a.row(i) & colmask for i in rows]))
+            if rank_a < rank_b + rank_c - inner:
+                sylvester_ok = False  # would contradict exact linear algebra
 
     fan2 = product_circuit(b, c, "fanin2")
     layered = product_circuit(b, c, "depth4")

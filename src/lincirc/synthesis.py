@@ -445,8 +445,11 @@ def lupanov_depth2(a: BitMatrix) -> SynthesisResult:
     shared = sorted(
         p for p, cnt in use_count.items() if cnt >= 2 and p.bit_count() >= 2
     )
-    middle_id = {p: n + k for k, p in enumerate(shared)}
-    middle_layer = tuple(tuple(_set_bits(p)) for p in shared)
+    wires = {p: tuple(_set_bits(p)) for p in use_count}  # pattern -> its inputs
+    middle_layer = tuple(wires[p] for p in shared)
+    # the operands a row part feeds its output gate: a shared pattern's
+    # middle gate, any other pattern's inputs
+    operands = wires | {p: (n + k,) for k, p in enumerate(shared)}
 
     out_layer: list[tuple[int, ...]] = []
     outputs: list[Optional[int]] = []
@@ -457,10 +460,7 @@ def lupanov_depth2(a: BitMatrix) -> SynthesisResult:
             continue
         ops: list[int] = []
         for p in parts:
-            if p in middle_id:
-                ops.append(middle_id[p])
-            else:
-                ops.extend(_set_bits(p))
+            ops += operands[p]
         out_layer.append(tuple(ops))
         outputs.append(next_id)
         next_id += 1

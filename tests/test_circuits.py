@@ -324,6 +324,64 @@ def test_flatten_random_layered():
         assert lc.eval_circuit(flat, x) == expect
 
 
+def _reference_flatten(layered: LayeredCircuit) -> Circuit:
+    """Round-by-round expansion: every round pairs the level's signals
+    left to right, an odd last one passing to the next round; the oracle
+    for :func:`lincirc.flatten`."""
+    gates = []
+    sigmap = list(range(layered.n_inputs))
+    for layer in layered.layers:
+        for ops in layer:
+            level = [sigmap[r] for r in ops]
+            while len(level) > 1:
+                nxt = []
+                for i in range(0, len(level) - 1, 2):
+                    gates.append((level[i], level[i + 1]))
+                    nxt.append(layered.n_inputs + len(gates) - 1)
+                if len(level) % 2:
+                    nxt.append(level[-1])
+                level = nxt
+            sigmap.append(level[0])
+    outputs = tuple(None if o is None else sigmap[o] for o in layered.outputs)
+    return Circuit(layered.n_inputs, layered.connective, tuple(gates), outputs)
+
+
+def _random_wide_layered(rng: SplitMix64, connective: str) -> LayeredCircuit:
+    """Layers of gates with fan-in 1 to 64 (a few fan-ins drawn per
+    circuit, so they repeat), fan-in-1 chains and constant-zero outputs."""
+    n = 1 + rng.randrange(12)
+    fanins = [1 + rng.randrange(64) for _ in range(3)] + [1]
+    layers = []
+    below = n
+    for _ in range(1 + rng.randrange(4)):
+        layer = []
+        for _ in range(1 + rng.randrange(6)):
+            fan = fanins[rng.randrange(len(fanins))]
+            layer.append(tuple(rng.randrange(below) for _ in range(fan)))
+        layers.append(tuple(layer))
+        below += len(layer)
+    for _ in range(rng.randrange(3)):  # a forwarding chain on the last signal
+        layers.append(((below - 1,),))
+        below += 1
+    outputs = tuple(
+        None if rng.randrange(4) == 0 else rng.randrange(below) for _ in range(1 + rng.randrange(5))
+    )
+    return LayeredCircuit(n, connective, tuple(layers), outputs)
+
+
+def test_flatten_matches_round_by_round_oracle():
+    rng = SplitMix64(2013)
+    seen = set()
+    for connective in (lc.XOR, lc.OR):
+        for _ in range(150):
+            lay = _random_wide_layered(rng, connective)
+            seen.update(len(ops) for layer in lay.layers for ops in layer)
+            assert lc.flatten(lay) == _reference_flatten(lay)
+    assert {1, 2, 3, 64} <= seen and len(seen) > 50
+    chain = LayeredCircuit(1, lc.XOR, (((0,),), ((1,),), ((2,),)), (3, None, 0))
+    assert lc.flatten(chain) == Circuit(1, lc.XOR, (), (0, None, 0))
+
+
 # ---------------------------------------------------------------------------
 # SLP formats
 
@@ -466,6 +524,10 @@ _LAYERED_OR2 = LayeredCircuit(2, lc.OR, (((0, 1),),), (2,))
                      id="unknown-connective"),
         pytest.param(lambda: Circuit(-1, lc.XOR, (), ()), ValueError, "negative input count",
                      id="negative-inputs"),
+        pytest.param(lambda: Circuit(2, lc.XOR, ((0, 1), (3, 0), (2, 1)), (4,)), ValueError,
+                     "gate t2 references a later signal", id="middle-gate-later-signal"),
+        pytest.param(lambda: Circuit(2, lc.XOR, ((0, 1), (2, 0), (-1, 3)), (4,)), ValueError,
+                     "gate t3 references a later signal", id="negative-operand"),
         pytest.param(lambda: LayeredCircuit(2, lc.XOR, (((),),), ()), ValueError,
                      "empty gate in layer 1", id="layered-empty-gate"),
         pytest.param(lambda: LayeredCircuit(2, lc.XOR, (), (2,)), ValueError,

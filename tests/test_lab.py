@@ -114,7 +114,8 @@ def test_trial_computes_each_quantity_once(monkeypatch):
     # all-ones search per question: A's (inside kfree_quantity) and its
     # complement's; at n = 256 exact k-freeness is out of reach, so
     # kfree_quantity never calls is_k_free_exact; 50 ranks for each
-    # factor's statistics and 3 per Sylvester sample make 250
+    # factor's statistics make 100, and at c = 14 the Sylvester check
+    # cannot bind (2 * krank <= inner), so it adds none
     counted = (
         lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free, lc.find_allones_submatrix,
         lc.is_k_free_exact, lc.rank_gf2, lc.gen_random,
@@ -136,9 +137,43 @@ def test_trial_computes_each_quantity_once(monkeypatch):
     lc.run_trial(ExperimentConfig(n=256, master_seed=1), 0)
     assert calls == {
         "mul_gf2": 3, "flatten": 3, "verify": 6, "is_cancellation_free": 6,
-        "find_allones_submatrix": 2, "rank_gf2": 250, "gen_random": 2,
+        "find_allones_submatrix": 2, "rank_gf2": 100, "gen_random": 2,
     }
     assert calls["is_k_free_exact"] == 0
+
+
+def _trial_rank_calls(monkeypatch, cfg, rank):
+    """The trial-0 report of ``cfg`` with ``rank`` standing in for
+    ``rank_gf2``, and the number of rank calls it made."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(lab_mod, "rank_gf2", counting)
+    return lc.run_trial(cfg, 0), len(calls)
+
+
+def test_sylvester_check_runs_and_can_fire_where_it_can_bind(monkeypatch):
+    # n = 16, c = 1: inner 4 and krank 4, so 2 * krank > inner and the
+    # check runs: 2 ranks per sample for the factors' statistics and 3
+    # per Sylvester sample
+    cfg = ExperimentConfig(n=16, master_seed=5, c=1, trials=1, rank_samples=6)
+    assert (cfg.inner_dim, 2 * min(5 * 4, cfg.inner_dim, cfg.n)) == (4, 8)
+    report, calls = _trial_rank_calls(monkeypatch, cfg, lc.rank_gf2)
+    assert calls == 5 * cfg.rank_samples and report.sylvester_ok
+    # a rank of 0 for every submatrix of A (the only ones n columns wide
+    # besides C's statistics) contradicts the inequality
+    report, _ = _trial_rank_calls(
+        monkeypatch, cfg, lambda m: 0 if m.cols == cfg.n else lc.rank_gf2(m)
+    )
+    assert not report.sylvester_ok
+    # c = 14: inner 56 and krank 16, so no rank can fall below
+    # rank_b + rank_c - inner <= 0 and only the statistics' ranks remain
+    wide = replace(cfg, c=14)
+    report, calls = _trial_rank_calls(monkeypatch, wide, lambda m: 0)
+    assert calls == 2 * wide.rank_samples and report.sylvester_ok
 
 
 def test_trial_allones_witness_is_the_kfree_witness():

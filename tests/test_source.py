@@ -28,6 +28,11 @@ def test_recursive_searches_leave_no_reference_cycles():
         lambda: lincirc.optimal_size(lincirc.example_a(), "XOR"),
         # the SLP reader's resolver is a closure too
         lambda: lincirc.slp_loads(lincirc.slp_dumps(lincirc.sierpinski_circuit(16).circuit)),
+        # flatten's pairing plans, and a trial whose Sylvester loop runs
+        lambda: lincirc.flatten(lincirc.product_circuit(
+            lincirc.gen_random(24, 20, 1), lincirc.gen_random(20, 24, 2), "depth4").circuit),
+        lambda: lincirc.run_trial(
+            lincirc.ExperimentConfig(n=16, master_seed=3, c=1, trials=1, rank_samples=4), 0),
     ]
     for call in calls:
         call()  # first calls may build lazily cached state
@@ -40,4 +45,4 @@ def test_recursive_searches_leave_no_reference_cycles():
             leaked.append(gc.collect())
     finally:
         gc.enable()
-    assert leaked == [0, 0, 0, 0, 0]
+    assert leaked == [0] * len(calls)

@@ -499,6 +499,23 @@ def test_product_circuit_measured_constant():
     assert worst <= 48 * 64  # measured 2759 at these seeds
 
 
+def test_block_builders_match_pinned_digest():
+    # SLP text of both block builders on trial 0's factors (seed 1), of
+    # both product modes and of the flattened depth-4 product, byte for
+    # byte; the trial digests pin only their counts
+    h = hashlib.sha256()
+    for n in (64, 256):
+        b, c, _ = lc.trial_matrices(lc.ExperimentConfig(n=n, master_seed=1), 0)
+        for m in (b, c):
+            h.update(lc.slp_dumps(lc.lupanov(m).circuit).encode())
+            h.update(lc.slp_dumps(lc.lupanov_depth2(m).circuit).encode())
+        layered = lc.product_circuit(b, c, "depth4").circuit
+        h.update(lc.slp_dumps(lc.product_circuit(b, c, "fanin2").circuit).encode())
+        h.update(lc.slp_dumps(layered).encode())
+        h.update(lc.slp_dumps(lc.flatten(layered)).encode())
+    assert h.hexdigest() == "f8845963d7e3c753c5e9ebd1cbc3af340fd9c7739c0749bccae1e7202ccb0a51"
+
+
 def test_all_synthesis_results_roundtrip_as_slp():
     a = lc.example_a()
     for res in (
