@@ -110,9 +110,12 @@ def kfree_quantity(
     density quantity |A| / k^2.
 
     The hidden constant of the density bound is unknown, so only the raw
-    quantity is reported, never a gate count.
+    quantity is reported, never a gate count.  A negative
+    ``evidence_budget`` is refused even where enumeration decides.
     """
     _require_freeness_k(k)
+    if evidence_budget < 0:
+        raise ValueError(f"budget must be >= 0, got {evidence_budget}")
     quantity = popcount(a) / (k * k)
     if not kfree_enumeration_feasible(a, k):
         witness = find_allones_submatrix(a, k, budget=evidence_budget, seed=seed)

@@ -602,10 +602,6 @@ def optimal_size(
     units = tuple(1 << i for i in range(n))
     unit_set = set(units)
     targets = sorted({r for r in rows if r and r not in unit_set})
-    if not targets:
-        witness = _derive_witness(n, model, units, rows)
-        return SearchOutcome(model, 0, False, _checked(witness, a, model), 0, limit)
-
     ub_cost, ub_circuit = _heuristic_upper_bound(a)
     if model == OR_MODEL:
         # a cancellation-free circuit reads as an OR circuit for the

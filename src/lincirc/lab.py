@@ -416,6 +416,10 @@ def estimate_conditional_bias(
     masked to 7m bits), so results are independent of batching.  Only
     feasible for m <= 4, where the acceptance rate is at worst ~2^-15.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if min_accepted < 1:
+        raise ValueError(f"min_accepted must be >= 1, got {min_accepted}")
     msize, (p, q), defined = _parse_mask(mask_pattern)
     if msize != m:
         raise ValueError(f"mask is {msize}x{msize}, expected {m}x{m}")

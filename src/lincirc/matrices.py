@@ -156,7 +156,9 @@ class BitMatrix:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BitMatrix":
-        m, n = int(obj["rows"]), int(obj["cols"])
+        m, n = obj["rows"], obj["cols"]
+        if type(m) is not int or type(n) is not int:  # a bool is an int too
+            raise ValueError(f"shape {m!r} x {n!r} is not two JSON integers")
         rows = obj["data"]
         if len(rows) != m:
             raise ValueError("row count mismatch in JSON matrix")
@@ -499,9 +501,12 @@ def find_allones_submatrix(
     budget completes, so ``steps`` may pass the budget by less than one
     scan.  Every "evidence-free" verdict rests on this count.  A returned
     witness is verified and therefore a proof; ``None`` is evidence of
-    absence, not a proof.
+    absence, not a proof.  A negative budget, which would give ``None``
+    without a step, is refused.
     """
     _require_freeness_k(k)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     s = k + 1
     eligible = [(i, r) for i, r in enumerate(a._data) if r.bit_count() >= s]
     if len(eligible) < s:

@@ -8,6 +8,8 @@ give the generic size guarantees; the explicit families
 and the transforms (`complement_transform`, `product_circuit`) give the
 structured circuits the rest of the package studies.  Every result is
 verified exactly against its target matrix before it is returned.
+`boyar_peralta` reads exact distances from one cover table and refuses,
+before any work, a matrix whose table would pass 2^20 entries.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Optional
 
 from .matrices import (
     BitMatrix,
-    BudgetExceededError,
     _set_bits,
     gen_setintersection,
     gen_sierpinski,
@@ -43,11 +44,9 @@ from .circuits import (
 )
 from .bounds import sierpinski_lb
 
-#: Node budget of each minimum disjoint cover search in
-#: :func:`boyar_peralta`; a search that runs out keeps the size of its
-#: best cover so far (the units' if it found none) and the result reports
-#: ``distances_exact=False``.
-COVER_NODE_BUDGET = 20_000
+#: Most entries :func:`boyar_peralta`'s cover table may hold: 2^weight
+#: summed over the distinct rows to build.
+COVER_TABLE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -227,44 +226,28 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
 
 
-def _min_cover_size(target: int, base_values: list[int], node_budget: int) -> tuple[int, bool]:
-    """Size of a smallest set of pairwise-disjoint base signals whose
-    union is exactly ``target``, and whether the search stayed exact.
+def _submasks(t: int):
+    """Every submask of t, from t itself down to 0."""
+    s = t
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & t
 
-    Depth-first branch-and-bound on the lowest uncovered bit over a stack
-    of (remaining, gates used) pairs, heaviest values tried first, then
-    the smallest.  A node is pruned once the weight bound reaches the
-    best size found; after ``node_budget`` nodes the best size so far
-    stands, or the unit cover's.  Unit signals are assumed present, so a
-    cover always exists.
-    """
-    by_bit: dict[int, list[int]] = {}
-    for v in base_values:
-        if v and v & ~target == 0:
-            bit = (v & -v).bit_length() - 1
-            by_bit.setdefault(bit, []).append(v)
-    for vs in by_bit.values():
-        vs.sort(key=lambda v: (v.bit_count(), -v))  # popped in reverse
-    max_w = max(v.bit_count() for vs in by_bit.values() for v in vs)
 
-    best = target.bit_count() + 1
-    nodes = 0
-    exact = True
-    stack = [(target, 0)]
-    while stack:
-        remaining, used = stack.pop()
-        if not remaining:
-            best = min(best, used)
-        elif used + (remaining.bit_count() + max_w - 1) // max_w >= best:
-            continue
-        elif nodes >= node_budget:
-            exact = False
-        else:
-            nodes += 1
-            for v in by_bit.get((remaining & -remaining).bit_length() - 1, ()):
-                if v & ~remaining == 0:
-                    stack.append((remaining ^ v, used + 1))
-    return min(best, target.bit_count()), exact
+def _lower_covers(cover: dict[int, int], v: int, pending: list[int]) -> None:
+    """Let v join the base of ``cover``, which maps each submask of a
+    pending row to the fewest pairwise-disjoint base values whose union
+    it is.  A cover of u that uses v is v plus a cover of ``u ^ v``, whose
+    entry v cannot lower, so one pass over ``s | v`` for the submasks s
+    of ``t ^ v``, t pending and containing v, updates every entry."""
+    for t in pending:
+        if v & ~t == 0:
+            for s in _submasks(t ^ v):
+                c = cover[s] + 1
+                if c < cover[s | v]:
+                    cover[s | v] = c
 
 
 def boyar_peralta(a: BitMatrix) -> SynthesisResult:
@@ -272,51 +255,45 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
 
     The distance of a row is the minimum number of additional gates
     needed to reach it from the current base by disjoint combination:
-    the size of its smallest disjoint cover by base values, from
-    :func:`_min_cover_size`, minus one.
+    the size of its smallest disjoint cover by base values, minus one.
     Each step adds the disjoint pair that minimizes the total distance;
     ties maximize the Euclidean norm of the distance vector, then take
     the lowest signal-index pair.  Output is cancellation-free.
 
-    One distance table is kept across steps.  A new value v can only
-    enter the covers of the pending rows that contain it, and a cover of
-    t that uses v is v plus a cover of ``t ^ v`` from the old base, so
-    a candidate's table differs from the current one only on those rows,
-    where the distance becomes ``min(old, |cover(t ^ v)|)`` (0 for t = v).
+    Cover sizes are exact, read from one table over the submasks of the
+    rows to build: popcounts (the unit covers) at first, lowered by
+    :func:`_lower_covers` as each value joins the base.  A candidate v
+    changes only the distances of the pending rows t that contain it, to
+    ``min(old, cover[t ^ v])``.  A matrix whose table would pass
+    :data:`COVER_TABLE_LIMIT` entries raises ``ValueError`` before any work.
 
     Every step has a candidate.  A pending row t is not in the base and
     has weight >= 2, so a minimum disjoint cover of t by base values (the
     units make one exist) has k >= 2 members.  The union of any two of
     them is disjoint and lies under t.  It is not in the base, or the
-    cover would shrink.  So it is a candidate.
+    cover would shrink.  So it is a candidate, and it lowers t's distance
+    by one; the step taken lowers the total distance at least as much, so
+    the loop ends.
     """
     n = a.cols
-    b = _Builder(n, XOR)
     base: list[int] = [1 << i for i in range(n)]
     in_base = set(base)
     pending = sorted({r for r in (a.row(i) for i in range(a.rows)) if r and r not in in_base})
-    exact_all = True
-
-    def cover_size(t: int) -> int:
-        nonlocal exact_all
-        size, exact = _min_cover_size(t, base, COVER_NODE_BUDGET)
-        exact_all = exact_all and exact
-        return size
+    entries = sum(1 << t.bit_count() for t in pending)
+    if entries > COVER_TABLE_LIMIT:
+        raise ValueError(f"bp cover table would hold {entries} entries, above {COVER_TABLE_LIMIT}")
+    cover = {s: s.bit_count() for t in pending for s in _submasks(t)}
 
     def with_value(v: int) -> dict[int, int]:
         newd = dict(dist)
         for t in pending:
             if v & ~t == 0:
-                newd[t] = 0 if t == v else min(dist[t], cover_size(t ^ v))
+                newd[t] = min(dist[t], cover[t ^ v])
         return newd
 
-    dist = {t: cover_size(t) - 1 for t in pending}
-    max_steps = 2 * sum(dist.values()) + 16  # ample; exact distances drop by >= 1 per step
-    steps = 0
+    b = _Builder(n, XOR)
+    dist = {t: cover[t] - 1 for t in pending}
     while pending:
-        steps += 1
-        if steps > max_steps:
-            raise BudgetExceededError("distance-guided greedy stalled")
         cands: list[tuple[int, float, tuple[int, int], int]] = []
         tables: dict[int, dict[int, int]] = {}
         for i in range(len(base)):
@@ -341,18 +318,13 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
         base.append(v)
         in_base.add(v)
         pending = [t for t in pending if t != v]
+        _lower_covers(cover, v, pending)
         dist = tables[v]
         dist.pop(v, None)
 
     value_sig = {v: k for k, v in enumerate(base)}  # base values are distinct
     outputs = [None if a.row(i) == 0 else value_sig[a.row(i)] for i in range(a.rows)]
-    return _result(
-        b.circuit(outputs),
-        "bp",
-        a,
-        cover_node_budget=COVER_NODE_BUDGET,
-        distances_exact=exact_all,
-    )
+    return _result(b.circuit(outputs), "bp", a)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,15 @@ def test_lab_commands_require_seed(capsys):
          "k must be >= 1"),
         (["lab", "rankstats", "--in", "exampleA", "--k", "-1", "--samples", "3", "--seed", "4"],
          "k must be >= 1"),
+        (["lab", "ramsey", "--in", "random:20:20:1", "--t", "4", "--budget", "-1", "--seed", "1"],
+         "budget must be >= 0"),
+        (["bound", "--in", "random:40:40:5", "--kfree", "8", "--seed", "9", "--budget", "-1"],
+         "budget must be >= 0"),
+        (["lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "0", "--seed", "1",
+          "--min-accepted", "0"], "samples must be >= 1"),
+        (["lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "10", "--seed", "1",
+          "--min-accepted", "0"], "min_accepted must be >= 1"),
+        (["synth", "--method", "bp", "--in", "sierpinski:32"], "bp cover table would hold"),
     ],
 )
 def test_out_of_range_arguments_exit_invalid(capsys, argv, message):
@@ -527,4 +536,4 @@ def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
         for argv, stdin in _transcript_cases()
     ]
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "3c96ce8c3bbe2c75d980e77aa890ead426a3ccda04fa00e4eff022f0d8fdf6e9"
+    assert digest == "a9f4ffba8e1d539f982611d504bfca4962f0b829603ef333eef58e94d6423bdf"

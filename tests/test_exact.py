@@ -237,8 +237,8 @@ def test_negative_limit_is_refused_before_any_work(monkeypatch):
     m = lc.example_a()
     zero = lc.optimal_size(m, "XOR", limit=0)
     assert zero.exceeded and zero.optimal_size is None
-    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", no_work)
     assert lc.optimal_size(lc.identity(4), "XOR", limit=0).optimal_size == 0
+    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", no_work)
     for limit in (-1, -3):
         with pytest.raises(ValueError, match="limit must be at least 0"):
             lc.optimal_size(m, "XOR", limit=limit)

@@ -532,9 +532,19 @@ def test_kst_bound_caps_one_free_matrices(n):
                      "expected 3 rows, found 2", id="text-too-few-rows"),
         pytest.param(lambda: BitMatrix.from_json_dict({"rows": 2, "cols": 2, "data": ["10"]}),
                      ValueError, "row count mismatch", id="json-row-count"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 2.9, "cols": True, "data": ["1", "0"]}),
+                     ValueError, r"shape 2.9 x True is not two JSON integers", id="json-shape-not-integer"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 2, "cols": True, "data": ["1", "0"]}),
+                     ValueError, r"shape 2 x True is not two JSON integers", id="json-shape-bool"),
         pytest.param(lambda: BitMatrix(1, 1, [1]).entry(0, 1), IndexError, r"\(0, 1\)",
                      id="entry-out-of-range"),
         pytest.param(lambda: lc.kst_bound(0, 2), ValueError, "n must be >= 1", id="kst-bound-n"),
+        pytest.param(lambda: lc.find_allones_submatrix(lc.ones(4, 4), 1, budget=-1, seed=0),
+                     ValueError, "budget must be >= 0, got -1", id="allones-negative-budget"),
+        pytest.param(lambda: lc.kfree_quantity(lc.ones(300, 299), 3, evidence_budget=-7),
+                     ValueError, "budget must be >= 0, got -7", id="kfree-negative-budget"),
+        pytest.param(lambda: lc.kfree_quantity(lc.ones(4, 4), 1, evidence_budget=-1),
+                     ValueError, "budget must be >= 0, got -1", id="kfree-enumerable-negative-budget"),
     ],
 )
 def test_invalid_input_is_refused(make, error, message):

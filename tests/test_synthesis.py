@@ -1,7 +1,6 @@
 import hashlib
 import heapq
 import itertools
-import json
 import math
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 import lincirc as lc
 from lincirc import BitMatrix, SplitMix64, derive_seed
 from lincirc.circuits import _Builder
-from lincirc.synthesis import _min_cover_size
+from lincirc.synthesis import _lower_covers
 from conftest import random_bits_matrix
 
 
@@ -207,23 +206,9 @@ def test_bp_random_verification():
         _verify_result(res, m)
 
 
-def test_bp_with_a_tiny_cover_budget_still_verifies(monkeypatch):
-    # budget 1 cuts most cover searches short before their first cover,
-    # and those distances come from the unit covers
-    for budget in (1, 5):
-        monkeypatch.setattr(lc.synthesis, "COVER_NODE_BUDGET", budget)
-        for seed in range(3):
-            m = lc.gen_random(9, 9, seed)
-            res = lc.boyar_peralta(m)
-            assert res.params == {"cover_node_budget": budget, "distances_exact": False}
-            assert res.cancellation_free
-            _verify_result(res, m)
-
-
-def test_bp_outputs_match_pinned_digest():
-    # the matrices of the benchmark's bp jobs (n = 9, bench seeds and the
-    # held-out one), larger random ones and two Sierpinski matrices; the
-    # SLP text and params are pinned byte for byte
+def _bp_pinned_matrices():
+    """The matrices of the benchmark's bp jobs (n = 9, bench seeds and the
+    held-out one), larger random ones and two Sierpinski matrices."""
     mats = [
         lc.gen_random(9, 9, derive_seed(seed, p, k))
         for seed in (1, 2, 20131305)
@@ -232,18 +217,29 @@ def test_bp_outputs_match_pinned_digest():
     ]
     mats += [lc.gen_random(n, n, s) for n in (10, 12) for s in (1, 2, 3)]
     mats += [lc.gen_sierpinski(8), lc.gen_sierpinski(16), lc.gen_random(14, 14, 1), lc.gen_random(16, 16, 1)]
+    return mats
+
+
+def test_bp_outputs_match_pinned_digest():
+    # the SLP text is pinned byte for byte; pinned with the budgeted
+    # branch-and-bound cover search the table replaced, which was exact
+    # on every one of these matrices
     h = hashlib.sha256()
-    for m in mats:
-        res = lc.boyar_peralta(m)
-        h.update(lc.slp_dumps(res.circuit).encode())
-        h.update(json.dumps(res.params).encode())
-    assert h.hexdigest() == "45d583ad966865770f6ded50958bb8de1192b434bb5439dd3e5a122788b2d0fb"
+    for m in _bp_pinned_matrices():
+        h.update(lc.slp_dumps(lc.boyar_peralta(m).circuit).encode())
+    assert h.hexdigest() == "0d84355b337cac2fae399e9da38b0f8189f7f5cdafd036cc5f1a8cb78d44e9c5"
+
+
+def test_bp_reports_no_params():
+    # distances are exact by construction: there is no budget to report
+    for m in _bp_pinned_matrices()[:4]:
+        assert lc.boyar_peralta(m).params == {}
 
 
 def _brute_min_cover(target, base):
     """Fewest pairwise-disjoint base values whose union is ``target``."""
     under = [v for v in base if v and v & ~target == 0]
-    for size in range(1, target.bit_count() + 1):
+    for size in range(target.bit_count() + 1):
         for combo in itertools.combinations(under, size):
             if sum(combo) == target and sum(v.bit_count() for v in combo) == target.bit_count():
                 return size
@@ -261,31 +257,27 @@ def _cover_cases(seed, count):
         yield 1 + rng.randrange((1 << n) - 1), base
 
 
-def test_min_cover_size_matches_brute_force():
+def _submasks(t):
+    s = t
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & t
+
+
+def test_cover_table_matches_brute_force():
+    # a unit table over the target's submasks, lowered one base value at a
+    # time, must hold every submask's fewest disjoint base values
     checked = 0
     for target, base in _cover_cases(4242, 300):
-        best = _brute_min_cover(target, base)
-        assert _min_cover_size(target, base, 10**9) == (best, True)
-        for budget in range(1, 6):
-            size, _ = _min_cover_size(target, base, budget)
-            assert best <= size <= target.bit_count()
-        checked += best < target.bit_count()
+        cover = {s: s.bit_count() for s in _submasks(target)}
+        for v in base:
+            _lower_covers(cover, v, [target])
+        for s in _submasks(target):
+            assert cover[s] == _brute_min_cover(s, base), (target, base, s)
+        checked += cover[target] < target.bit_count()
     assert checked > 50  # a third of the targets beat the unit cover
-
-
-def test_min_cover_size_budget_cuts_match_pinned_digest():
-    # pinned with the recursive search the loop replaced: the nodes a
-    # search takes (the least budget that finishes it) and its result at
-    # budgets 1-5 follow from the order in which it tries covers
-    out = []
-    for target, base in _cover_cases(77, 300):
-        nodes = 0
-        while not _min_cover_size(target, base, nodes)[1]:
-            nodes += 1
-        out.append((nodes, [_min_cover_size(target, base, b) for b in range(1, 6)]))
-    assert sum(n for n, _ in out) == 639
-    digest = hashlib.sha256(repr(out).encode()).hexdigest()
-    assert digest == "6c061cdce242b44c660f765da4ee8d06a855cfd5c6d7ba7946f71a7efe8a6544"
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +531,8 @@ def test_all_synthesis_results_roundtrip_as_slp():
                      "unknown depth mode 'depth3'", id="product-depth-mode"),
         pytest.param(lambda: lc.complement_transform(lc.Circuit(2, lc.OR, ((0, 1),), (2,))),
                      "defined for XOR circuits", id="complement-of-or"),
+        pytest.param(lambda: lc.boyar_peralta(lc.gen_sierpinski(32)),
+                     "bp cover table would hold 4295297716 entries", id="bp-cover-table"),
     ],
 )
 def test_invalid_input_is_refused(make, message):
