@@ -292,6 +292,8 @@ def cmd_exact(args) -> int:
         "optimal": out.optimal_size,
         "nodes": out.nodes_expanded,
         "states": out.peak_states,
+        "tight_children": out.tight_children,
+        "spare_two_dead": out.spare_two_dead,
         "limit": out.limit,
         "exceeded": out.exceeded,
     }

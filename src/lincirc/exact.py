@@ -36,7 +36,8 @@ budget with only sound pruning:
   its closure adds every missing target, and it adds one only if the
   values v makes with S, ``combine(S, v)``, meet the missing set M.  So a
   spare-one state tries only the v in ``reach(S, M)``, the values whose
-  ``combine`` meets M (exact, see :func:`_combiner`);
+  ``combine`` meets M: the union of ``makers(S, t)`` over t in M (exact,
+  see :func:`_combiner`);
 * a spare-one state S that reaches a goal is completed by M and exactly
   one non-target value v, its spare gate.  For t in M let X_t be S | M
   less t, and call t *hard* when no gate over X_t makes it:
@@ -65,6 +66,41 @@ budget with only sound pruning:
   only states that fail, whose subtrees hold no goal, so the goal and
   the witness are those of the unbounded sweep, which expands every state
   this one does;
+* the pair test is decided from the hard targets, not from every first
+  value.  In every model a gate is symmetric in its operands and makes one
+  value: ``partners(v, t)`` is ``{v ^ t}`` in XOR, ``{t ^ v}`` for v under
+  t in CF and the values from ``t ^ v`` up to t for v under t in OR
+  (none when v is not under t), and w is among them iff v and w make t.
+  So w lies in ``partners(v, t)`` iff v lies in ``partners(w, t)``, and
+  for at most one hard t.  A pair (v, w) thus has v or w in the need mask
+  ``makers(X_t, t)`` of all its h hard targets but one at most, and one
+  of the two in those of at least h // 2 of them; when h is odd, of at
+  least h // 2 of the h - 1 left after dropping any one.  Those values,
+  the *pivots*, are counted one hard target at a time, and every pair has
+  one.  A pivot x is tried as v (if it is a candidate) and as w against
+  the same *mates*: the values y other than x with x or y in each hard
+  t's need mask, or y in ``partners(x, t)``.  The second value must be one
+  gate over S | M | v: a candidate of S | M, or made from v and a value of
+  S | M, that is ``combine(S | M, v)``, which holds w iff v lies in
+  ``makers(S | M, w)``.  So the test answers as trying every first value
+  would;
+* the masks are carried, not remade.  ``combine`` and ``makers`` are
+  unions over the present values, so ``makers(X | Y, t)`` is ``makers(X,
+  t) | makers(Y, t)``, and ``partners(v, t)`` is ``makers`` over v alone.
+  A child S' of S is S, v and the targets A its closure adds, so
+  ``makers(S', t)`` is ``makers(S, t)`` with ``partners(v, t)`` and
+  ``partners(a, t)`` for each a in A, and ``reach(S', M')`` is their
+  union over the targets M' still missing.  Its need masks are over X'_t
+  = S' | M' less t = X_t | v, since A and M' make up M less t: each
+  gains ``partners(v, t)`` only.  X'_t holds X_t, so a target hard in S'
+  was hard in S, and a child looks for its hard targets among its
+  parent's.  The first state of a path with at most three gates to spare
+  makes its masks from scratch and carries them down, the root's once per
+  search (a root closes to the same state at every budget); states with
+  more to spare, which no spare test reads, make none.  The carried masks
+  equal masks made from scratch per state, so the tests' answers, and so
+  the nodes, closed states and witness, are those of tests that remake
+  them;
 * a visited state has failed: a success ends the sweep, and a state's
   descendants are strictly larger, so none of them is on the path above
   it.  A child's outcome depends only on its closed state, so a child
@@ -227,9 +263,8 @@ def _combiner(
     Callable[[int, int], int],
     Callable[[int, int], int],
     Callable[[int, int], int],
-    Callable[[int, int], int],
 ]:
-    """``(combine, reach, makers, partners)`` for the model over n-bit values.
+    """``(combine, makers, partners)`` for the model over n-bit values.
 
     ``combine(state, v)`` is the mask of every value the model makes from
     ``v`` and a value present in ``state`` -- ``s ^ v`` (XOR), ``s | v``
@@ -237,9 +272,6 @@ def _combiner(
     ``makers(state, t)`` is the mask of every value ``v`` whose
     ``combine(state, v)`` holds the value ``t``: the values that make ``t``
     in one gate with a value present in ``state``.
-    ``reach(state, miss)`` is the mask of every value ``v`` whose
-    ``combine(state, v)`` meets the mask ``miss``: the union of
-    ``makers(state, t)`` over ``t`` in ``miss``.
     ``partners(v, t)`` is ``makers`` over the single value ``v``: the mask
     of every value ``w`` that makes ``t`` in one gate with ``v``.
 
@@ -330,15 +362,7 @@ def _combiner(
         def partners(v: int, t: int) -> int:
             return 0 if v & ~t else under(v) << (t ^ v)
 
-    def reach(st: int, miss: int) -> int:
-        out = 0
-        while miss:
-            low = miss & -miss
-            miss ^= low
-            out |= makers(st, low.bit_length() - 1)
-        return out
-
-    return combine, reach, makers, partners
+    return combine, makers, partners
 
 
 def _close(
@@ -387,39 +411,85 @@ def _path(stack: list[list], tail: list[tuple[int, int, int]]) -> list[int]:
     return out + [w[2].bit_length() - 1 for w in tail]
 
 
-def _hard_targets(st: int, miss: int, makers: Callable[[int, int], int]):
-    """Yield ``(t, makers(X_t, t))`` for each *hard* missing target t of
-    the closed state ``st``, X_t being ``st | miss`` less t: no gate over
-    X_t makes t."""
+def _maker_masks(
+    st: int,
+    miss: int,
+    makers: Callable[[int, int], int],
+    partners: Callable[[int, int], int],
+) -> tuple[dict, dict]:
+    """``(hard, masks)`` of the closed state ``st`` with missing targets
+    ``miss``, made from scratch: ``masks[t]`` is ``makers(st, t)`` for each
+    missing t, and ``hard[t]`` the makers of t over X_t (``st | miss`` less
+    t: ``masks[t]`` and the partners of the other missing targets) for each
+    *hard* missing t, one whose makers over X_t miss X_t."""
     done = st | miss
+    masks = {}
     while miss:
         low = miss & -miss
         miss ^= low
-        x = done ^ low
         t = low.bit_length() - 1
-        need = makers(x, t)
-        if not need & x:
-            yield t, need
+        masks[t] = makers(st, t)
+    hard = {}
+    for t, need in masks.items():
+        for u in masks:
+            if u != t:
+                need |= partners(u, t)
+        if not need & (done ^ (1 << t)):
+            hard[t] = need
+    return hard, masks
 
 
-def _spare_one(
-    untried: int,
-    st: int,
-    miss: int,
-    reach: Callable[[int, int], int],
-    makers: Callable[[int, int], int],
-) -> int:
-    """The values of ``untried`` that a spare-one closed state ``st`` with
-    missing targets ``miss`` still tries: each is an operand of every hard
-    missing target and makes some missing target ready (see the module
-    docstring).  The hard targets come first, because they mostly leave
-    no value, and ``reach`` is then never computed."""
+def _child_masks(
+    masks: dict, v: int, added: int, miss: int, partners: Callable[[int, int], int]
+) -> dict:
+    """The maker masks of the closure of S | v, which adds the targets
+    ``added`` and leaves ``miss`` missing, from S's ``masks``: makers
+    distribute over the values present (see the module docstring)."""
+    out = {}
+    for t, made in masks.items():
+        if (miss >> t) & 1:
+            made |= partners(v, t)
+            rest = added
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                made |= partners(low.bit_length() - 1, t)
+            out[t] = made
+    return out
+
+
+def _child_hard(
+    hard: dict, v: int, miss: int, done: int, partners: Callable[[int, int], int]
+) -> dict:
+    """The hard targets of the closure of S | v, which leaves ``miss``
+    missing and has the values and missing targets ``done``, from S's
+    ``hard``: each is hard in S, and its need mask gains the partners of v
+    (see the module docstring)."""
+    if not hard:
+        return hard
+    out = {}
+    for t, need in hard.items():
+        if (miss >> t) & 1:
+            need |= partners(v, t)
+            if not need & (done ^ (1 << t)):
+                out[t] = need
+    return out
+
+
+def _spare_one(free: int, st: int, masks: dict, hard: dict) -> int:
+    """The values of ``free`` that a spare-one closed state ``st`` with the
+    maker masks ``masks`` and hard targets ``hard`` still tries: each is
+    absent, an operand of every hard missing target and makes some missing
+    target ready, that is, lies in ``reach(st, miss)``, the union of
+    ``masks`` (see the module docstring)."""
+    untried = free & ~st
+    for need in hard.values():
+        untried &= need
     if untried:
-        for _, need in _hard_targets(st, miss, makers):
-            untried &= need
-            if not untried:
-                return 0
-        untried &= reach(st, miss)
+        reach = 0
+        for made in masks.values():
+            reach |= made
+        untried &= reach
     return untried
 
 
@@ -428,6 +498,7 @@ def _spare_two(
     cands: int,
     miss: int,
     free: int,
+    hard: dict,
     combine: Callable[[int, int], int],
     makers: Callable[[int, int], int],
     partners: Callable[[int, int], int],
@@ -436,37 +507,56 @@ def _spare_two(
     state ``st`` with candidates ``cands`` and missing targets ``miss``: a
     first value v of ``free`` among its candidates and a second w of
     ``free``, one gate over ``st | miss | v``, such that every hard missing
-    target has v or w as an operand (see the module docstring).  False
-    means the state fails.  The hard targets' masks come first, because
-    they mostly leave no w, and the candidates over ``st | miss`` are then
-    never computed."""
-    hard = list(_hard_targets(st, miss, makers))
+    target has v or w as an operand or is made by v and w (see the module
+    docstring).  False means the state fails.
+
+    v and w together are operands of all the h hard targets but at most
+    one, so one of them is an operand of at least h // 2: the *pivots*,
+    counted one hard target at a time.  Each pivot x is tried as v and as
+    w against its *mates*, the values that complete the pair with it."""
     if not hard:
         return True
     done = st | miss
     free &= ~done
     firsts = free & cands
+    # at_least[j]: the values of free that are operands of j of the hard
+    # targets, less the one with the most free makers when their number is
+    # odd
+    pools = [need & free for need in hard.values()]
+    k = len(pools) // 2
+    if len(pools) & 1 and k:
+        pools.remove(max(pools, key=int.bit_count))
+    at_least = [free] + [0] * k
+    for pool in pools:
+        for j in range(k, 0, -1):
+            at_least[j] |= at_least[j - 1] & pool
+    pivots = at_least[k]
     over = None  # the candidates of st | miss
-    while firsts:
-        low = firsts & -firsts
-        firsts ^= low
-        v = low.bit_length() - 1
-        w = free ^ low
-        for t, need in hard:
-            if not (need >> v) & 1:
-                w &= need | partners(v, t)
-                if not w:
+    while pivots:
+        low = pivots & -pivots
+        pivots ^= low
+        x = low.bit_length() - 1
+        mates = free ^ low
+        for t, need in hard.items():
+            if not need & low:
+                mates &= need | partners(x, t)
+                if not mates:
                     break
-        if w:
-            if over is None:
-                over = cands
-                rest = miss
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    over |= combine(done, bit.bit_length() - 1)
-            if w & (over | combine(done, v)):
-                return True
+        if not mates:
+            continue
+        if over is None:
+            over = cands
+            rest = miss
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                over |= combine(done, bit.bit_length() - 1)
+        # x first: some mate is one gate over done | x
+        if low & firsts and mates & (over | combine(done, x)):
+            return True
+        # x second: x is one gate over done | v for some first mate v
+        if mates & firsts and (low & over or mates & firsts & makers(done, x)):
+            return True
     return False
 
 
@@ -475,12 +565,12 @@ def _sweep(
     cands0: int,
     budget: int,
     combine: Callable[[int, int], int],
-    reach: Callable[[int, int], int],
     makers: Callable[[int, int], int],
     partners: Callable[[int, int], int],
     tmask: int,
     allowed: int,
     max_states: int,
+    roots: Optional[dict] = None,
 ) -> tuple[Optional[list[int]], int, int, int, int]:
     """Depth-first exhaust at one budget over the closed states reachable
     from the state ``state0`` with candidates ``cands0``.
@@ -495,17 +585,27 @@ def _sweep(
     A frame is ``[walk, children, step, child]``: the closure walk from the
     state the frame was entered at, a generator of the children it goes
     into, and the walk step and value of the child being explored.  The
-    generator yields ``(step, v, walk, state, candidates, missing)`` per
-    child in walk order: for each walk step, the untried non-target
-    candidates below the target added there, then the rest of the closed
-    state's, each segment ascending.  It resolves tight children by
-    closure, gives a failing spare-two state none, and skips and records
+    generator yields ``(step, v, walk, state, candidates, missing,
+    carried)`` per child in walk order: for each walk step, the untried
+    non-target candidates below the target added there, then the rest of
+    the closed state's, each segment ascending.  It resolves tight children
+    by closure, gives a failing spare-two state none, and skips and records
     visited states, so the loop only pushes, pops and stops at a goal.  The
     stack replaces recursion, which a large ``limit`` could take past the
     interpreter's depth limit.
+
+    ``carried`` is None, or ``(hard, masks, v, added)`` for a child with at
+    most two gates to spare: its hard targets and need masks, and the maker
+    masks of its parent with the value v and the targets ``added`` that
+    make the child from it (v is 0 when ``masks`` are the state's own).  A
+    state with at most three gates to spare that was given none makes its
+    own, and ``roots`` keeps the root's for the other budgets of a search
+    (see the module docstring).
     """
     if max_states < 1:
         raise _exceeded(max_states)
+    if roots is None:
+        roots = {}
     top = state0.bit_count() + budget  # the size of a state with no gate left
     free = allowed & ~tmask
     walk: list[tuple[int, int, int]] = []
@@ -516,17 +616,34 @@ def _sweep(
         return None, 0, 1, 0, 0
     visited = {st}
     tight = dead = 0
+    root = st
 
-    def children(walk: list, st: int, cands: int, miss: int):
+    def own(st: int, miss: int) -> tuple:
+        carried = (*_maker_masks(st, miss, makers, partners), 0, 0)
+        if st == root:
+            roots[st] = carried
+        return carried
+
+    def masks_of(carried: tuple, miss: int) -> dict:
+        _, masks, v, added = carried
+        return _child_masks(masks, v, added, miss, partners) if v else masks
+
+    def children(walk: list, st: int, cands: int, miss: int, carried: Optional[tuple]):
         nonlocal tight, dead
         gap = top - st.bit_count() - miss.bit_count()  # the gates to spare
-        if gap == 2 and not _spare_two(st, cands, miss, free, combine, makers, partners):
-            dead += 1
-            return
+        masks = None
+        if gap <= 2:
+            if carried is None:
+                carried = own(st, miss)
+            hard = carried[0]
+            if gap == 2 and not _spare_two(st, cands, miss, free, hard, combine, makers, partners):
+                dead += 1
+                return
         spare = gap == 1
-        untried = free & ~st
         if spare:
-            untried = _spare_one(untried, st, miss, reach, makers)
+            untried = _spare_one(free, st, masks_of(carried, miss), hard)
+        else:
+            untried = free & ~st
         # the closed state ends the walk, with no target above its values
         for step, (y, c, t) in enumerate(walk + [(st, cands, 0)]):
             seg = untried & c & (t - 1)
@@ -551,9 +668,23 @@ def _sweep(
                     visited.add(st2)
                     if len(visited) > max_states:
                         raise _exceeded(max_states)
-                yield step, v, walk2, st2, c2, m2
+                carried2 = None
+                if gap <= 3 and m2:
+                    if masks is None:
+                        # made when the first child needs them
+                        if carried is None:
+                            carried = own(st, miss)
+                        hard = carried[0]
+                        masks = masks_of(carried, miss)
+                    carried2 = (
+                        _child_hard(hard, v, m2, st | miss | low, partners),
+                        masks,
+                        v,
+                        miss ^ m2,
+                    )
+                yield step, v, walk2, st2, c2, m2, carried2
 
-    stack = [[walk, children(walk, st, cands, miss), 0, None]]
+    stack = [[walk, children(walk, st, cands, miss, roots.get(st)), 0, None]]
     nodes = 1
     while stack:
         frame = stack[-1]
@@ -561,10 +692,10 @@ def _sweep(
         if child is None:
             stack.pop()
             continue
-        frame[2], frame[3], walk, st, cands, miss = child
+        frame[2], frame[3], walk, st, cands, miss, carried = child
         if not miss:
             return _path(stack, walk), nodes, len(visited), tight, dead
-        stack.append([walk, children(walk, st, cands, miss), 0, None])
+        stack.append([walk, children(walk, st, cands, miss, carried), 0, None])
         nodes += 1
     return None, nodes, len(visited), tight, dead
 
@@ -583,8 +714,8 @@ def optimal_size(
     sweep, root included; ``max_states`` bounds that set exactly (by
     default 5 M up to 8 columns, halved per column above).  ``a`` may
     have at most 16 columns (a state is a bitmask over the 2^n possible
-    signal values); wider input, or a negative ``limit``, raises
-    ``ValueError`` before any work is done.
+    signal values); wider input, a negative ``limit`` or a negative
+    ``max_states`` raises ``ValueError`` before any work is done.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -596,6 +727,8 @@ def optimal_size(
         )
     if limit < 0:
         raise ValueError(f"limit must be at least 0; got {limit}")
+    if max_states is not None and max_states < 0:
+        raise ValueError(f"max_states must be at least 0; got {max_states}")
     if max_states is None:
         max_states = _DEFAULT_MAX_STATES >> max(0, n - 8)
     rows = [a.row(i) for i in range(a.rows)]
@@ -617,16 +750,17 @@ def optimal_size(
         for t in targets:
             allowed |= _submasks(t, n)
         allowed &= ~1
-    combine, reach, makers, partners = _combiner(model, n)
+    combine, makers, partners = _combiner(model, n)
     cands0 = 0
     for u in units:
         cands0 |= combine(state0, u)
     cands0 &= allowed
 
     nodes = peak = tight = dead = 0
+    roots: dict = {}  # the root's masks, made once for every budget
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
         added, swept, held, closed, failed = _sweep(
-            state0, cands0, budget, combine, reach, makers, partners, tmask, allowed, max_states
+            state0, cands0, budget, combine, makers, partners, tmask, allowed, max_states, roots
         )
         nodes += swept
         peak = max(peak, held)

@@ -283,19 +283,15 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
     if entries > COVER_TABLE_LIMIT:
         raise ValueError(f"bp cover table would hold {entries} entries, above {COVER_TABLE_LIMIT}")
     cover = {s: s.bit_count() for t in pending for s in _submasks(t)}
-
-    def with_value(v: int) -> dict[int, int]:
-        newd = dict(dist)
-        for t in pending:
-            if v & ~t == 0:
-                newd[t] = min(dist[t], cover[t ^ v])
-        return newd
-
     b = _Builder(n, XOR)
     dist = {t: cover[t] - 1 for t in pending}
     while pending:
-        cands: list[tuple[int, float, tuple[int, int], int]] = []
-        tables: dict[int, dict[int, int]] = {}
+        # each candidate's total and squared norm are the current ones less
+        # what it takes off the pending rows that contain it
+        total = sum(dist.values())
+        norm2 = sum(d * d for d in dist.values())
+        cands: list[tuple[int, int, tuple[int, int], int]] = []
+        seen: set[int] = set()
         for i in range(len(base)):
             vi = base[i]
             for j in range(i + 1, len(base)):
@@ -303,24 +299,32 @@ def boyar_peralta(a: BitMatrix) -> SynthesisResult:
                 if vi & vj:
                     continue
                 v = vi | vj
-                if v in in_base or v in tables:
+                if v in in_base or v in seen:
                     continue
-                if not any(v & ~t == 0 for t in pending):
-                    continue  # useless for every remaining disjoint cover
-                newd = tables[v] = with_value(v)
-                s = sum(newd.values())
-                norm2 = sum(d * d for d in newd.values())
-                cands.append((s, -norm2, (i, j), v))
-        s, _, (i, j), v = min(cands)
+                seen.add(v)
+                under = False  # some pending row contains v
+                cut = cut2 = 0
+                for t in pending:
+                    if v & ~t == 0:
+                        under = True
+                        d, c = dist[t], cover[t ^ v]
+                        if c < d:
+                            cut += d - c
+                            cut2 += d * d - c * c
+                if under:  # else useless for every remaining disjoint cover
+                    cands.append((total - cut, cut2 - norm2, (i, j), v))
+        _, _, (i, j), v = min(cands)
         sig = b.gate(i, j)
         if len(base) != sig:
             raise RuntimeError("synthesis bug: bp signal index out of step")
         base.append(v)
         in_base.add(v)
+        for t in pending:
+            if v & ~t == 0:
+                dist[t] = min(dist[t], cover[t ^ v])
         pending = [t for t in pending if t != v]
-        _lower_covers(cover, v, pending)
-        dist = tables[v]
         dist.pop(v, None)
+        _lower_covers(cover, v, pending)
 
     value_sig = {v: k for k, v in enumerate(base)}  # base values are distinct
     outputs = [None if a.row(i) == 0 else value_sig[a.row(i)] for i in range(a.rows)]

@@ -210,6 +210,11 @@ def test_exact_command(capsys):
     assert report["states"] > 0
     code, out, _ = run(capsys, "exact", "--in", "exampleA", "--model", "cf")
     assert f"{report['states']} states" in out
+    # the search effort of the spare tests, as the library reports it
+    code, report, _ = run_json(capsys, "exact", "--in", "random:6:6:1", "--model", "cf")
+    out = lc.optimal_size(lc.gen_random(6, 6, 1), "CF")
+    assert (report["tight_children"], report["spare_two_dead"]) == (1, 17)
+    assert (out.tight_children, out.spare_two_dead) == (1, 17)
 
 
 def test_exact_witness_and_limit(tmp_path, capsys):
@@ -536,4 +541,4 @@ def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
         for argv, stdin in _transcript_cases()
     ]
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "a9f4ffba8e1d539f982611d504bfca4962f0b829603ef333eef58e94d6423bdf"
+    assert digest == "773ef15f5fa10cae649060748d273462c0169fcadb0bd5fc4b9a6e36347e8279"

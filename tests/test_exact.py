@@ -244,6 +244,21 @@ def test_negative_limit_is_refused_before_any_work(monkeypatch):
             lc.optimal_size(m, "XOR", limit=limit)
 
 
+def test_negative_state_limit_is_refused_before_any_work(monkeypatch):
+    # a negative max_states is no budget; 0 still is one (see
+    # test_state_limit_is_the_peak_held, whose peak less one can be 0)
+    def no_work(a):
+        raise AssertionError("upper bound computed for a refused input")
+
+    with pytest.raises(lc.BudgetExceededError, match="exceeded 0 states"):
+        lc.optimal_size(lc.example_a(), "CF", max_states=0)
+    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", no_work)
+    for m in (lc.example_a(), BitMatrix(2, 2, [1, 2])):
+        for model in lc.MODELS:
+            with pytest.raises(ValueError, match="max_states must be at least 0"):
+                lc.optimal_size(m, model, max_states=-5)
+
+
 def test_sierpinski_s8_optimal_in_cf_and_or_models():
     # the witness is the XOR one, as the search gave it before it swept
     # closed states only (see test_acceptance.S8_WITNESS_SHA256)
@@ -325,31 +340,43 @@ def test_combiner_matches_per_signal_definition():
             assert combine(st, v) == _per_signal_combine(model, st, v)
 
 
+def _reach(makers, st: int, miss: int) -> int:
+    """reach(S, M): the union of makers(S, t) over t in M, the values that
+    make some value of M in one gate with a value of S."""
+    out = 0
+    for t in range(miss.bit_length()):
+        if (miss >> t) & 1:
+            out |= makers(st, t)
+    return out
+
+
 def test_reach_matches_its_definition():
+    # the union of makers over the missing values, which the spare-one
+    # filter reads as reach, is the set of v whose combine(st, v) meets them
     for model in lc.MODELS:
         # every state and every missing set for n <= 3
         for n in (1, 2, 3):
-            combine, reach, _, _ = exact_mod._combiner(model, n)
+            combine, makers, _ = exact_mod._combiner(model, n)
             made = [[combine(st, v) for v in range(1 << n)] for st in range(1 << (1 << n))]
             for st in range(1 << (1 << n)):
                 for miss in range(1 << (1 << n)):
                     want = sum(1 << v for v, c in enumerate(made[st]) if c & miss)
-                    assert reach(st, miss) == want, (model, n, st, miss)
+                    assert _reach(makers, st, miss) == want, (model, n, st, miss)
         # random states: dense ones at n = 6, each with a few missing values
         rng = SplitMix64(49)
-        combine, reach, _, _ = exact_mod._combiner(model, 6)
+        combine, makers, _ = exact_mod._combiner(model, 6)
         for _ in range(100):
             st = rng.bits(64)
             miss = sum(1 << rng.bits(6) for _ in range(1 + rng.bits(3)))
             want = sum(1 << v for v in range(64) if combine(st, v) & miss)
-            assert reach(st, miss) == want
+            assert _reach(makers, st, miss) == want
         # sparse states at n = 16: every value reach gives, and a sample of
         # all values, against the definition
-        combine, reach, _, _ = exact_mod._combiner(model, 16)
+        combine, makers, _ = exact_mod._combiner(model, 16)
         for _ in range(4):
             st = sum(1 << rng.bits(16) for _ in range(40))
             miss = sum(1 << rng.bits(16) for _ in range(3))
-            got = reach(st, miss)
+            got = _reach(makers, st, miss)
             values = [v for v in range(1 << 16) if (got >> v) & 1]
             values += [rng.bits(16) for _ in range(200)]
             for v in values:
@@ -361,7 +388,7 @@ def test_makers_matches_its_definition():
     for model in lc.MODELS:
         # every state and every value for n <= 3
         for n in (1, 2, 3):
-            combine, _, makers, _ = exact_mod._combiner(model, n)
+            combine, makers, _ = exact_mod._combiner(model, n)
             for st in range(1 << (1 << n)):
                 made = [combine(st, v) for v in range(1 << n)]
                 for t in range(1 << n):
@@ -369,7 +396,7 @@ def test_makers_matches_its_definition():
                     assert makers(st, t) == want, (model, n, st, t)
         # random dense states at n = 6
         rng = SplitMix64(53)
-        combine, _, makers, _ = exact_mod._combiner(model, 6)
+        combine, makers, _ = exact_mod._combiner(model, 6)
         for _ in range(100):
             st, t = rng.bits(64), rng.bits(6)
             want = sum(1 << v for v in range(64) if (combine(st, v) >> t) & 1)
@@ -379,21 +406,144 @@ def test_makers_matches_its_definition():
 def test_partners_are_makers_over_one_value():
     for model in lc.MODELS:
         for n in (1, 2, 3, 6):
-            _, _, makers, partners = exact_mod._combiner(model, n)
+            _, makers, partners = exact_mod._combiner(model, n)
             for v in range(1 << n):
                 for t in range(1 << n):
                     assert partners(v, t) == makers(1 << v, t), (model, n, v, t)
 
 
+@st.composite
+def _two_states(draw):
+    model = draw(st.sampled_from(lc.MODELS))
+    n = draw(st.integers(1, 6))
+    values = st.integers(0, (1 << (1 << n)) - 1)
+    return model, n, draw(values), draw(values), draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_two_states())
+def test_makers_and_combine_distribute_over_the_values_present(case):
+    # the lemma the carried maker masks rest on: both are unions over the
+    # present values, so a state's masks grow by those of each value added
+    model, n, x, y, t = case
+    combine, makers, _ = exact_mod._combiner(model, n)
+    assert makers(x | y, t) == makers(x, t) | makers(y, t)
+    assert combine(x | y, t) == combine(x, t) | combine(y, t)
+
+
+def _ref_hard_targets(st: int, miss: int, makers) -> dict:
+    """The hard missing targets of a closed state and their need masks,
+    each made from scratch with ``makers``."""
+    done = st | miss
+    hard = {}
+    for t in range(miss.bit_length()):
+        if (miss >> t) & 1:
+            x = done ^ (1 << t)
+            need = makers(x, t)
+            if not need & x:
+                hard[t] = need
+    return hard
+
+
+def _ref_spare_one(untried: int, st: int, miss: int, makers) -> int:
+    """The spare-one filter with every mask made from scratch: each hard
+    target's need mask, then reach."""
+    if untried:
+        for need in _ref_hard_targets(st, miss, makers).values():
+            untried &= need
+            if not untried:
+                return 0
+        untried &= _reach(makers, st, miss)
+    return untried
+
+
+def _ref_spare_two(st: int, cands: int, miss: int, free: int, ops) -> bool:
+    """The two-spare bound tried from every first value v, with the second
+    values w for every hard target v misses, its masks made from
+    scratch."""
+    combine, makers, partners = ops
+    hard = _ref_hard_targets(st, miss, makers)
+    if not hard:
+        return True
+    done = st | miss
+    free &= ~done
+    firsts = free & cands
+    over = None  # the candidates of st | miss
+    while firsts:
+        low = firsts & -firsts
+        firsts ^= low
+        v = low.bit_length() - 1
+        w = free ^ low
+        for t, need in hard.items():
+            if not (need >> v) & 1:
+                w &= need | partners(v, t)
+                if not w:
+                    break
+        if w:
+            if over is None:
+                over = cands
+                rest = miss
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    over |= combine(done, bit.bit_length() - 1)
+            if w & (over | combine(done, v)):
+                return True
+    return False
+
+
+def test_spare_tests_match_their_references(monkeypatch):
+    # on every spare state the search meets, the carried maker masks and
+    # hard targets are those made from scratch, and both spare tests give
+    # the answers of references that try every first value
+    cases = [lc.gen_random(6, 6, derive_seed(0x6C696E63, i)) for i in range(32)]
+    cases += [lc.gen_random(7, 7, derive_seed(0x6C696E63, 7, i)) for i in range(8)]
+    cases = [(m, model, exact_mod.DEFAULT_LIMIT) for m in cases for model in lc.MODELS]
+    cases += [
+        (m, model, 12)
+        for m in (lc.gen_sierpinski(8), lc.gen_setintersection(8))
+        for model in lc.MODELS
+    ]
+    one, two = exact_mod._spare_one, exact_mod._spare_two
+    calls = dict.fromkeys(lc.MODELS, 0)
+    for m, model, limit in cases:
+        _, tmask, _ = _targets_and_allowed(m, model)
+        ops = exact_mod._combiner(model, m.cols)
+        makers = ops[1]
+
+        def check_one(free, st, masks, hard):
+            miss = tmask & ~st
+            assert masks == {t: makers(st, t) for t in range(miss.bit_length()) if (miss >> t) & 1}
+            assert hard == _ref_hard_targets(st, miss, makers)
+            kept = one(free, st, masks, hard)
+            assert kept == _ref_spare_one(free & ~st, st, miss, makers), (m.to_text(), model, st)
+            calls[model] += 1
+            return kept
+
+        def check_two(st, cands, miss, free, hard, *rest):
+            assert hard == _ref_hard_targets(st, miss, makers)
+            live = two(st, cands, miss, free, hard, *rest)
+            assert live == _ref_spare_two(st, cands, miss, free, ops), (m.to_text(), model, st)
+            calls[model] += 1
+            return live
+
+        monkeypatch.setattr(exact_mod, "_spare_one", check_one)
+        monkeypatch.setattr(exact_mod, "_spare_two", check_two)
+        lc.optimal_size(m, model, limit=limit)
+        monkeypatch.undo()
+    assert all(calls.values()), calls
+
+
 def _spare_one_states(monkeypatch, m, model):
-    """The (untried values, state, missing targets) of every spare-one
-    closed state the search meets on ``m`` in ``model``."""
+    """The (untried values, state, missing targets, values kept) of every
+    spare-one closed state the search meets on ``m`` in ``model``."""
     seen = []
     real = exact_mod._spare_one
 
-    def record(untried, st, miss, reach, makers):
-        seen.append((untried, st, miss))
-        return real(untried, st, miss, reach, makers)
+    def record(free, st, masks, hard):
+        kept = real(free, st, masks, hard)
+        seen.append((free & ~st, st, sum(1 << t for t in masks), kept))
+        return kept
 
     monkeypatch.setattr(exact_mod, "_spare_one", record)
     lc.optimal_size(m, model)
@@ -411,15 +561,14 @@ def test_spare_one_filter_drops_only_failing_children(monkeypatch):
         dropped = 0
         for m in mats:
             n = m.cols
-            combine, reach, makers, _ = exact_mod._combiner(model, n)
-            for untried, st, miss in _spare_one_states(monkeypatch, m, model):
+            combine, makers, _ = exact_mod._combiner(model, n)
+            for untried, st, miss, kept in _spare_one_states(monkeypatch, m, model):
                 cands = 0
                 for u in range(1 << n):
                     if (st >> u) & 1:
                         cands |= combine(st, u)
-                kept = exact_mod._spare_one(untried, st, miss, reach, makers)
                 assert kept & ~untried == 0
-                drop = untried & reach(st, miss) & ~kept
+                drop = untried & _reach(makers, st, miss) & ~kept
                 dropped += drop.bit_count()
                 for v in range(1 << n):
                     if (drop >> v) & 1:
