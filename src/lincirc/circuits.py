@@ -154,17 +154,15 @@ def matrix_of(c: Circuit) -> BitMatrix:
 
 
 def eval_circuit(c: Circuit, x: Sequence[int]) -> list[int]:
-    """Run the circuit on a Boolean input vector."""
+    """Run the circuit on a Boolean input vector, read off value vectors."""
     if len(x) != c.n_inputs:
         raise DimensionError(f"expected {c.n_inputs} inputs, got {len(x)}")
-    vals = [1 if v else 0 for v in x]
+    xm = sum(1 << i for i, v in enumerate(x) if v)
+    vv = value_vectors(c)
+    hit = [0 if o is None else vv[o] & xm for o in c.outputs]
     if c.connective == XOR:
-        for a, b in c.gates:
-            vals.append(vals[a] ^ vals[b])
-    else:
-        for a, b in c.gates:
-            vals.append(vals[a] | vals[b])
-    return [0 if o is None else vals[o] for o in c.outputs]
+        return [h.bit_count() & 1 for h in hit]
+    return [int(h != 0) for h in hit]
 
 
 def verify(c: Circuit, a: BitMatrix) -> bool:
@@ -258,6 +256,28 @@ class EliminationResult:
     forwarded_outputs: dict[int, Optional[int]] = field(hash=False)
 
 
+def _forward_zeros(c: Circuit, sigmap: list, gates: list, n: int) -> tuple[Circuit, list[int]]:
+    """The circuit on ``n`` inputs with the gates ``gates``, then those of
+    ``c`` and its outputs mapped through ``sigmap``, which holds the new
+    signal (None: constant zero) of each input of ``c`` and gets that of
+    each gate; a constant-zero operand forwards the other one, as
+    :func:`restrict_zero` says.  Also returns the indices of the gates of
+    ``c`` so eliminated."""
+    eliminated = []
+    nxt = n + len(gates)
+    for a, b in c.gates:
+        ma, mb = sigmap[a], sigmap[b]
+        if ma is None or mb is None:
+            eliminated.append(len(sigmap) - c.n_inputs)  # this gate's index
+            sigmap.append(mb if ma is None else ma)
+        else:
+            sigmap.append(nxt)
+            nxt += 1
+            gates.append((ma, mb))
+    outputs = tuple(None if o is None else sigmap[o] for o in c.outputs)
+    return Circuit(n, c.connective, tuple(gates), outputs), eliminated
+
+
 def restrict_zero(c: Circuit, zero_inputs: set[int]) -> EliminationResult:
     """Set the given inputs to constant 0 and eliminate trivial gates.
 
@@ -270,22 +290,9 @@ def restrict_zero(c: Circuit, zero_inputs: set[int]) -> EliminationResult:
     for z in zero_inputs:
         if not 0 <= z < c.n_inputs:
             raise ValueError(f"unknown input x{z + 1}")
-    sigmap: list[Optional[int]] = [
-        None if i in zero_inputs else i for i in range(c.n_inputs)
-    ]
-    new_gates: list[tuple[int, int]] = []
-    eliminated = []
-    for k, (a, b) in enumerate(c.gates):
-        ma, mb = sigmap[a], sigmap[b]
-        if ma is None or mb is None:
-            sigmap.append(mb if ma is None else ma)  # constant zero if both are
-            eliminated.append(k)
-        else:
-            sigmap.append(c.n_inputs + len(new_gates))
-            new_gates.append((ma, mb))
-    outputs = tuple(None if o is None else sigmap[o] for o in c.outputs)
-    reduced = Circuit(c.n_inputs, c.connective, tuple(new_gates), outputs)
-    forwarded = {i: outputs[i] for i in range(len(c.outputs))}
+    sigmap = [None if i in zero_inputs else i for i in range(c.n_inputs)]
+    reduced, eliminated = _forward_zeros(c, sigmap, [], c.n_inputs)
+    forwarded = dict(enumerate(reduced.outputs))
     return EliminationResult(reduced, frozenset(eliminated), forwarded)
 
 
@@ -303,23 +310,8 @@ def compose(outer: Circuit, inner: Circuit) -> Circuit:
         raise DimensionError(
             f"outer arity {outer.n_inputs} != inner output count {len(inner.outputs)}"
         )
-    # outer inputs read the inner outputs, outer gates follow the inner ones;
-    # as in restrict_zero, a constant-zero operand forwards the other one
-    sigmap: list[Optional[int]] = list(inner.outputs)
-    gates = list(inner.gates)
-    next_id = inner.n_inputs + len(gates)
-    for a, b in outer.gates:
-        ma, mb = sigmap[a], sigmap[b]
-        if ma is None:
-            sigmap.append(mb)
-        elif mb is None:
-            sigmap.append(ma)
-        else:
-            sigmap.append(next_id)
-            next_id += 1
-            gates.append((ma, mb))
-    outputs = tuple(None if o is None else sigmap[o] for o in outer.outputs)
-    return Circuit(inner.n_inputs, inner.connective, tuple(gates), outputs)
+    # outer inputs read the inner outputs, outer gates follow the inner ones
+    return _forward_zeros(outer, list(inner.outputs), list(inner.gates), inner.n_inputs)[0]
 
 
 def compose_layered(outer: LayeredCircuit, inner: LayeredCircuit) -> LayeredCircuit:

@@ -5,7 +5,7 @@ Subcommands: ``gen``, ``synth``, ``check``, ``bound``, ``exact``, ``lab``
 ``census``.  Matrix arguments accept either a file path (text or JSON
 format) or a generator spec: ``sierpinski:8``, ``hadamard:16``,
 ``setint:8``, ``random:<m>:<n>:<seed>``, ``exampleA``, ``exampleB``;
-a spec of more than :data:`GENSPEC_MAX_CELLS` cells is refused.
+a spec of more than :data:`~lincirc.matrices.MAX_CELLS` cells is refused.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 budget or search limit exceeded.  Every randomized command requires an
@@ -42,6 +42,7 @@ from .matrices import (
     BudgetExceededError,
     DimensionError,
     EVIDENCE_BUDGET,
+    MAX_CELLS,
     _ascii_size,
     _json_value,
     example_a,
@@ -59,9 +60,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-#: Largest matrix a generator spec may ask for, in cells: 4096 x 4096.
-GENSPEC_MAX_CELLS = 1 << 24
 
 
 class CliError(Exception):
@@ -111,10 +109,10 @@ def parse_genspec(spec: str) -> Optional[BitMatrix]:
 
 
 def _check_spec_cells(spec: str, m: int, n: int) -> None:
-    """Refuse a generator spec larger than :data:`GENSPEC_MAX_CELLS`
-    before any memory is spent on it."""
-    if m * n > GENSPEC_MAX_CELLS:
-        raise CliError(f"generator spec {spec!r} exceeds {GENSPEC_MAX_CELLS} cells (4096x4096)")
+    """Refuse a generator spec larger than :data:`MAX_CELLS` before any
+    memory is spent on it."""
+    if m * n > MAX_CELLS:
+        raise CliError(f"generator spec {spec!r} exceeds {MAX_CELLS} cells (4096x4096)")
 
 
 def load_matrix_arg(arg: str) -> BitMatrix:

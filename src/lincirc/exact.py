@@ -178,6 +178,7 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
+_CENSUS_LIMIT = 9  # above the n(n - 1) = 6 gates of a row-by-row 3 x 3 circuit
 # The default cap on held states up to 8 columns.  At n = 8 a held state
 # (a set slot and its mask) costs 127-145 B of peak RSS: S_8 with limit 12
 # held at most 27.8 k states (XOR) and 24.4 k (CF, OR) at 38.0 MiB max RSS
@@ -263,8 +264,9 @@ def _combiner(
     Callable[[int, int], int],
     Callable[[int, int], int],
     Callable[[int, int], int],
+    Callable[[int], int],
 ]:
-    """``(combine, makers, partners)`` for the model over n-bit values.
+    """``(combine, makers, partners, under)`` for the model over n-bit values.
 
     ``combine(state, v)`` is the mask of every value the model makes from
     ``v`` and a value present in ``state`` -- ``s ^ v`` (XOR), ``s | v``
@@ -287,8 +289,8 @@ def _combiner(
     ``s`` is a submask of ``t`` and ``v = t ^ s``: the present submasks of
     ``t``, flipped by ``t``.  In OR, ``s | v = t`` iff ``s`` and ``v`` are
     submasks of ``t`` and ``v`` holds ``t ^ s``: that CF set closed upward
-    within ``t``, one block move per set bit of ``t``.  The submask mask of
-    ``t`` is cached per value.
+    within ``t``, one block move per set bit of ``t``.  ``under(t)``, the
+    submask mask of ``t``, is cached per value.
 
     The partners of ``v`` for ``t``: ``v ^ t`` in XOR; in CF, ``t ^ v`` if
     ``v`` is a submask of ``t``, else none; in OR, likewise, every value
@@ -362,7 +364,7 @@ def _combiner(
         def partners(v: int, t: int) -> int:
             return 0 if v & ~t else under(v) << (t ^ v)
 
-    return combine, makers, partners
+    return combine, makers, partners, under
 
 
 def _close(
@@ -743,14 +745,14 @@ def optimal_size(
 
     tmask = sum(1 << t for t in targets)
     state0 = sum(1 << u for u in units)
+    combine, makers, partners, under = _combiner(model, n)
     if model == XOR_MODEL:
         allowed = (1 << (1 << n)) - 2  # every nonzero value
     else:
         allowed = 0
         for t in targets:
-            allowed |= _submasks(t, n)
+            allowed |= under(t)
         allowed &= ~1
-    combine, makers, partners = _combiner(model, n)
     cands0 = 0
     for u in units:
         cands0 |= combine(state0, u)
@@ -820,9 +822,9 @@ def census(n: int) -> CensusReport:
         mat = BitMatrix(n, n, data)
         sizes = {}
         for model in MODELS:
-            out = optimal_size(mat, model, limit=9)
+            out = optimal_size(mat, model, limit=_CENSUS_LIMIT)
             if out.optimal_size is None:
-                raise RuntimeError(f"census: no {model} circuit within 9 gates")
+                raise RuntimeError(f"census: no {model} circuit within {_CENSUS_LIMIT} gates")
             sizes[model] = out.optimal_size
             hist = histograms[model]
             hist[out.optimal_size] = hist.get(out.optimal_size, 0) + 1

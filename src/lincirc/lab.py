@@ -27,6 +27,7 @@ run in parallel.
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,6 +39,7 @@ import numpy as np
 from .rng import derive_seed, words_np
 from .matrices import (
     EVIDENCE_BUDGET,
+    MAX_CELLS,
     BitMatrix,
     Submatrix,
     _report_dict,
@@ -76,6 +78,13 @@ class ExperimentConfig:
         for name, low in least.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # A is n x n and B is n x inner_dim
+        cells = self.n * max(self.n, self.inner_dim)
+        if cells > MAX_CELLS:
+            raise ValueError(
+                f"n = {self.n}, c = {self.c} form a {cells}-cell matrix; "
+                f"the cap is {MAX_CELLS} cells (4096x4096)"
+            )
 
     @property
     def inner_dim(self) -> int:
@@ -305,9 +314,13 @@ def _sweep_trial(config: ExperimentConfig, trial_index: int) -> tuple[TrialRepor
 
 def _map_trials(fn, config: ExperimentConfig, threads: int) -> list:
     """``fn(config, t)`` for every trial t, in trial order; in a pool of
-    ``threads`` processes when that is more than one."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    ``threads`` processes, capped at the trials and the CPUs, when that
+    is more than one."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, config.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, [config] * config.trials, range(config.trials)))
     return [fn(config, t) for t in range(config.trials)]
 

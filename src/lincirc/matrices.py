@@ -30,6 +30,10 @@ ENUMERATION_BUDGET = 10**9
 #: evidence behind every "evidence-free" k-freeness verdict.
 EVIDENCE_BUDGET = 50_000
 
+#: Largest matrix, in cells, that a generator spec or an experiment may
+#: ask for: 4096 x 4096.
+MAX_CELLS = 1 << 24
+
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""

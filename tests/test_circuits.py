@@ -2,10 +2,11 @@ import dataclasses
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lincirc as lc
 from lincirc import BitMatrix, Circuit, LayeredCircuit, SplitMix64
-from lincirc.circuits import cancellation_free_flag
+from lincirc.circuits import EliminationResult, cancellation_free_flag
 from lincirc.cli import fixtures_dir
 
 
@@ -255,6 +256,91 @@ def test_compose_matches_matrix_product():
             assert lc.size_wires(comp) == wires
         outer_m, inner_m = (lc.matrix_of(lc.flatten(c)) for c in (outer, inner))
         assert lc.matrix_of(lc.flatten(comp)) == lc.mul_gf2(outer_m, inner_m)
+
+
+def _ref_eval_circuit(c: Circuit, x) -> list[int]:
+    """``eval_circuit`` as a walk over the gates, one value per signal."""
+    vals = [1 if v else 0 for v in x]
+    if c.connective == lc.XOR:
+        for a, b in c.gates:
+            vals.append(vals[a] ^ vals[b])
+    else:
+        for a, b in c.gates:
+            vals.append(vals[a] | vals[b])
+    return [0 if o is None else vals[o] for o in c.outputs]
+
+
+def _ref_restrict_zero(c: Circuit, zero_inputs: set[int]) -> EliminationResult:
+    """``restrict_zero`` with its own constant-zero forwarding loop."""
+    sigmap = [None if i in zero_inputs else i for i in range(c.n_inputs)]
+    new_gates = []
+    eliminated = []
+    for k, (a, b) in enumerate(c.gates):
+        ma, mb = sigmap[a], sigmap[b]
+        if ma is None or mb is None:
+            sigmap.append(mb if ma is None else ma)  # constant zero if both are
+            eliminated.append(k)
+        else:
+            sigmap.append(c.n_inputs + len(new_gates))
+            new_gates.append((ma, mb))
+    outputs = tuple(None if o is None else sigmap[o] for o in c.outputs)
+    reduced = Circuit(c.n_inputs, c.connective, tuple(new_gates), outputs)
+    forwarded = {i: outputs[i] for i in range(len(c.outputs))}
+    return EliminationResult(reduced, frozenset(eliminated), forwarded)
+
+
+def _ref_compose(outer: Circuit, inner: Circuit) -> Circuit:
+    """``compose`` with its own constant-zero forwarding loop."""
+    sigmap = list(inner.outputs)
+    gates = list(inner.gates)
+    next_id = inner.n_inputs + len(gates)
+    for a, b in outer.gates:
+        ma, mb = sigmap[a], sigmap[b]
+        if ma is None:
+            sigmap.append(mb)
+        elif mb is None:
+            sigmap.append(ma)
+        else:
+            sigmap.append(next_id)
+            next_id += 1
+            gates.append((ma, mb))
+    outputs = tuple(None if o is None else sigmap[o] for o in outer.outputs)
+    return Circuit(inner.n_inputs, inner.connective, tuple(gates), outputs)
+
+
+@st.composite
+def _circuits(draw, connective: str, n: int) -> Circuit:
+    """A fan-in-2 circuit on n inputs, with no gates when n is 0, and with
+    constant-zero outputs among the others."""
+    gates = []
+    for k in range(draw(st.integers(0, 10)) if n else 0):
+        ops = st.integers(0, n + k - 1)
+        gates.append((draw(ops), draw(ops)))
+    signals = st.integers(0, n + len(gates) - 1) if n else st.nothing()
+    outputs = draw(st.lists(st.none() | signals, max_size=5))
+    return Circuit(n, connective, tuple(gates), tuple(outputs))
+
+
+@st.composite
+def _transform_cases(draw):
+    connective = draw(st.sampled_from((lc.XOR, lc.OR)))
+    inner = draw(_circuits(connective, draw(st.integers(0, 6))))
+    outer = draw(_circuits(connective, len(inner.outputs)))
+    zeros = draw(st.sets(st.integers(0, inner.n_inputs - 1))) if inner.n_inputs else set()
+    x = draw(st.lists(st.integers(0, 2), min_size=inner.n_inputs, max_size=inner.n_inputs))
+    return outer, inner, zeros, x
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_transform_cases())
+def test_transforms_and_evaluation_match_their_references(case):
+    outer, inner, zeros, x = case
+    composed = lc.compose(outer, inner)
+    assert composed == _ref_compose(outer, inner)
+    restricted = lc.restrict_zero(inner, zeros)
+    assert restricted == _ref_restrict_zero(inner, zeros)
+    for c in (inner, composed, restricted.reduced):
+        assert lc.eval_circuit(c, x) == _ref_eval_circuit(c, x)
 
 
 def test_compose_associative_at_matrix_level():

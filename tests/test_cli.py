@@ -341,11 +341,22 @@ def test_lab_commands_require_seed(capsys):
         (["lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "10", "--seed", "1",
           "--min-accepted", "0"], "min_accepted must be >= 1"),
         (["synth", "--method", "bp", "--in", "sierpinski:32"], "bp cover table would hold"),
+        (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "5", "--threads", "0"],
+         "threads must be >= 1"),
+        (["lab", "sweep", "--ns", "16", "--trials", "1", "--seed", "5", "--threads", "-2"],
+         "threads must be >= 1"),
     ],
 )
 def test_out_of_range_arguments_exit_invalid(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and message in err and out == ""
+
+
+def test_lab_refuses_oversized_experiments_before_any_trial(capsys, monkeypatch):
+    monkeypatch.setattr("lincirc.lab._map_trials", lambda *a: pytest.fail("ran trials"))
+    for argv in (["separation", "--n", "4097"], ["sweep", "--ns", "64,4097"]):
+        code, out, err = run(capsys, "lab", *argv, "--trials", "1", "--seed", "1")
+        assert code == 2 and "cap is 16777216 cells" in err and out == ""
 
 
 def test_lab_rankstats_and_ramsey(capsys):

@@ -356,7 +356,7 @@ def test_reach_matches_its_definition():
     for model in lc.MODELS:
         # every state and every missing set for n <= 3
         for n in (1, 2, 3):
-            combine, makers, _ = exact_mod._combiner(model, n)
+            combine, makers, _, _ = exact_mod._combiner(model, n)
             made = [[combine(st, v) for v in range(1 << n)] for st in range(1 << (1 << n))]
             for st in range(1 << (1 << n)):
                 for miss in range(1 << (1 << n)):
@@ -364,7 +364,7 @@ def test_reach_matches_its_definition():
                     assert _reach(makers, st, miss) == want, (model, n, st, miss)
         # random states: dense ones at n = 6, each with a few missing values
         rng = SplitMix64(49)
-        combine, makers, _ = exact_mod._combiner(model, 6)
+        combine, makers, _, _ = exact_mod._combiner(model, 6)
         for _ in range(100):
             st = rng.bits(64)
             miss = sum(1 << rng.bits(6) for _ in range(1 + rng.bits(3)))
@@ -372,7 +372,7 @@ def test_reach_matches_its_definition():
             assert _reach(makers, st, miss) == want
         # sparse states at n = 16: every value reach gives, and a sample of
         # all values, against the definition
-        combine, makers, _ = exact_mod._combiner(model, 16)
+        combine, makers, _, _ = exact_mod._combiner(model, 16)
         for _ in range(4):
             st = sum(1 << rng.bits(16) for _ in range(40))
             miss = sum(1 << rng.bits(16) for _ in range(3))
@@ -388,7 +388,7 @@ def test_makers_matches_its_definition():
     for model in lc.MODELS:
         # every state and every value for n <= 3
         for n in (1, 2, 3):
-            combine, makers, _ = exact_mod._combiner(model, n)
+            combine, makers, _, _ = exact_mod._combiner(model, n)
             for st in range(1 << (1 << n)):
                 made = [combine(st, v) for v in range(1 << n)]
                 for t in range(1 << n):
@@ -396,7 +396,7 @@ def test_makers_matches_its_definition():
                     assert makers(st, t) == want, (model, n, st, t)
         # random dense states at n = 6
         rng = SplitMix64(53)
-        combine, makers, _ = exact_mod._combiner(model, 6)
+        combine, makers, _, _ = exact_mod._combiner(model, 6)
         for _ in range(100):
             st, t = rng.bits(64), rng.bits(6)
             want = sum(1 << v for v in range(64) if (combine(st, v) >> t) & 1)
@@ -406,7 +406,7 @@ def test_makers_matches_its_definition():
 def test_partners_are_makers_over_one_value():
     for model in lc.MODELS:
         for n in (1, 2, 3, 6):
-            _, makers, partners = exact_mod._combiner(model, n)
+            _, makers, partners, _ = exact_mod._combiner(model, n)
             for v in range(1 << n):
                 for t in range(1 << n):
                     assert partners(v, t) == makers(1 << v, t), (model, n, v, t)
@@ -426,7 +426,7 @@ def test_makers_and_combine_distribute_over_the_values_present(case):
     # the lemma the carried maker masks rest on: both are unions over the
     # present values, so a state's masks grow by those of each value added
     model, n, x, y, t = case
-    combine, makers, _ = exact_mod._combiner(model, n)
+    combine, makers, _, _ = exact_mod._combiner(model, n)
     assert makers(x | y, t) == makers(x, t) | makers(y, t)
     assert combine(x | y, t) == combine(x, t) | combine(y, t)
 
@@ -461,7 +461,7 @@ def _ref_spare_two(st: int, cands: int, miss: int, free: int, ops) -> bool:
     """The two-spare bound tried from every first value v, with the second
     values w for every hard target v misses, its masks made from
     scratch."""
-    combine, makers, partners = ops
+    combine, makers, partners, _ = ops
     hard = _ref_hard_targets(st, miss, makers)
     if not hard:
         return True
@@ -561,7 +561,7 @@ def test_spare_one_filter_drops_only_failing_children(monkeypatch):
         dropped = 0
         for m in mats:
             n = m.cols
-            combine, makers, _ = exact_mod._combiner(model, n)
+            combine, makers, _, _ = exact_mod._combiner(model, n)
             for untried, st, miss, kept in _spare_one_states(monkeypatch, m, model):
                 cands = 0
                 for u in range(1 << n):
@@ -615,10 +615,31 @@ def test_spare_two_bound_closes_only_failing_states(monkeypatch):
         monkeypatch.setattr(exact_mod, "_spare_two", lambda *args: True)
         for st, cands, miss in dead:
             budget = miss.bit_count() + 2
-            goal = exact_mod._sweep(st, cands, budget, *ops, tmask, allowed, 10**6)[0]
+            goal = exact_mod._sweep(st, cands, budget, *ops[:3], tmask, allowed, 10**6)[0]
             assert goal is None, (m.to_text(), model, st)
         monkeypatch.undo()
     assert all(closed.values()), closed
+
+
+def test_each_submask_mask_is_made_once_per_search(monkeypatch):
+    # the allowed values and the combiner share one cache: in CF and OR
+    # each target's mask is made exactly once per search, in XOR none is,
+    # and no value's mask is made twice
+    made = []
+    real = exact_mod._submasks
+    monkeypatch.setattr(exact_mod, "_submasks", lambda t, n: made.append(t) or real(t, n))
+    cases = [lc.gen_random(6, 6, derive_seed(0x6C696E63, i)) for i in range(32)]
+    cases += [lc.example_a(), lc.example_b(), lc.gen_sierpinski(4)]
+    for m in cases:
+        for model in lc.MODELS:
+            targets = _targets_and_allowed(m, model)[0]
+            made.clear()
+            lc.optimal_size(m, model)
+            assert len(made) == len(set(made)), (m.to_text(), model)
+            if model == "XOR":
+                assert made == []
+            else:
+                assert set(targets) <= set(made), (m.to_text(), model)
 
 
 def _targets_and_allowed(a: BitMatrix, model: str) -> tuple[list[int], int, int]:
@@ -876,6 +897,14 @@ def test_census_n3_goldens():
     assert rep.max_sizes == {"XOR": 3, "CF": 3, "OR": 3}
     assert rep.histograms["XOR"] == {0: 64, 1: 183, 2: 241, 3: 24}
     assert sum(rep.histograms["CF"].values()) == 512
+
+
+def test_census_reads_one_gate_limit(monkeypatch):
+    assert exact_mod._CENSUS_LIMIT == 9
+    # the limit the searches run at is the one the refusal names
+    monkeypatch.setattr(exact_mod, "_CENSUS_LIMIT", 0)
+    with pytest.raises(RuntimeError, match="no XOR circuit within 0 gates"):
+        lc.census(2)
 
 
 def test_census_rejects_large_n():

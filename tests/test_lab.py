@@ -199,6 +199,49 @@ def test_ratio_sweep_checks_every_size_before_any_trial(monkeypatch):
     monkeypatch.setattr(lab_mod, "_map_trials", lambda *a, **k: pytest.fail("ran trials"))
     with pytest.raises(ValueError, match="n must be"):
         lc.ratio_sweep([8, 1], CFG16)
+    with pytest.raises(ValueError, match="cap is 16777216 cells"):
+        lc.ratio_sweep([64, 4097], CFG16)
+
+
+def test_config_refuses_matrices_over_the_cell_cap():
+    # A is n x n and B is n x inner_dim; neither is formed here
+    assert ExperimentConfig(n=4096, master_seed=1).inner_dim == 168  # at the cap
+    for fields in ({"n": 4097}, {"n": 64, "c": 10**6}):
+        with pytest.raises(ValueError, match="cap is 16777216 cells"):
+            ExperimentConfig(master_seed=1, **fields)
+
+
+def test_trial_pool_is_capped_at_the_trials_and_cpus(monkeypatch):
+    made = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor, running ``map`` in process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(lab_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lab_mod.os, "cpu_count", lambda: 4)
+    for threads, trials, workers in ((1000, 8, 4), (1000, 3, 3), (2, 8, 2), (1, 8, None)):
+        made.clear()
+        out = lab_mod._map_trials(lambda cfg, t: t, replace(CFG16, trials=trials), threads)
+        assert out == list(range(trials))
+        assert made == ([] if workers is None else [workers])
+    monkeypatch.setattr(lab_mod.os, "cpu_count", lambda: None)  # unknown: serial
+    made.clear()
+    assert lc.run_experiment(CFG16, threads=1000) == lc.run_experiment(CFG16)
+    assert made == []
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            lc.run_experiment(CFG16, threads=threads)
 
 
 def _sequential_indices(rng: SplitMix64, population: int, k: int) -> list[int]:
