@@ -289,7 +289,6 @@ def cmd_exact(args) -> int:
         "model": model,
         "optimal": out.optimal_size,
         "nodes": out.nodes_expanded,
-        "states": out.peak_states,
         "tight_children": out.tight_children,
         "spare_two_dead": out.spare_two_dead,
         "limit": out.limit,
@@ -297,7 +296,7 @@ def cmd_exact(args) -> int:
     }
     if out.witness is not None and args.emit_witness:
         Path(args.emit_witness).write_text(slp_dumps(out.witness))
-    effort = f"{out.nodes_expanded} nodes, {out.peak_states} states"
+    effort = f"{out.nodes_expanded} nodes"
     human = (
         f"optimal {model} size {out.optimal_size} ({effort})"
         if not out.exceeded

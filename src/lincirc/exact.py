@@ -24,9 +24,9 @@ budget with only sound pruning:
   S does: X with ready targets added until none is (:func:`_close`).  The
   closure does not depend on the order of adding, and it is monotone, so
   every Y between X and S has the closure S, and the closure of Y | v is
-  that of S | v.  The sweep therefore holds only closed states, one
-  visited set of them per iteration; a child of S is the closure of S | v
-  for a *non-target* candidate v, the only real choice a closed state has;
+  that of S | v.  The sweep therefore holds only closed states; a child
+  of S is the closure of S | v for a *non-target* candidate v, the only
+  real choice a closed state has;
 * a closed state whose missing targets number its remaining budget
   (*tight*) fails: its next gate must add a missing target, and none is
   ready.  A child has the parent's missing targets less those its closure
@@ -101,12 +101,20 @@ budget with only sound pruning:
   equal masks made from scratch per state, so the tests' answers, and so
   the nodes, closed states and witness, are those of tests that remake
   them;
-* a visited state has failed: a success ends the sweep, and a state's
-  descendants are strictly larger, so none of them is on the path above
-  it.  A child's outcome depends only on its closed state, so a child
-  whose closed state was visited is skipped.  A visited state is closed,
-  so when S | v itself is visited it is its own closure, and the child is
-  skipped before any of its candidates are made;
+* a child excludes the siblings tried before it.  When S enters its
+  child cl(S | v), each sibling w it tried before v has failed.  w is one
+  gate over S, so any path from cl(S | v) that adds w can add w first; it
+  then reaches a set that the failed subtree of cl(S | w) also reaches.
+  So no goal path from the child or its descendants adds w: a frame's
+  *excluded* values, its parent's and those siblings, are not tried as
+  children, and the spare tests above read ``free & ~excluded`` as the
+  spare values.  A closed state is fixed by its non-target values, and
+  two paths to one would part where one takes v and the other a later
+  sibling, which excludes v; so every closed state is reached at most
+  once, and the sweep keeps no visited set.  Only failing states are
+  dropped, so the first goal in the fixed order, and with it the witness,
+  is unchanged (the excluded set of Bron and Kerbosch, CACM 16, 1973; a
+  partial-order reduction in Godefroid's sense, LNCS 1032, 1996);
 * no goal lies below depth L in iteration L: its path would have been a
   path of iteration d < L, at its own depth d, and every smaller
   iteration found none (the first iteration is the number of targets).
@@ -147,11 +155,11 @@ every later one, so each v is tried once per S: a frame tries its
 non-target candidates in segments, one per walk step, each ascending.
 
 A state is one int, a bitmask over the 2^n value universe (bit v set when
-value v is present), and the visited set holds nothing else.  The frames
-of the search stack, one per closed state on the current path, carry the
-state's walk (each walk state with its candidates and the target added
-there) and a generator of its children, which holds its candidate mask
-(the values derivable from it) and its missing targets.  A child's new
+value v is present).  The frames of the search stack, one per closed
+state on the current path, carry the state's walk (each walk state with
+its candidates and the target added there) and a generator of its
+children, which holds its candidate mask (the values derivable from it),
+its missing targets and its excluded values.  A child's new
 candidates come from its walk state's mask alone, the root's from the
 units: the values ``s ^ v``, ``s | v`` over disjoint ``s``, or ``s | v``,
 for every present ``s``, are a few shifts and masks of that mask (see
@@ -167,7 +175,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .matrices import BitMatrix, BudgetExceededError
+from .matrices import BitMatrix
 from .circuits import XOR, OR, Circuit, is_cancellation_free, verify
 from . import synthesis as _synth
 
@@ -179,13 +187,6 @@ MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
 _CENSUS_LIMIT = 9  # above the n(n - 1) = 6 gates of a row-by-row 3 x 3 circuit
-# The default cap on held states up to 8 columns.  At n = 8 a held state
-# (a set slot and its mask) costs 127-145 B of peak RSS: S_8 with limit 12
-# held at most 27.8 k states (XOR) and 24.4 k (CF, OR) at 38.0 MiB max RSS
-# from a 34.6 MiB start, so 5 M stop a search near 0.7 GB.  A mask has 2^n
-# bits, so the cap halves per column above 8: 19 531 states at n = 16,
-# where a mask is up to 8.8 KiB (7-8 KiB of max RSS per state), 0.17 GB.
-_DEFAULT_MAX_STATES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,6 @@ class SearchOutcome:
     witness: Optional[Circuit]
     nodes_expanded: int  # closed states whose non-target candidates were enumerated
     limit: int
-    # largest visited set of closed states of any one sweep, root included;
-    # max_states bounds it exactly
-    peak_states: int = 0
     # tight children resolved by closure, summed over budgets
     tight_children: int = 0
     # spare-two states the two-spare bound gave no children, summed over
@@ -397,12 +395,6 @@ def _close(
     return st, cands, miss_mask
 
 
-def _exceeded(max_states: int) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"search exceeded {max_states} states; raise max_states or lower the limit"
-    )
-
-
 def _path(stack: list[list], tail: list[tuple[int, int, int]]) -> list[int]:
     """The values a goal path adds: each frame's walk up to the step where
     its current child was tried, that child, then the ``tail`` walk."""
@@ -571,30 +563,31 @@ def _sweep(
     partners: Callable[[int, int], int],
     tmask: int,
     allowed: int,
-    max_states: int,
     roots: Optional[dict] = None,
-) -> tuple[Optional[list[int]], int, int, int, int]:
+) -> tuple[Optional[list[int]], int, int, int]:
     """Depth-first exhaust at one budget over the closed states reachable
     from the state ``state0`` with candidates ``cands0``.
 
     Returns the values the least goal path adds, in order, or None; the
     nodes expanded (closed states whose non-target candidates were
-    enumerated); the size of the visited set of closed states, root
-    included, which ``max_states`` bounds; the tight children resolved by
-    closure; and the spare-two states that :func:`_spare_two` gave no
-    children.
+    enumerated); the tight children resolved by closure; and the spare-two
+    states that :func:`_spare_two` gave no children.
 
     A frame is ``[walk, children, step, child]``: the closure walk from the
     state the frame was entered at, a generator of the children it goes
     into, and the walk step and value of the child being explored.  The
     generator yields ``(step, v, walk, state, candidates, missing,
-    carried)`` per child in walk order: for each walk step, the untried
-    non-target candidates below the target added there, then the rest of
-    the closed state's, each segment ascending.  It resolves tight children
-    by closure, gives a failing spare-two state none, and skips and records
-    visited states, so the loop only pushes, pops and stops at a goal.  The
-    stack replaces recursion, which a large ``limit`` could take past the
-    interpreter's depth limit.
+    excluded, carried)`` per child in walk order: for each walk step, the
+    untried non-target candidates below the target added there, then the
+    rest of the closed state's, each segment ascending.  It resolves tight
+    children by closure and gives a failing spare-two state none, so the
+    loop only pushes, pops and stops at a goal.  The stack holds one frame
+    per depth and replaces recursion, which a large ``limit`` could take
+    past the interpreter's depth limit.
+
+    ``excluded`` is the parent's excluded values and every value the parent
+    has tried so far, v included (present in the child, so no restriction):
+    no goal path from the child adds one (see the module docstring).
 
     ``carried`` is None, or ``(hard, masks, v, added)`` for a child with at
     most two gates to spare: its hard targets and need masks, and the maker
@@ -604,8 +597,6 @@ def _sweep(
     own, and ``roots`` keeps the root's for the other budgets of a search
     (see the module docstring).
     """
-    if max_states < 1:
-        raise _exceeded(max_states)
     if roots is None:
         roots = {}
     top = state0.bit_count() + budget  # the size of a state with no gate left
@@ -613,10 +604,9 @@ def _sweep(
     walk: list[tuple[int, int, int]] = []
     st, cands, miss = _close(state0, cands0, tmask & ~state0, combine, walk)
     if not miss:
-        return _path([], walk), 0, 1, 0, 0
+        return _path([], walk), 0, 0, 0
     if miss.bit_count() == top - st.bit_count():
-        return None, 0, 1, 0, 0
-    visited = {st}
+        return None, 0, 0, 0
     tight = dead = 0
     root = st
 
@@ -630,22 +620,23 @@ def _sweep(
         _, masks, v, added = carried
         return _child_masks(masks, v, added, miss, partners) if v else masks
 
-    def children(walk: list, st: int, cands: int, miss: int, carried: Optional[tuple]):
+    def children(walk: list, st: int, cands: int, miss: int, excl: int, carried: Optional[tuple]):
         nonlocal tight, dead
         gap = top - st.bit_count() - miss.bit_count()  # the gates to spare
+        live = free & ~excl  # the values a goal path from here may add
         masks = None
         if gap <= 2:
             if carried is None:
                 carried = own(st, miss)
             hard = carried[0]
-            if gap == 2 and not _spare_two(st, cands, miss, free, hard, combine, makers, partners):
+            if gap == 2 and not _spare_two(st, cands, miss, live, hard, combine, makers, partners):
                 dead += 1
                 return
         spare = gap == 1
         if spare:
-            untried = _spare_one(free, st, masks_of(carried, miss), hard)
+            untried = _spare_one(live, st, masks_of(carried, miss), hard)
         else:
-            untried = free & ~st
+            untried = live & ~st
         # the closed state ends the walk, with no target above its values
         for step, (y, c, t) in enumerate(walk + [(st, cands, 0)]):
             seg = untried & c & (t - 1)
@@ -653,23 +644,15 @@ def _sweep(
             while seg:
                 low = seg & -seg
                 seg ^= low
+                excl |= low
                 v = low.bit_length() - 1
                 if spare:
                     # the child is tight: it succeeds iff its closure is a goal
                     tight += 1
                     if _close(st | low, cands | combine(st, v), miss, combine)[2]:
                         continue
-                elif st | low in visited:
-                    # a visited state is closed, so st | low is this child
-                    continue
                 walk2: list[tuple[int, int, int]] = []
                 st2, c2, m2 = _close(y | low, c | combine(y, v), tmask & ~y, combine, walk2)
-                if not spare:
-                    if st2 in visited:
-                        continue
-                    visited.add(st2)
-                    if len(visited) > max_states:
-                        raise _exceeded(max_states)
                 carried2 = None
                 if gap <= 3 and m2:
                     if masks is None:
@@ -684,9 +667,9 @@ def _sweep(
                         v,
                         miss ^ m2,
                     )
-                yield step, v, walk2, st2, c2, m2, carried2
+                yield step, v, walk2, st2, c2, m2, excl, carried2
 
-    stack = [[walk, children(walk, st, cands, miss, roots.get(st)), 0, None]]
+    stack = [[walk, children(walk, st, cands, miss, 0, roots.get(st)), 0, None]]
     nodes = 1
     while stack:
         frame = stack[-1]
@@ -694,30 +677,24 @@ def _sweep(
         if child is None:
             stack.pop()
             continue
-        frame[2], frame[3], walk, st, cands, miss, carried = child
+        frame[2], frame[3], walk, st, cands, miss, excl, carried = child
         if not miss:
-            return _path(stack, walk), nodes, len(visited), tight, dead
-        stack.append([walk, children(walk, st, cands, miss, carried), 0, None])
+            return _path(stack, walk), nodes, tight, dead
+        stack.append([walk, children(walk, st, cands, miss, excl, carried), 0, None])
         nodes += 1
-    return None, nodes, len(visited), tight, dead
+    return None, nodes, tight, dead
 
 
-def optimal_size(
-    a: BitMatrix,
-    model: str,
-    limit: int = DEFAULT_LIMIT,
-    max_states: Optional[int] = None,
-) -> SearchOutcome:
+def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> SearchOutcome:
     """Smallest circuit size for ``a`` in the given model, established by
     exhausting all smaller sizes (up to ``limit`` gates).
 
-    The outcome carries a verified witness, the nodes expanded by the
-    deterministic sequential sweeps and the largest visited set of any one
-    sweep, root included; ``max_states`` bounds that set exactly (by
-    default 5 M up to 8 columns, halved per column above).  ``a`` may
-    have at most 16 columns (a state is a bitmask over the 2^n possible
-    signal values); wider input, a negative ``limit`` or a negative
-    ``max_states`` raises ``ValueError`` before any work is done.
+    The outcome carries a verified witness and the nodes expanded by the
+    deterministic sequential sweeps.  A sweep holds one frame per depth, so
+    ``limit`` bounds its time, not its memory.  ``a`` may have at most 16
+    columns (a state is a bitmask over the 2^n possible signal values);
+    wider input or a negative ``limit`` raises ``ValueError`` before any
+    work is done.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -729,10 +706,6 @@ def optimal_size(
         )
     if limit < 0:
         raise ValueError(f"limit must be at least 0; got {limit}")
-    if max_states is not None and max_states < 0:
-        raise ValueError(f"max_states must be at least 0; got {max_states}")
-    if max_states is None:
-        max_states = _DEFAULT_MAX_STATES >> max(0, n - 8)
     rows = [a.row(i) for i in range(a.rows)]
     units = tuple(1 << i for i in range(n))
     unit_set = set(units)
@@ -758,23 +731,22 @@ def optimal_size(
         cands0 |= combine(state0, u)
     cands0 &= allowed
 
-    nodes = peak = tight = dead = 0
+    nodes = tight = dead = 0
     roots: dict = {}  # the root's masks, made once for every budget
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        added, swept, held, closed, failed = _sweep(
-            state0, cands0, budget, combine, makers, partners, tmask, allowed, max_states, roots
+        added, swept, closed, failed = _sweep(
+            state0, cands0, budget, combine, makers, partners, tmask, allowed, roots
         )
         nodes += swept
-        peak = max(peak, held)
         tight += closed
         dead += failed
         if added is not None:
             witness = _checked(_derive_witness(n, model, units + tuple(added), rows), a, model)
-            return SearchOutcome(model, len(added), False, witness, nodes, limit, peak, tight, dead)
+            return SearchOutcome(model, len(added), False, witness, nodes, limit, tight, dead)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)
-        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, peak, tight, dead)
-    return SearchOutcome(model, None, True, None, nodes, limit, peak, tight, dead)
+        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, tight, dead)
+    return SearchOutcome(model, None, True, None, nodes, limit, tight, dead)
 
 
 # ---------------------------------------------------------------------------

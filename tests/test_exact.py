@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,21 +156,21 @@ def test_search_outputs_match_pinned_digest():
 
 def test_search_outputs_match_pinned_catalogue_digest():
     # the 32 gen_random 6x6 matrices the exact-small benchmark solves, in
-    # all three models: optima, node counts, peak states and witness text
-    # as the depth-first sweep over closed states with the two-spare bound
-    # gives them
+    # all three models: optima, node counts and witness text as the
+    # depth-first sweep over closed states with the two-spare bound and
+    # excluded siblings gives them
     outs = [
         lc.optimal_size(lc.gen_random(6, 6, derive_seed(0x6C696E63, i)), model)
         for i in range(32)
         for model in lc.MODELS
     ]
-    got = [(o.optimal_size, o.nodes_expanded, o.peak_states, lc.slp_dumps(o.witness)) for o in outs]
+    got = [(o.optimal_size, o.nodes_expanded, lc.slp_dumps(o.witness)) for o in outs]
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
-    assert digest == "c27a5204a36a71c15fcf1812c46800b0e28e69dcebf8fc6a27d1e442f17628d9"
-    assert sum(o.nodes_expanded for o in outs) == 975
+    assert digest == "b077b067eecf43098e40413f322b36f36f41daab2f11b77bdc2e94636ec34298"
+    assert sum(o.nodes_expanded for o in outs) == 947
     # the spare-one states' hard-target filter leaves these tight children
-    # of the 35 165 that reach alone would close
-    assert sum(o.tight_children for o in outs) == 316
+    # of the 2 703 that reach alone would close
+    assert sum(o.tight_children for o in outs) == 246
     assert sum(o.spare_two_dead for o in outs) == 332
 
 
@@ -185,29 +186,6 @@ def test_search_witnesses_match_pinned_digest():
     assert digest == "d5c15bb59a0f8cb40e9e2da90caa8ebc92d5d4b44dc26e3a43575b1da8e6eafa"
 
 
-def test_state_limit_is_the_peak_held():
-    # peak_states is exactly the most states a sweep holds: that many
-    # solve, one fewer is refused
-    m = lc.example_b()
-    for model in lc.MODELS:
-        out = lc.optimal_size(m, model)
-        again = lc.optimal_size(m, model, max_states=out.peak_states)
-        assert again.optimal_size == out.optimal_size
-        with pytest.raises(lc.BudgetExceededError, match="exceeded"):
-            lc.optimal_size(m, model, max_states=out.peak_states - 1)
-
-
-def test_default_state_cap_halves_per_column_above_eight(monkeypatch):
-    # a state mask has 2^n bits, so the default cap on held states scales
-    # down with width; an explicit max_states is taken as given
-    monkeypatch.setattr(exact_mod, "_DEFAULT_MAX_STATES", 255)
-    rows = [lc.example_a().row(i) for i in range(4)]
-    assert lc.optimal_size(BitMatrix(4, 4, rows), "XOR").optimal_size == 4
-    with pytest.raises(lc.BudgetExceededError, match="exceeded 0 states"):
-        lc.optimal_size(BitMatrix(4, 16, rows), "XOR")
-    assert lc.optimal_size(BitMatrix(4, 16, rows), "XOR", max_states=255).optimal_size == 4
-
-
 def test_sixteen_column_input_still_solves():
     # the padded 4-row pattern still has XOR optimum 4 via cancellation,
     # below the heuristic upper bound, so the sweep itself must run
@@ -215,7 +193,6 @@ def test_sixteen_column_input_still_solves():
     m = BitMatrix(4, 16, rows)
     out = lc.optimal_size(m, "XOR")
     assert out.optimal_size == 4
-    assert out.peak_states > 0
     assert lc.verify(out.witness, m)
     assert lc.optimal_size(m, "CF").optimal_size == 5
 
@@ -244,21 +221,6 @@ def test_negative_limit_is_refused_before_any_work(monkeypatch):
             lc.optimal_size(m, "XOR", limit=limit)
 
 
-def test_negative_state_limit_is_refused_before_any_work(monkeypatch):
-    # a negative max_states is no budget; 0 still is one (see
-    # test_state_limit_is_the_peak_held, whose peak less one can be 0)
-    def no_work(a):
-        raise AssertionError("upper bound computed for a refused input")
-
-    with pytest.raises(lc.BudgetExceededError, match="exceeded 0 states"):
-        lc.optimal_size(lc.example_a(), "CF", max_states=0)
-    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", no_work)
-    for m in (lc.example_a(), BitMatrix(2, 2, [1, 2])):
-        for model in lc.MODELS:
-            with pytest.raises(ValueError, match="max_states must be at least 0"):
-                lc.optimal_size(m, model, max_states=-5)
-
-
 def test_sierpinski_s8_optimal_in_cf_and_or_models():
     # the witness is the XOR one, as the search gave it before it swept
     # closed states only (see test_acceptance.S8_WITNESS_SHA256)
@@ -267,7 +229,6 @@ def test_sierpinski_s8_optimal_in_cf_and_or_models():
         out = lc.optimal_size(s8, model, limit=12)
         assert out.optimal_size == lc.sierpinski_lb(8) == 12
         assert lc.verify(out.witness, s8)
-        assert out.peak_states <= 40_000
         witness = repr((out.witness.gates, out.witness.outputs)).encode()
         assert hashlib.sha256(witness).hexdigest() == (
             "998b7d91524635bfcb5fd11bf09e3ef12ce54e89fc0a42b98dc012c01285ad3c"
@@ -283,6 +244,21 @@ def test_setintersection_8_optima():
         assert (out.optimal_size, out.exceeded) == (expect, False), model
         assert lc.verify(out.witness, m)
         assert len(out.witness.gates) == expect
+
+
+def test_sweep_memory_is_its_stack_not_its_states():
+    # the sweep holds one frame per depth, not the states it has seen:
+    # setint:8 in XOR expands 3 550 closed states over budgets 8-11 and
+    # peaks at about 14 KiB traced; a set of those states takes ~270 KiB
+    m = lc.gen_setintersection(8)
+    tracemalloc.start()
+    try:
+        out = lc.optimal_size(m, "XOR")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.optimal_size == 11 and out.nodes_expanded > 3000
+    assert peak < 64 * 1024, peak
 
 
 def test_validated_against_unpruned_search():
@@ -615,7 +591,7 @@ def test_spare_two_bound_closes_only_failing_states(monkeypatch):
         monkeypatch.setattr(exact_mod, "_spare_two", lambda *args: True)
         for st, cands, miss in dead:
             budget = miss.bit_count() + 2
-            goal = exact_mod._sweep(st, cands, budget, *ops[:3], tmask, allowed, 10**6)[0]
+            goal = exact_mod._sweep(st, cands, budget, *ops[:3], tmask, allowed)[0]
             assert goal is None, (m.to_text(), model, st)
         monkeypatch.undo()
     assert all(closed.values()), closed
@@ -711,16 +687,16 @@ def _tuple_search(a: BitMatrix, model: str):
     return ub_cost, nodes, peak, ub_circuit
 
 
-def _assert_matches_tuple_search(m: BitMatrix) -> list[tuple[int, int]]:
+def _assert_matches_tuple_search(m: BitMatrix) -> list[int]:
     """Checks every model against the tuple sweep; returns each model's
-    (nodes expanded, peak states)."""
+    nodes expanded."""
     effort = []
     for model in lc.MODELS:
         out = lc.optimal_size(m, model)
         opt, nodes, _, witness = _tuple_search(m, model)
         assert (out.optimal_size, out.witness) == (opt, witness), (m.to_text(), model)
         assert out.nodes_expanded <= nodes, (m.to_text(), model)
-        effort.append((out.nodes_expanded, out.peak_states))
+        effort.append(out.nodes_expanded)
     return effort
 
 
@@ -738,19 +714,19 @@ def test_search_matches_signal_tuple_sweep():
 
 def test_search_matches_signal_tuple_sweep_at_6x6():
     # 6x6 is the size exact-small solves, where spare-one states and their
-    # tight children are common; the effort is pinned as the sweep over
-    # closed states with the two-spare bound counts it (XOR, CF, OR per
-    # matrix)
+    # tight children are common; the nodes are pinned as the sweep over
+    # closed states with the two-spare bound and excluded siblings counts
+    # them (XOR, CF, OR per matrix)
     effort = [_assert_matches_tuple_search(lc.gen_random(6, 6, seed)) for seed in range(8)]
     assert effort == [
-        [(15, 14), (2, 1), (2, 1)],
-        [(209, 187), (33, 16), (33, 16)],
-        [(20, 19), (2, 1), (2, 1)],
-        [(5, 4), (5, 4), (5, 4)],
-        [(5, 4), (5, 4), (5, 4)],
-        [(0, 1), (0, 1), (0, 1)],
-        [(1, 1), (1, 1), (1, 1)],
-        [(1, 1), (2, 1), (2, 1)],
+        [15, 2, 2],
+        [209, 32, 32],
+        [20, 2, 2],
+        [5, 5, 5],
+        [5, 5, 5],
+        [0, 0, 0],
+        [1, 1, 1],
+        [1, 2, 2],
     ]
 
 
@@ -782,8 +758,8 @@ def test_row_order_leaves_search_unchanged():
             moved = BitMatrix(a.rows, a.cols, list(rows))
             for model in lc.MODELS:
                 out, again = lc.optimal_size(a, model), lc.optimal_size(moved, model)
-                assert (again.nodes_expanded, again.peak_states, again.witness.gates) == (
-                    out.nodes_expanded, out.peak_states, out.witness.gates
+                assert (again.nodes_expanded, again.witness.gates) == (
+                    out.nodes_expanded, out.witness.gates
                 )
                 assert lc.verify(again.witness, moved)
 
