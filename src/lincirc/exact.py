@@ -94,13 +94,15 @@ budget with only sound pruning:
   = S' | M' less t = X_t | v, since A and M' make up M less t: each
   gains ``partners(v, t)`` only.  X'_t holds X_t, so a target hard in S'
   was hard in S, and a child looks for its hard targets among its
-  parent's.  The first state of a path with at most three gates to spare
-  makes its masks from scratch and carries them down, the root's once per
-  search (a root closes to the same state at every budget); states with
-  more to spare, which no spare test reads, make none.  The carried masks
-  equal masks made from scratch per state, so the tests' answers, and so
-  the nodes, closed states and witness, are those of tests that remake
-  them;
+  parent's.  A state with at most three gates to spare makes its maker
+  masks once.  The first such state of a path, the root or a child of a
+  state with more to spare, makes them from scratch.  Any other is handed
+  its hard targets, its parent's masks and the values those lack, v and
+  A, and adds them only once it has passed the spare-two test, so such a
+  state that the test closes makes none.  States with more to spare,
+  which no spare test reads, make none.  The carried masks equal masks
+  made from scratch per state, so the tests' answers, and so the nodes,
+  closed states and witness, are those of tests that remake them;
 * a child excludes the siblings tried before it.  When S enters its
   child cl(S | v), each sibling w it tried before v has failed.  w is one
   gate over S, so any path from cl(S | v) that adds w can add w first; it
@@ -433,17 +435,15 @@ def _maker_masks(
     return hard, masks
 
 
-def _child_masks(
-    masks: dict, v: int, added: int, miss: int, partners: Callable[[int, int], int]
-) -> dict:
-    """The maker masks of the closure of S | v, which adds the targets
-    ``added`` and leaves ``miss`` missing, from S's ``masks``: makers
-    distribute over the values present (see the module docstring)."""
+def _child_masks(masks: dict, add: int, miss: int, partners: Callable[[int, int], int]) -> dict:
+    """The maker masks of the closure of S | v, which adds v and the targets
+    its closure adds, the values ``add``, and leaves ``miss`` missing, from
+    S's ``masks``: makers distribute over the values present (see the
+    module docstring)."""
     out = {}
     for t, made in masks.items():
         if (miss >> t) & 1:
-            made |= partners(v, t)
-            rest = added
+            rest = add
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -563,7 +563,6 @@ def _sweep(
     partners: Callable[[int, int], int],
     tmask: int,
     allowed: int,
-    roots: Optional[dict] = None,
 ) -> tuple[Optional[list[int]], int, int, int]:
     """Depth-first exhaust at one budget over the closed states reachable
     from the state ``state0`` with candidates ``cands0``.
@@ -589,16 +588,14 @@ def _sweep(
     has tried so far, v included (present in the child, so no restriction):
     no goal path from the child adds one (see the module docstring).
 
-    ``carried`` is None, or ``(hard, masks, v, added)`` for a child with at
-    most two gates to spare: its hard targets and need masks, and the maker
-    masks of its parent with the value v and the targets ``added`` that
-    make the child from it (v is 0 when ``masks`` are the state's own).  A
-    state with at most three gates to spare that was given none makes its
-    own, and ``roots`` keeps the root's for the other budgets of a search
-    (see the module docstring).
+    ``carried`` is None, or ``(hard, masks, add)`` for a child with at most
+    two gates to spare: its hard targets with their need masks, its
+    parent's maker masks, and the values whose partners those lack, v and
+    the targets its closure adds.  A state with at most three gates to
+    spare that was given none makes the record from scratch, with nothing
+    to add.  It applies ``add`` once, after the spare-two test (see the
+    module docstring).
     """
-    if roots is None:
-        roots = {}
     top = state0.bit_count() + budget  # the size of a state with no gate left
     free = allowed & ~tmask
     walk: list[tuple[int, int, int]] = []
@@ -608,33 +605,21 @@ def _sweep(
     if miss.bit_count() == top - st.bit_count():
         return None, 0, 0, 0
     tight = dead = 0
-    root = st
-
-    def own(st: int, miss: int) -> tuple:
-        carried = (*_maker_masks(st, miss, makers, partners), 0, 0)
-        if st == root:
-            roots[st] = carried
-        return carried
-
-    def masks_of(carried: tuple, miss: int) -> dict:
-        _, masks, v, added = carried
-        return _child_masks(masks, v, added, miss, partners) if v else masks
 
     def children(walk: list, st: int, cands: int, miss: int, excl: int, carried: Optional[tuple]):
         nonlocal tight, dead
         gap = top - st.bit_count() - miss.bit_count()  # the gates to spare
         live = free & ~excl  # the values a goal path from here may add
-        masks = None
-        if gap <= 2:
-            if carried is None:
-                carried = own(st, miss)
-            hard = carried[0]
+        if gap <= 3:
+            hard, masks, add = carried or (*_maker_masks(st, miss, makers, partners), 0)
             if gap == 2 and not _spare_two(st, cands, miss, live, hard, combine, makers, partners):
                 dead += 1
                 return
+            if add:
+                masks = _child_masks(masks, add, miss, partners)
         spare = gap == 1
         if spare:
-            untried = _spare_one(live, st, masks_of(carried, miss), hard)
+            untried = _spare_one(live, st, masks, hard)
         else:
             untried = live & ~st
         # the closed state ends the walk, with no target above its values
@@ -655,21 +640,11 @@ def _sweep(
                 st2, c2, m2 = _close(y | low, c | combine(y, v), tmask & ~y, combine, walk2)
                 carried2 = None
                 if gap <= 3 and m2:
-                    if masks is None:
-                        # made when the first child needs them
-                        if carried is None:
-                            carried = own(st, miss)
-                        hard = carried[0]
-                        masks = masks_of(carried, miss)
-                    carried2 = (
-                        _child_hard(hard, v, m2, st | miss | low, partners),
-                        masks,
-                        v,
-                        miss ^ m2,
-                    )
+                    hard2 = _child_hard(hard, v, m2, st | miss | low, partners)
+                    carried2 = (hard2, masks, low | miss ^ m2)
                 yield step, v, walk2, st2, c2, m2, excl, carried2
 
-    stack = [[walk, children(walk, st, cands, miss, 0, roots.get(st)), 0, None]]
+    stack = [[walk, children(walk, st, cands, miss, 0, None), 0, None]]
     nodes = 1
     while stack:
         frame = stack[-1]
@@ -732,10 +707,9 @@ def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> Search
     cands0 &= allowed
 
     nodes = tight = dead = 0
-    roots: dict = {}  # the root's masks, made once for every budget
     for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
         added, swept, closed, failed = _sweep(
-            state0, cands0, budget, combine, makers, partners, tmask, allowed, roots
+            state0, cands0, budget, combine, makers, partners, tmask, allowed
         )
         nodes += swept
         tight += closed

@@ -164,6 +164,8 @@ class BitMatrix:
         if type(m) is not int or type(n) is not int:  # a bool is an int too
             raise ValueError(f"shape {m!r} x {n!r} is not two JSON integers")
         rows = obj["data"]
+        if type(rows) is not list or any(type(r) is not str for r in rows):
+            raise ValueError("data is not a list of row strings")
         if len(rows) != m:
             raise ValueError("row count mismatch in JSON matrix")
         return cls(m, n, [_decode_row(ln, n) for ln in rows])

@@ -227,10 +227,18 @@ def test_exact_witness_and_limit(tmp_path, capsys):
     assert code == 3 and report["exceeded"] and report["optimal"] is None
 
 
+def test_schema_is_valid_and_refuses_undeclared_fields(capsys):
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    _, report, _ = run_json(capsys, "exact", "--in", "exampleA", "--model", "xor")
+    for extra in ("states", "rows"):  # an old exact field, and a matrix one
+        with pytest.raises(jsonschema.ValidationError, match="Unevaluated properties"):
+            jsonschema.validate({**report, extra: 1}, SCHEMA)
+
+
 def test_exact_report_fields_are_the_schema_properties(capsys):
-    # the schema admits undeclared fields and leaves some declared ones
+    # the schema refuses undeclared fields but leaves some declared ones
     # optional, so only comparing the key sets catches a field that the
-    # report adds or drops
+    # report drops
     exact = next(
         branch["then"] for branch in SCHEMA["allOf"]
         if branch["if"]["properties"]["type"] == {"const": "exact"}
@@ -422,6 +430,15 @@ def test_matrix_json_file_input(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     code, report, _ = run_json(capsys, "exact", "--in", str(path), "--model", "xor")
     assert code == 0 and report["optimal"] == 4
+
+
+@pytest.mark.parametrize("data", [[1], None, [["1"]], "1", {"1": 1}])
+def test_malformed_matrix_json_exits_invalid(tmp_path, capsys, data):
+    # a row that is not a string is invalid input (exit 2), not a crash
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "data": data}))
+    code, out, err = run(capsys, "exact", "--in", str(path), "--model", "xor")
+    assert code == 2 and "cannot parse matrix file" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

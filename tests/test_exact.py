@@ -618,6 +618,27 @@ def test_each_submask_mask_is_made_once_per_search(monkeypatch):
                 assert set(targets) <= set(made), (m.to_text(), model)
 
 
+def test_each_state_makes_its_maker_masks_at_most_once(monkeypatch):
+    # a state makes its masks once, from scratch or from its parent's
+    # record, and a state that the spare-two test closes makes none; the
+    # one exception is the root at the one budget where it has two gates to
+    # spare: it has no parent record, so it makes its masks to be tested
+    calls = []
+    for name in ("_maker_masks", "_child_masks"):
+        real = getattr(exact_mod, name)
+        monkeypatch.setattr(exact_mod, name, lambda *a, real=real: calls.append(0) or real(*a))
+    cases = [(lc.gen_sierpinski(8), model, 12) for model in lc.MODELS]
+    cases += [
+        (lc.gen_random(6, 6, derive_seed(0x6C696E63, i)), model, exact_mod.DEFAULT_LIMIT)
+        for i in range(32)
+        for model in lc.MODELS
+    ]
+    for m, model, limit in cases:
+        calls.clear()
+        out = lc.optimal_size(m, model, limit=limit)
+        assert len(calls) <= out.nodes_expanded - out.spare_two_dead + 1, (m.to_text(), model)
+
+
 def _targets_and_allowed(a: BitMatrix, model: str) -> tuple[list[int], int, int]:
     """The search's targets, their mask and its allowed values for ``a``."""
     n = a.cols
@@ -635,9 +656,9 @@ def _targets_and_allowed(a: BitMatrix, model: str) -> tuple[list[int], int, int]
 def _tuple_sweep(root, budget, model, tmask, allowed):
     """The breadth-first sweep as it was when each state carried its
     signal tuple and built a child's candidates one signal at a time;
-    returns the goal's signal tuple, nodes and peak as the search did."""
+    returns the goal's signal tuple and the nodes, as the search did."""
     level = {root[0]: root[1:]}
-    nodes = peak = 0
+    nodes = 0
     for depth_used in range(budget):
         rem = budget - depth_used
         nxt = {}
@@ -654,37 +675,35 @@ def _tuple_sweep(root, budget, model, tmask, allowed):
                     continue
                 v = low.bit_length() - 1
                 if miss - ((tmask >> v) & 1) == 0:
-                    return sigs + (v,), nodes, max(peak, len(level) + len(nxt))
+                    return sigs + (v,), nodes
                 extra = _per_signal_combine(model, st, v)
                 nxt[st2] = ((cands | extra) & allowed & ~st2, sigs + (v,))
-        peak = max(peak, len(level) + len(nxt))
         if not nxt:
             break
         level = nxt
-    return None, nodes, peak
+    return None, nodes
 
 
 def _tuple_search(a: BitMatrix, model: str):
-    """(optimum, nodes, peak states, witness) from the signal-tuple sweep."""
+    """(optimum, nodes, witness) from the signal-tuple sweep."""
     n = a.cols
     rows = [a.row(i) for i in range(a.rows)]
     units = tuple(1 << i for i in range(n))
     targets, tmask, allowed = _targets_and_allowed(a, model)
     if not targets:
-        return 0, 0, 0, exact_mod._derive_witness(n, model, units, rows)
+        return 0, 0, exact_mod._derive_witness(n, model, units, rows)
     ub_cost, ub_circuit = exact_mod._heuristic_upper_bound(a)
     if model == "OR":
         ub_circuit = lc.Circuit(n, lc.OR, ub_circuit.gates, ub_circuit.outputs)
     cands0 = sum(1 << (u | w) for u, w in itertools.combinations(units, 2))
     root = (sum(1 << u for u in units), cands0 & allowed, units)
-    nodes = peak = 0
+    nodes = 0
     for budget in range(len(targets), min(exact_mod.DEFAULT_LIMIT, ub_cost - 1) + 1):
-        goal, swept, held = _tuple_sweep(root, budget, model, tmask, allowed)
+        goal, swept = _tuple_sweep(root, budget, model, tmask, allowed)
         nodes += swept
-        peak = max(peak, held)
         if goal is not None:
-            return len(goal) - n, nodes, peak, exact_mod._derive_witness(n, model, goal, rows)
-    return ub_cost, nodes, peak, ub_circuit
+            return len(goal) - n, nodes, exact_mod._derive_witness(n, model, goal, rows)
+    return ub_cost, nodes, ub_circuit
 
 
 def _assert_matches_tuple_search(m: BitMatrix) -> list[int]:
@@ -693,7 +712,7 @@ def _assert_matches_tuple_search(m: BitMatrix) -> list[int]:
     effort = []
     for model in lc.MODELS:
         out = lc.optimal_size(m, model)
-        opt, nodes, _, witness = _tuple_search(m, model)
+        opt, nodes, witness = _tuple_search(m, model)
         assert (out.optimal_size, out.witness) == (opt, witness), (m.to_text(), model)
         assert out.nodes_expanded <= nodes, (m.to_text(), model)
         effort.append(out.nodes_expanded)

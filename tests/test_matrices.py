@@ -536,6 +536,16 @@ def test_kst_bound_caps_one_free_matrices(n):
                      ValueError, r"shape 2.9 x True is not two JSON integers", id="json-shape-not-integer"),
         pytest.param(lambda: BitMatrix.from_json_dict({"rows": 2, "cols": True, "data": ["1", "0"]}),
                      ValueError, r"shape 2 x True is not two JSON integers", id="json-shape-bool"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 1, "cols": 1, "data": [1]}),
+                     ValueError, "data is not a list of row strings", id="json-row-not-string"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 1, "cols": 1, "data": None}),
+                     ValueError, "data is not a list of row strings", id="json-data-null"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 1, "cols": 1, "data": [["1"]]}),
+                     ValueError, "data is not a list of row strings", id="json-row-list"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 2, "cols": 1, "data": "10"}),
+                     ValueError, "data is not a list of row strings", id="json-data-string"),
+        pytest.param(lambda: BitMatrix.from_json_dict({"rows": 1, "cols": 1, "data": {"1": 1}}),
+                     ValueError, "data is not a list of row strings", id="json-data-object"),
         pytest.param(lambda: BitMatrix(1, 1, [1]).entry(0, 1), IndexError, r"\(0, 1\)",
                      id="entry-out-of-range"),
         pytest.param(lambda: lc.kst_bound(0, 2), ValueError, "n must be >= 1", id="kst-bound-n"),
