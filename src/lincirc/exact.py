@@ -94,15 +94,14 @@ budget with only sound pruning:
   = S' | M' less t = X_t | v, since A and M' make up M less t: each
   gains ``partners(v, t)`` only.  X'_t holds X_t, so a target hard in S'
   was hard in S, and a child looks for its hard targets among its
-  parent's.  A state with at most three gates to spare makes its maker
-  masks once.  The first such state of a path, the root or a child of a
-  state with more to spare, makes them from scratch.  Any other is handed
-  its hard targets, its parent's masks and the values those lack, v and
-  A, and adds them only once it has passed the spare-two test, so such a
-  state that the test closes makes none.  States with more to spare,
-  which no spare test reads, make none.  The carried masks equal masks
-  made from scratch per state, so the tests' answers, and so the nodes,
-  closed states and witness, are those of tests that remake them;
+  parent's.  So every record descends from the root's.  The root, which
+  closes to the same state at every budget, makes its maker masks from
+  scratch once per search.  Every other state is handed its hard targets,
+  its parent's masks and the values those lack, v and A, and adds them
+  only once it has passed the spare-two test, so a state that the test
+  closes makes none.  The carried masks equal masks made from scratch per
+  state, so the tests' answers, and so the nodes, closed states and
+  witness, are those of tests that remake them;
 * a child excludes the siblings tried before it.  When S enters its
   child cl(S | v), each sibling w it tried before v has failed.  w is one
   gate over S, so any path from cl(S | v) that adds w can add w first; it
@@ -119,8 +118,11 @@ budget with only sound pruning:
   partial-order reduction in Godefroid's sense, LNCS 1032, 1996);
 * no goal lies below depth L in iteration L: its path would have been a
   path of iteration d < L, at its own depth d, and every smaller
-  iteration found none (the first iteration is the number of targets).
-  So every goal is reached through a tight state;
+  iteration found none.  The first iteration is the number of targets or,
+  if more, the largest target weight less one: in all three models a
+  target of weight w depends on w inputs, which the cone of its gate joins
+  with fan-in-2 gates, at least w - 1 of them.  So every goal is reached
+  through a tight state;
 * in the CF and OR models, candidates are only nonzero submasks of some
   target (under-target pruning).  There a signal is a subset of every
   signal derived from it.  A goal set at the optimal budget that held a
@@ -557,66 +559,61 @@ def _spare_two(
 def _sweep(
     state0: int,
     cands0: int,
-    budget: int,
+    budgets: range,
     combine: Callable[[int, int], int],
     makers: Callable[[int, int], int],
     partners: Callable[[int, int], int],
     tmask: int,
     allowed: int,
 ) -> tuple[Optional[list[int]], int, int, int]:
-    """Depth-first exhaust at one budget over the closed states reachable
-    from the state ``state0`` with candidates ``cands0``.
+    """Depth-first exhaust, budget by budget until one has a goal, of the
+    closed states reachable from ``state0`` with candidates ``cands0``.
 
     Returns the values the least goal path adds, in order, or None; the
     nodes expanded (closed states whose non-target candidates were
-    enumerated); the tight children resolved by closure; and the spare-two
-    states that :func:`_spare_two` gave no children.
+    enumerated), the tight children resolved by closure and the spare-two
+    states that :func:`_spare_two` gave no children, over all budgets.
 
     A frame is ``[walk, children, step, child]``: the closure walk from the
     state the frame was entered at, a generator of the children it goes
     into, and the walk step and value of the child being explored.  The
-    generator yields ``(step, v, walk, state, candidates, missing,
-    excluded, carried)`` per child in walk order: for each walk step, the
-    untried non-target candidates below the target added there, then the
-    rest of the closed state's, each segment ascending.  It resolves tight
-    children by closure and gives a failing spare-two state none, so the
-    loop only pushes, pops and stops at a goal.  The stack holds one frame
-    per depth and replaces recursion, which a large ``limit`` could take
-    past the interpreter's depth limit.
+    generator yields ``(step, v, walk, children)`` per child in walk order
+    (for each walk step, the untried non-target candidates below the target
+    added there, then the rest of the closed state's, each segment
+    ascending), with the child's walk and generator, or 0 for a goal.  It
+    resolves tight children by closure and gives a failing spare-two state
+    none, so the loop only pushes, pops and stops at a goal.  The stack
+    holds one frame per depth and replaces recursion, which a large
+    ``limit`` could take past the interpreter's depth limit.
 
-    ``excluded`` is the parent's excluded values and every value the parent
-    has tried so far, v included (present in the child, so no restriction):
-    no goal path from the child adds one (see the module docstring).
-
-    ``carried`` is None, or ``(hard, masks, add)`` for a child with at most
-    two gates to spare: its hard targets with their need masks, its
-    parent's maker masks, and the values whose partners those lack, v and
-    the targets its closure adds.  A state with at most three gates to
-    spare that was given none makes the record from scratch, with nothing
-    to add.  It applies ``add`` once, after the spare-two test (see the
-    module docstring).
+    A child's generator is handed one gate fewer to spare than its parent's,
+    its excluded values and its record.  ``excluded`` is the parent's
+    excluded values and every value the parent has tried so far, v included
+    (present in the child, so no restriction): no goal path from the child
+    adds one (see the module docstring).  ``record`` is ``(hard, masks,
+    add)``: the child's hard targets with their need masks, its parent's
+    maker masks, and the values whose partners those lack, v and the targets
+    its closure adds.  The root's, with nothing to add, is made from scratch
+    once, at the first budget that leaves the root a gate to spare.  A state
+    applies ``add`` once, after the spare-two test.
     """
-    top = state0.bit_count() + budget  # the size of a state with no gate left
     free = allowed & ~tmask
     walk: list[tuple[int, int, int]] = []
     st, cands, miss = _close(state0, cands0, tmask & ~state0, combine, walk)
-    if not miss:
-        return _path([], walk), 0, 0, 0
-    if miss.bit_count() == top - st.bit_count():
-        return None, 0, 0, 0
-    tight = dead = 0
+    if not miss:  # the root closes to a goal, reached if any budget is swept
+        return (_path([], walk) if budgets else None), 0, 0, 0
+    nodes = tight = dead = 0
+    root = None  # the root's record
 
-    def children(walk: list, st: int, cands: int, miss: int, excl: int, carried: Optional[tuple]):
+    def children(walk: list, st: int, cands: int, miss: int, gap: int, excl: int, record: tuple):
         nonlocal tight, dead
-        gap = top - st.bit_count() - miss.bit_count()  # the gates to spare
         live = free & ~excl  # the values a goal path from here may add
-        if gap <= 3:
-            hard, masks, add = carried or (*_maker_masks(st, miss, makers, partners), 0)
-            if gap == 2 and not _spare_two(st, cands, miss, live, hard, combine, makers, partners):
-                dead += 1
-                return
-            if add:
-                masks = _child_masks(masks, add, miss, partners)
+        hard, masks, add = record
+        if gap == 2 and not _spare_two(st, cands, miss, live, hard, combine, makers, partners):
+            dead += 1
+            return
+        if add:
+            masks = _child_masks(masks, add, miss, partners)
         spare = gap == 1
         if spare:
             untried = _spare_one(live, st, masks, hard)
@@ -638,25 +635,29 @@ def _sweep(
                         continue
                 walk2: list[tuple[int, int, int]] = []
                 st2, c2, m2 = _close(y | low, c | combine(y, v), tmask & ~y, combine, walk2)
-                carried2 = None
-                if gap <= 3 and m2:
-                    hard2 = _child_hard(hard, v, m2, st | miss | low, partners)
-                    carried2 = (hard2, masks, low | miss ^ m2)
-                yield step, v, walk2, st2, c2, m2, excl, carried2
+                hard2 = _child_hard(hard, v, m2, st | miss | low, partners)
+                record2 = (hard2, masks, low | miss ^ m2)
+                yield step, v, walk2, m2 and children(walk2, st2, c2, m2, gap - 1, excl, record2)
 
-    stack = [[walk, children(walk, st, cands, miss, 0, None), 0, None]]
-    nodes = 1
-    while stack:
-        frame = stack[-1]
-        child = next(frame[1], None)
-        if child is None:
-            stack.pop()
+    for budget in budgets:
+        gap = budget - (tmask & ~state0).bit_count()  # the root's gates to spare
+        if gap < 1:  # a tight root fails
             continue
-        frame[2], frame[3], walk, st, cands, miss, excl, carried = child
-        if not miss:
-            return _path(stack, walk), nodes, tight, dead
-        stack.append([walk, children(walk, st, cands, miss, excl, carried), 0, None])
+        if root is None:
+            root = (*_maker_masks(st, miss, makers, partners), 0)
+        stack = [[walk, children(walk, st, cands, miss, gap, 0, root), 0, None]]
         nodes += 1
+        while stack:
+            frame = stack[-1]
+            child = next(frame[1], None)
+            if child is None:
+                stack.pop()
+                continue
+            frame[2], frame[3], walk2, grand = child
+            if not grand:
+                return _path(stack, walk2), nodes, tight, dead
+            stack.append([walk2, grand, 0, None])
+            nodes += 1
     return None, nodes, tight, dead
 
 
@@ -706,17 +707,15 @@ def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> Search
         cands0 |= combine(state0, u)
     cands0 &= allowed
 
-    nodes = tight = dead = 0
-    for budget in range(len(targets), min(limit, ub_cost - 1) + 1):
-        added, swept, closed, failed = _sweep(
-            state0, cands0, budget, combine, makers, partners, tmask, allowed
-        )
-        nodes += swept
-        tight += closed
-        dead += failed
-        if added is not None:
-            witness = _checked(_derive_witness(n, model, units + tuple(added), rows), a, model)
-            return SearchOutcome(model, len(added), False, witness, nodes, limit, tight, dead)
+    # no goal lies below max(#targets, weight - 1) (see the module docstring)
+    first = max([len(targets)] + [t.bit_count() - 1 for t in targets])
+    budgets = range(first, min(limit, ub_cost - 1) + 1)
+    added, nodes, tight, dead = _sweep(
+        state0, cands0, budgets, combine, makers, partners, tmask, allowed
+    )
+    if added is not None:
+        witness = _checked(_derive_witness(n, model, units + tuple(added), rows), a, model)
+        return SearchOutcome(model, len(added), False, witness, nodes, limit, tight, dead)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)
         return SearchOutcome(model, ub_cost, False, witness, nodes, limit, tight, dead)

@@ -197,6 +197,18 @@ def test_sixteen_column_input_still_solves():
     assert lc.optimal_size(m, "CF").optimal_size == 5
 
 
+def test_deepening_starts_at_the_weight_bound():
+    # one row of weight 8 needs 7 gates in every model, and the heuristic
+    # circuit has 7, so no budget is left to sweep: budgets 1-6, below the
+    # weight bound, would hold no goal (in CF they expand 10 295 nodes)
+    m = lc.gen_random(1, 16, 5)
+    assert m.row(0).bit_count() == 8
+    for model in lc.MODELS:
+        out = lc.optimal_size(m, model)
+        assert (out.optimal_size, out.nodes_expanded) == (7, 0), model
+        assert lc.verify(out.witness, m)
+
+
 def test_wider_input_is_refused_before_any_work(monkeypatch):
     def no_work(a):
         raise AssertionError("upper bound computed for a refused input")
@@ -591,7 +603,8 @@ def test_spare_two_bound_closes_only_failing_states(monkeypatch):
         monkeypatch.setattr(exact_mod, "_spare_two", lambda *args: True)
         for st, cands, miss in dead:
             budget = miss.bit_count() + 2
-            goal = exact_mod._sweep(st, cands, budget, *ops[:3], tmask, allowed)[0]
+            budgets = range(budget, budget + 1)
+            goal = exact_mod._sweep(st, cands, budgets, *ops[:3], tmask, allowed)[0]
             assert goal is None, (m.to_text(), model, st)
         monkeypatch.undo()
     assert all(closed.values()), closed
@@ -619,14 +632,18 @@ def test_each_submask_mask_is_made_once_per_search(monkeypatch):
 
 
 def test_each_state_makes_its_maker_masks_at_most_once(monkeypatch):
-    # a state makes its masks once, from scratch or from its parent's
-    # record, and a state that the spare-two test closes makes none; the
-    # one exception is the root at the one budget where it has two gates to
-    # spare: it has no parent record, so it makes its masks to be tested
-    calls = []
-    for name in ("_maker_masks", "_child_masks"):
+    # the root makes its masks once per search, and none when no node is
+    # expanded; every other state makes its own once, from its parent's
+    # record, and a state that the spare-two test closes makes none
+    calls = {"_maker_masks": 0, "_child_masks": 0}
+    for name in calls:
         real = getattr(exact_mod, name)
-        monkeypatch.setattr(exact_mod, name, lambda *a, real=real: calls.append(0) or real(*a))
+
+        def count(*a, real=real, name=name):
+            calls[name] += 1
+            return real(*a)
+
+        monkeypatch.setattr(exact_mod, name, count)
     cases = [(lc.gen_sierpinski(8), model, 12) for model in lc.MODELS]
     cases += [
         (lc.gen_random(6, 6, derive_seed(0x6C696E63, i)), model, exact_mod.DEFAULT_LIMIT)
@@ -634,9 +651,10 @@ def test_each_state_makes_its_maker_masks_at_most_once(monkeypatch):
         for model in lc.MODELS
     ]
     for m, model, limit in cases:
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         out = lc.optimal_size(m, model, limit=limit)
-        assert len(calls) <= out.nodes_expanded - out.spare_two_dead + 1, (m.to_text(), model)
+        assert calls["_maker_masks"] <= min(1, out.nodes_expanded), (m.to_text(), model)
+        assert calls["_child_masks"] <= out.nodes_expanded - out.spare_two_dead, (m.to_text(), model)
 
 
 def _targets_and_allowed(a: BitMatrix, model: str) -> tuple[list[int], int, int]:
