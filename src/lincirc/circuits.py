@@ -13,8 +13,9 @@ Two IRs:
 Semantics are exact: the value vector of a signal is the bitmask of input
 variables feeding it, computed in one forward pass, and verification
 compares value vectors against the target matrix -- no sampling.
-The one cancellation-free test is :func:`is_cancellation_free`; reports
-carry :func:`cancellation_free_flag`, which is also True for OR circuits.
+The one cancellation-free test is :func:`is_cancellation_free`, and the one
+check of a circuit of either IR against a matrix is :func:`check`, whose
+reported cancellation-free flag is also True for OR circuits.
 
 Text format: one grammar for both IRs.  An ``inputs <n> connective
 <XOR|OR>`` header, one ``t<k> = <ref> + <ref> ...`` line per gate, and one
@@ -195,17 +196,27 @@ def is_cancellation_free(c: Circuit) -> bool:
     return True
 
 
-def cancellation_free_flag(flat: Circuit) -> bool:
-    """The cancellation-free flag reported for a fan-in-2 circuit.
+def check(c: AnyCircuit, a: BitMatrix) -> tuple[bool, bool]:
+    """``(computes a, cancellation-free flag)`` for ``c`` in either IR.
 
-    OR circuits admit no cancellation (absorption is not the GF(2)
-    identity), so they report True; XOR circuits get
-    :func:`is_cancellation_free`.
+    A layered circuit is flattened once for both answers; a circuit of
+    another shape than ``a`` does not compute it.  OR circuits admit no
+    cancellation (absorption is not the GF(2) identity), so their flag is
+    True; XOR circuits get :func:`is_cancellation_free`.
     """
-    return flat.connective == OR or is_cancellation_free(flat)
+    flat = flatten(c) if isinstance(c, LayeredCircuit) else c
+    try:
+        ok = verify(flat, a)
+    except DimensionError:
+        ok = False
+    return ok, flat.connective == OR or is_cancellation_free(flat)
 
 
-def size_gates(c: Circuit) -> int:
+def size_gates(c: AnyCircuit) -> int:
+    """Fan-in-2 gates, in either IR: a layered gate of fan-in k counts
+    k - 1, the gates :func:`flatten` expands it into."""
+    if isinstance(c, LayeredCircuit):
+        return size_wires(c) - c.n_gates
     return len(c.gates)
 
 

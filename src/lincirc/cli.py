@@ -28,19 +28,16 @@ from . import lab as lab_mod
 from . import synthesis as synth_mod
 from .circuits import (
     LayeredCircuit,
-    cancellation_free_flag,
+    check,
     depth,
-    flatten,
     size_gates,
     size_wires,
     slp_dumps,
     slp_loads,
-    verify,
 )
 from .matrices import (
     BitMatrix,
     BudgetExceededError,
-    DimensionError,
     EVIDENCE_BUDGET,
     MAX_CELLS,
     _ascii_size,
@@ -258,17 +255,12 @@ def cmd_check(args) -> int:
     circuit = _read_circuit(args.infile)
     target = load_matrix_arg(args.against)
     layered = isinstance(circuit, LayeredCircuit)
-    flat = flatten(circuit) if layered else circuit
-    try:
-        ok = verify(flat, target)
-    except DimensionError:
-        ok = False  # wrong shape cannot compute the target
-    cf = cancellation_free_flag(flat)
+    ok, cf = check(circuit, target)
     report = {
         "type": "check",
         "verifies": ok,
         "cancellation_free": cf,
-        "gates": size_gates(flat),
+        "gates": size_gates(circuit),
         "depth": depth(circuit),
     }
     if layered:

@@ -176,10 +176,9 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Optional
 
-from .matrices import BitMatrix
+from .matrices import BitMatrix, _set_bits
 from .circuits import XOR, OR, Circuit, is_cancellation_free, verify
 from . import synthesis as _synth
 
@@ -187,6 +186,7 @@ XOR_MODEL = "XOR"
 CF_MODEL = "CF"
 OR_MODEL = "OR"
 MODELS = (XOR_MODEL, CF_MODEL, OR_MODEL)
+_CONNECTIVE = {XOR_MODEL: XOR, CF_MODEL: XOR, OR_MODEL: OR}
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
@@ -208,30 +208,38 @@ class SearchOutcome:
     spare_two_dead: int = 0
 
 
-def _derive_witness(n: int, model: str, sigs: tuple[int, ...], rows: list[int]) -> Circuit:
+def _derive_witness(
+    n: int, model: str, sigs: tuple[int, ...], rows: list[int], partners: Optional[Callable] = None
+) -> Circuit:
     """Witness circuit for a goal's signal tuple: the n units, then the
     added values in sweep order.
 
-    Each added value's gate is the lexicographically first pair ``(i, j)``,
-    ``i < j``, of earlier signals that produces it (disjoint ones in the CF
-    model).  The pair exists: every added value was a candidate, and the
+    Each added value ``v``'s gate is the lexicographically first pair
+    ``(i, j)``, ``i < j``, of earlier signals where ``sigs[j]`` lies in
+    ``partners(sigs[i], v)``: the model's gate rule, from the search's
+    :func:`_combiner` (whose submask cache it then shares), or else from a
+    new one.  The pair exists: every added value was a candidate, and the
     candidates are exactly such combinations.  Outputs point at the signal
     equal to each row.
     """
-    cf = model == CF_MODEL
-    union = model == OR_MODEL
+    if partners is None:
+        partners = _combiner(model, n)[2]
+    index = {v: k for k, v in enumerate(sigs)}  # the values are distinct
+    present = sum(1 << s for s in sigs[:n])
     gates = []
     for k in range(n, len(sigs)):
-        for i, j in combinations(range(k), 2):
-            s, t = sigs[i], sigs[j]
-            if (s | t if union else s ^ t) == sigs[k] and not (cf and s & t):
-                gates.append((i, j))
+        for i in range(k - 1):
+            # partners are symmetric and no value is its own, so the first
+            # signal with a partner present has its partners after it
+            mates = partners(sigs[i], sigs[k]) & present
+            if mates:
+                gates.append((i, min(map(index.__getitem__, _set_bits(mates)))))
                 break
         else:
             raise RuntimeError("goal signal admits no gate")
-    index = {v: k for k, v in enumerate(sigs)}
+        present |= 1 << sigs[k]
     outputs = tuple(None if r == 0 else index[r] for r in rows)
-    return Circuit(n, OR if union else XOR, tuple(gates), outputs)
+    return Circuit(n, _CONNECTIVE[model], tuple(gates), outputs)
 
 
 def _checked(witness: Circuit, a: BitMatrix, model: str) -> Circuit:
@@ -714,7 +722,7 @@ def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> Search
         state0, cands0, budgets, combine, makers, partners, tmask, allowed
     )
     if added is not None:
-        witness = _checked(_derive_witness(n, model, units + tuple(added), rows), a, model)
+        witness = _checked(_derive_witness(n, model, units + tuple(added), rows, partners), a, model)
         return SearchOutcome(model, len(added), False, witness, nodes, limit, tight, dead)
     if ub_cost <= limit:
         witness = _checked(ub_circuit, a, model)

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import xor
-from typing import Iterable, NamedTuple, Optional
+from itertools import repeat
+from operator import or_, xor
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -245,17 +246,18 @@ def identity(n: int) -> BitMatrix:
 # Products, complement, counting
 
 
-def mul_gf2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2): entry (i,j) = XOR_k a(i,k) & b(k,j).
+def _mul(a: BitMatrix, b: BitMatrix, add: Callable[[int, int], int]) -> BitMatrix:
+    """Matrix product over the semiring whose addition is ``add``.
 
-    Four Russians: for each group of 8 rows of B, a 256-entry table holds
-    the XOR of every subset of the group, and each output row takes one
-    lookup, indexed by the matching byte of its row of A.  The cost is
-    ``ceil(b.rows / 8) * (256 + a.rows)`` table operations whatever the
-    density, and one table is held at a time.  A very sparse A pays for
-    tables it barely reads: ``identity(4096) @ 4096x64`` is over 50 times
-    slower than XORing the rows of B that its set bits select.  Every
-    product in this package has dense random factors.
+    Four Russians (Arlazarov, Dinic, Kronrod and Faradzev, 1970): for each
+    group of 8 rows of B, a 256-entry table holds the sum of every subset
+    of the group, and each output row takes one lookup, indexed by the
+    matching byte of its row of A.  The cost is ``ceil(b.rows / 8) * (256 +
+    a.rows)`` table operations whatever the density, and one table is held
+    at a time.  A very sparse A pays for tables it barely reads:
+    ``identity(4096) @ 4096x64`` is over 50 times slower than summing the
+    rows of B that its set bits select.  Every product in this package has
+    dense random factors.
     """
     if a.cols != b.rows:
         raise DimensionError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
@@ -265,25 +267,20 @@ def mul_gf2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     for g in range(width):
         table = [0]
         for r in b._data[8 * g : 8 * g + 8]:
-            table += [t ^ r for t in table]
-        out = list(map(xor, out, map(table.__getitem__, a_bytes[g::width])))
+            # ``repeat`` stops the map at the table's old length
+            table += map(add, table, repeat(r, len(table)))
+        out = list(map(add, out, map(table.__getitem__, a_bytes[g::width])))
     return BitMatrix(a.rows, b.cols, out)
+
+
+def mul_gf2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Matrix product over GF(2): entry (i,j) = XOR_k a(i,k) & b(k,j)."""
+    return _mul(a, b, xor)
 
 
 def mul_bool(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over the Boolean semiring: OR instead of XOR."""
-    if a.cols != b.rows:
-        raise DimensionError(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        acc = 0
-        r = a.row(i)
-        while r:
-            k = (r & -r).bit_length() - 1
-            acc |= b.row(k)
-            r &= r - 1
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, out)
+    return _mul(a, b, or_)
 
 
 def complement(a: BitMatrix) -> BitMatrix:

@@ -35,13 +35,12 @@ from .circuits import (
     Circuit,
     LayeredCircuit,
     _Builder,
-    cancellation_free_flag,
+    check,
     compose,
     compose_layered,
-    flatten,
     size_wires,
-    verify,
 )
+from .circuits import flatten, verify  # noqa: F401  (unused; perfbench's tracer test pins them)
 from .bounds import sierpinski_lb
 
 #: Most entries :func:`boyar_peralta`'s cover table may hold: 2^weight
@@ -62,11 +61,11 @@ class SynthesisResult:
 
 
 def _result(circuit: AnyCircuit, method: str, target: BitMatrix, **params) -> SynthesisResult:
-    flat = flatten(circuit) if isinstance(circuit, LayeredCircuit) else circuit
-    if not verify(flat, target):
+    ok, cancellation_free = check(circuit, target)
+    if not ok:
         raise RuntimeError(f"synthesis bug: {method} output does not verify")
     cost = size_wires(circuit) if isinstance(circuit, LayeredCircuit) else len(circuit.gates)
-    return SynthesisResult(circuit, method, cost, cancellation_free_flag(flat), params)
+    return SynthesisResult(circuit, method, cost, cancellation_free, params)
 
 
 # ---------------------------------------------------------------------------

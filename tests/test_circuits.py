@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import lincirc as lc
 from lincirc import BitMatrix, Circuit, LayeredCircuit, SplitMix64
-from lincirc.circuits import EliminationResult, cancellation_free_flag
+from lincirc.circuits import EliminationResult
 from lincirc.cli import fixtures_dir
 
 
@@ -122,8 +122,46 @@ def test_cancellation_free_requires_xor():
     with pytest.raises(ValueError):
         lc.is_cancellation_free(c)
     # the reported flag: OR circuits cannot cancel, XOR ones get the test
-    assert cancellation_free_flag(Circuit(2, lc.OR, ((0, 1), (0, 2)), (3,)))
-    assert not cancellation_free_flag(Circuit(2, lc.XOR, ((0, 1), (0, 2)), (3,)))
+    for conn, cf in ((lc.OR, True), (lc.XOR, False)):
+        c = Circuit(2, conn, ((0, 1), (0, 2)), (3,))
+        assert lc.check(c, lc.matrix_of(c)) == (True, cf)
+
+
+def _reference_check(c, a: BitMatrix) -> tuple[bool, bool]:
+    """The check in steps, the oracle for :func:`lincirc.check`: flatten a
+    layered circuit, verify with a shape mismatch read as False, then OR
+    circuits are cancellation-free and XOR ones get the test."""
+    flat = lc.flatten(c) if isinstance(c, LayeredCircuit) else c
+    try:
+        ok = lc.verify(flat, a)
+    except lc.DimensionError:
+        ok = False
+    return ok, flat.connective == lc.OR or lc.is_cancellation_free(flat)
+
+
+def test_check_matches_its_reference():
+    # flat and layered circuits (fan-in 1 included) in both connectives,
+    # some outputs constant zero, against the matrix they compute, one bit
+    # off it, and one row or one column too many
+    rng = SplitMix64(30)
+    seen = set()
+    for conn in (lc.XOR, lc.OR):
+        for k in range(80):
+            if k % 2:
+                c = dataclasses.replace(_random_layered(rng, 4), connective=conn)
+            else:
+                c = _random_circuit(rng, 4, 1 + rng.randrange(8), conn)
+            if rng.randrange(2):
+                c = _zero_some_outputs(rng, c)
+            m = lc.matrix_of(lc.flatten(c) if k % 2 else c)
+            rows = [m.row(i) for i in range(m.rows)]
+            off = BitMatrix(m.rows, m.cols, [rows[0] ^ 1 << rng.randrange(m.cols)] + rows[1:])
+            for a in (m, off, lc.zeros(m.rows + 1, m.cols), lc.zeros(m.rows, m.cols + 1)):
+                got = lc.check(c, a)
+                assert got == _reference_check(c, a)
+                seen.add((type(c), *got))
+    bools = (False, True)
+    assert seen == {(t, ok, cf) for t in (Circuit, LayeredCircuit) for ok in bools for cf in bools}
 
 
 def test_cancellation_free_matches_ancestor_definition():
@@ -381,6 +419,7 @@ def test_flatten_fig2():
     d2 = circuit_depth2()
     gates_with_fanin = d2.n_gates
     assert lc.size_gates(flat) == lc.size_wires(d2) - gates_with_fanin
+    assert lc.size_gates(d2) == lc.size_gates(flat)
 
 
 def test_flatten_random_layered():
@@ -390,6 +429,7 @@ def test_flatten_random_layered():
         flat = lc.flatten(lay)
         # wire-count identity and depth bound
         assert lc.size_gates(flat) == lc.size_wires(lay) - lay.n_gates
+        assert lc.size_gates(lay) == lc.size_gates(flat)
         max_fan = max(len(g) for layer in lay.layers for g in layer)
         if max_fan > 1:
             bound = lc.depth(lay) * max(1, (max_fan - 1).bit_length())

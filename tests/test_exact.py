@@ -97,7 +97,8 @@ def test_witness_that_fails_its_check_is_refused(monkeypatch):
     # a derived witness is checked too: here it ignores the row order
     swapped = BitMatrix(2, 2, [0b10, 0b01])
     monkeypatch.setattr(
-        exact_mod, "_derive_witness", lambda n, model, extras, rows: lc.Circuit(n, lc.XOR, (), (0, 1))
+        exact_mod, "_derive_witness",
+        lambda n, model, extras, rows, partners: lc.Circuit(n, lc.XOR, (), (0, 1)),
     )
     with pytest.raises(RuntimeError, match="does not verify"):
         lc.optimal_size(swapped, "XOR")

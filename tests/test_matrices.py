@@ -97,10 +97,15 @@ def test_mul_bool_base_cases():
 
 
 def test_products_against_reference():
+    # both semirings share one Four-Russians kernel: inner widths on both
+    # sides of its 8-row groups, and empty factors on either side
     rng = SplitMix64(77)
-    for _ in range(25):
-        a = random_bits_matrix(rng, 5, 7)
-        b = random_bits_matrix(rng, 7, 4)
+    shapes = [(5, 7, 4)] * 25
+    shapes += [(m, k, p) for k in (0, 1, 7, 8, 9, 17, 64) for m in (0, 5) for p in (0, 4)]
+    shapes.append((40, 112, 40))
+    for m, k, p in shapes:
+        a = random_bits_matrix(rng, m, k)
+        b = random_bits_matrix(rng, k, p)
         assert _as_lists(lc.mul_gf2(a, b)) == ref_mul_gf2(a, b)
         assert _as_lists(lc.mul_bool(a, b)) == ref_mul_bool(a, b)
 

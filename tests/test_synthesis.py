@@ -433,7 +433,7 @@ def test_block_builders_verify_only_their_result(monkeypatch):
         calls.append(target.rows)
         return lc.verify(circuit, target)
 
-    monkeypatch.setattr(lc.synthesis, "verify", counting_verify)
+    monkeypatch.setattr(lc.circuits, "verify", counting_verify)  # check's binding
     h = hashlib.sha256()
     for n in (2, 4, 16, 64, 256):
         for build in (lc.setintersection_or_circuit, lc.hadamard_circuit):
