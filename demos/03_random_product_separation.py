@@ -45,6 +45,14 @@ exact = float(lc.exact_conditional_bias(mask))
 est = lc.estimate_conditional_bias(2, mask, samples=200_000, seed=5)
 print(f"\nconditional bias at m=2: exact {exact:.5f}, "
       f"estimate {est.estimate:.5f} in [{est.wilson_low:.5f}, {est.wilson_high:.5f}]")
+# Sampling stalls from m = 4 on, where almost no draw matches the mask,
+# but the exact value holds for every m: Pr[BC = X] depends on rank X
+# alone.  Here the identity with its last cell left open.
+for m in (3, 4):
+    mask = [[int(i == j) for j in range(m)] for i in range(m)]
+    mask[-1][-1] = None
+    gap = 0.5 - lc.exact_conditional_bias(mask)
+    print(f"conditional bias at m={m}: exact 1/2 - {gap:.3g} (identity, last cell open)")
 
 # The proxy trend over a size sweep (small here; the acceptance suite
 # runs n up to 512).

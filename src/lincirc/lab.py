@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -320,6 +319,8 @@ def _map_trials(fn, config: ExperimentConfig, threads: int) -> list:
         raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, config.trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, [config] * config.trials, range(config.trials)))
     return [fn(config, t) for t in range(config.trials)]
@@ -471,59 +472,54 @@ def estimate_conditional_bias(
 
 
 def exact_conditional_bias(mask_pattern, inner: Optional[int] = None) -> Fraction:
-    """Exact conditional probability for m = 2 by dependence-class
-    counting (exponentially faster than enumerating all (B, C) pairs and
-    bit-identical to it; the tests cross-check small inner widths).
+    """Exact P(open product entry = 1 | the other entries match the mask),
+    for uniform B (m x inner) and C (inner x m), inner = 7m by default.
 
-    For fixed rows (b1, b2) of B, the two product entries fed by one
-    column of C are (i) both zero, (ii) one free uniform bit, or (iii)
-    two bits that are equal, or independent -- depending only on whether
-    b1, b2 are zero or coincide.  Columns of C are independent, so the
-    joint law of the four entries is a mixture over the five (b1, b2)
-    classes with Fraction-exact weights.
+    BC = sum_l b_l c_l^T keeps its law under X -> PXQ for invertible P
+    and Q, so Pr[BC = X] is Pr[rank BC = rank X] over N_r, the number of
+    rank-r matrices, prod_{i<r} (2^m - 2^i)^2 / (2^r - 2^i).  From S =
+    diag(I_r, 0), adding b c^T raises the rank when b leaves S's column
+    space and c its row space, for (2^m - 2^r)^2 of the 4^m pairs, and
+    lowers it when both stay inside, as (x, 0) and (y, 0), with x.y = 1,
+    for (2^r - 1) 2^(r-1) pairs.  So rank BC is a Markov chain on 0..m,
+    run here in exact pair counts, and the bias is p1 / (p0 + p1), p_v
+    being Pr[BC = X_v] for the mask completed with v.
     """
     m, (p, q), defined = _parse_mask(mask_pattern)
-    if m != 2:
-        raise ValueError("the exact oracle is implemented for m = 2")
     if inner is None:
         inner = 7 * m
-    size = 1 << inner
-    # class weights over (b1, b2): both zero / b1 zero / b2 zero / equal / free
-    w_zz = Fraction(1, size * size)
-    w_z1 = Fraction(size - 1, size * size)  # b1 = 0, b2 != 0
-    w_1z = Fraction(size - 1, size * size)
-    w_eq = Fraction(size - 1, size * size)
-    w_free = Fraction(size * size - 3 * (size - 1) - 1, size * size)
+    if inner < 0:
+        raise ValueError(f"inner must be >= 0, got {inner}")
+    full = 1 << m
+    # (B, C) pairs by the rank of BC, one outer product at a time; the
+    # extra slot takes the zero moves up from rank m and down from rank 0
+    count = [1] + [0] * m
+    for _ in range(inner):
+        step = [0] * (m + 2)
+        for r, pairs in enumerate(count):
+            up = (full - (1 << r)) ** 2
+            down = ((1 << r) - 1) << r >> 1
+            step[r + 1] += pairs * up
+            step[r - 1] += pairs * down
+            step[r] += pairs * (full * full - up - down)
+        count = step[: m + 1]
+    rows = [0] * m
+    for i, j, v in defined:
+        rows[i] |= v << j
+    r0 = rank_gf2(BitMatrix(m, m, rows))
+    rows[p] |= 1 << q
+    r1 = rank_gf2(BitMatrix(m, m, rows))
 
-    def column_law(cls: str, e1: int, e2: int) -> Fraction:
-        # P[(b1.c, b2.c) = (e1, e2)] for one uniform column c
-        if cls == "zz":
-            return Fraction(int(e1 == 0 and e2 == 0))
-        if cls == "z1":
-            return Fraction(int(e1 == 0), 2)
-        if cls == "1z":
-            return Fraction(int(e2 == 0), 2)
-        if cls == "eq":
-            return Fraction(int(e1 == e2), 2)
-        return Fraction(1, 4)
+    def rank_r_matrices(r: int) -> int:  # N_r
+        num = math.prod((full - (1 << i)) ** 2 for i in range(r))
+        return num // math.prod((1 << r) - (1 << i) for i in range(r))
 
-    weights = {"zz": w_zz, "z1": w_z1, "1z": w_1z, "eq": w_eq, "free": w_free}
-    num = Fraction(0)
-    den = Fraction(0)
-    for target_val in (0, 1):
-        entries = {(i, j): v for i, j, v in defined}
-        entries[(p, q)] = target_val
-        prob = Fraction(0)
-        for cls, wt in weights.items():
-            col0 = column_law(cls, entries[(0, 0)], entries[(1, 0)])
-            col1 = column_law(cls, entries[(0, 1)], entries[(1, 1)])
-            prob += wt * col0 * col1
-        den += prob
-        if target_val == 1:
-            num += prob
-    if den == 0:
+    # p_v is count[r_v] / N_{r_v}, up to the common factor 4^(m * inner)
+    p0 = count[r0] * rank_r_matrices(r1)
+    p1 = count[r1] * rank_r_matrices(r0)
+    if p0 + p1 == 0:
         raise ValueError("mask has zero acceptance probability")
-    return num / den
+    return Fraction(p1, p0 + p1)
 
 
 # ---------------------------------------------------------------------------

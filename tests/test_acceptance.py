@@ -169,12 +169,14 @@ def test_criterion_09_conditional_bias():
         and abs(rep2.estimate - exact) < 0.05
         and rep2.wilson_low <= exact <= rep2.wilson_high
     )
+    exact3 = float(lc.exact_conditional_bias(BIAS_MASK_M3))
     rep3 = lc.estimate_conditional_bias(3, BIAS_MASK_M3, samples=2_000_000, seed=903)
     lo, hi = 0.5 - 1 / 3, 0.5 + 1 / 3
-    m3_ok = rep3.status == "ok" and lo < rep3.estimate < hi
-    _report(9, "conditional-bias estimates (m=2 vs exact, m=3 interval)", m2_ok and m3_ok,
+    m3_ok = rep3.status == "ok" and lo < rep3.estimate < hi and abs(rep3.estimate - exact3) < 0.05
+    _report(9, "conditional-bias estimates (m=2 and m=3 vs exact, m=3 interval)", m2_ok and m3_ok,
             f"m2 {rep2.estimate:.4f} vs exact {exact:.4f} ({rep2.accepted} acc); "
-            f"m3 {rep3.estimate:.4f} in ({lo:.3f},{hi:.3f}) ({rep3.accepted} acc)")
+            f"m3 {rep3.estimate:.4f} vs exact {exact3:.4f}, in ({lo:.3f},{hi:.3f}) "
+            f"({rep3.accepted} acc)")
 
 
 def test_criterion_10_invariant_suites():

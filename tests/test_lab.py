@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import sys
@@ -228,7 +229,8 @@ def test_trial_pool_is_capped_at_the_trials_and_cpus(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(lab_mod, "ProcessPoolExecutor", RecordingPool)
+    # the pool class is imported where a pool starts, from its package
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(lab_mod.os, "cpu_count", lambda: 4)
     for threads, trials, workers in ((1000, 8, 4), (1000, 3, 3), (2, 8, 2), (1, 8, None)):
         made.clear()
@@ -334,28 +336,75 @@ def test_ramsey_check():
 
 
 def _brute_bias(mask, w):
-    defined, undef = [], None
-    for i, row in enumerate(mask):
-        for j, v in enumerate(row):
-            if v is None:
-                undef = (i, j)
-            else:
-                defined.append((i, j, v))
+    """The bias by enumerating every (B, C), B m x w and C w x m: the m
+    rows of B then the m columns of C are the w-bit fields of one int."""
+    m = len(mask)
     num = den = 0
-    for b1 in range(1 << w):
-        for b2 in range(1 << w):
-            for c1 in range(1 << w):
-                for c2 in range(1 << w):
-                    e = {
-                        (0, 0): (b1 & c1).bit_count() & 1,
-                        (0, 1): (b1 & c2).bit_count() & 1,
-                        (1, 0): (b2 & c1).bit_count() & 1,
-                        (1, 1): (b2 & c2).bit_count() & 1,
-                    }
-                    if all(e[i, j] == v for i, j, v in defined):
-                        den += 1
-                        num += e[undef]
+    for code in range(1 << (2 * m * w)):
+        fields = [(code >> (w * k)) & ((1 << w) - 1) for k in range(2 * m)]
+        e = [[(fields[i] & fields[m + j]).bit_count() & 1 for j in range(m)] for i in range(m)]
+        if all(v is None or e[i][j] == v for i, row in enumerate(mask) for j, v in enumerate(row)):
+            den += 1
+            num += sum(e[i][j] for i, row in enumerate(mask) for j, v in enumerate(row) if v is None)
+    if den == 0:
+        raise ValueError("mask has zero acceptance probability")
     return Fraction(num, den)
+
+
+def _class_bias(mask, inner):
+    """The bias at m = 2 by dependence classes, cheap at any inner width.
+
+    For fixed rows (b1, b2) of B, the two product entries fed by one
+    column of C are both zero, one free uniform bit and a zero, two equal
+    bits, or two independent bits, depending only on whether b1, b2 are
+    zero or coincide.  Columns of C are independent, so the law of the
+    four entries is a mixture over the five (b1, b2) classes."""
+    size = 1 << inner
+    weights = {  # over the size^2 pairs (b1, b2)
+        "zz": 1, "z1": size - 1, "1z": size - 1, "eq": size - 1, "free": (size - 1) * (size - 2),
+    }
+
+    def column_law(cls, e1, e2):
+        # P[(b1.c, b2.c) = (e1, e2)] for one uniform column c
+        return {
+            "zz": Fraction(int(e1 == e2 == 0)),
+            "z1": Fraction(int(e1 == 0), 2),
+            "1z": Fraction(int(e2 == 0), 2),
+            "eq": Fraction(int(e1 == e2), 2),
+            "free": Fraction(1, 4),
+        }[cls]
+
+    (p, q), = [(i, j) for i in range(2) for j in range(2) if mask[i][j] is None]
+    law = []
+    for value in (0, 1):
+        e = [row[:] for row in mask]
+        e[p][q] = value
+        law.append(sum(
+            wt * column_law(cls, e[0][0], e[1][0]) * column_law(cls, e[0][1], e[1][1])
+            for cls, wt in weights.items()
+        ))
+    if law[0] + law[1] == 0:
+        raise ValueError("mask has zero acceptance probability")
+    return law[1] / (law[0] + law[1])
+
+
+def _open_cell_masks(m, count, seed):
+    """``count`` random m x m masks with one open cell."""
+    rng = SplitMix64(seed)
+    masks = []
+    for _ in range(count):
+        mask = [[rng.bits(1) for _ in range(m)] for _ in range(m)]
+        mask[rng.randrange(m)][rng.randrange(m)] = None
+        masks.append(mask)
+    return masks
+
+
+def _bias_or_refusal(bias, mask, inner):
+    try:
+        return bias(mask, inner)
+    except ValueError as e:
+        assert str(e) == "mask has zero acceptance probability"
+        return None
 
 
 @pytest.mark.parametrize(
@@ -370,6 +419,37 @@ def _brute_bias(mask, w):
 def test_exact_bias_oracle_matches_enumeration(mask):
     for w in (2, 3):
         assert lc.exact_conditional_bias(mask, inner=w) == _brute_bias(mask, w)
+
+
+def test_exact_bias_matches_class_counting_on_every_2x2_mask():
+    # all 4 open cells x 8 fillings, up to the lemma's width 14, where
+    # enumeration cannot go; at width 1 some masks accept nothing
+    masks = []
+    for cell in range(4):
+        for fill in range(8):
+            bits = iter((fill >> k) & 1 for k in range(3))
+            masks.append([[None if 2 * i + j == cell else next(bits) for j in range(2)] for i in range(2)])
+    refused = 0
+    for mask in masks:
+        for inner in (1, 2, 3, 14):
+            want = _bias_or_refusal(_class_bias, mask, inner)
+            assert _bias_or_refusal(lc.exact_conditional_bias, mask, inner) == want, (mask, inner)
+            refused += want is None
+    assert refused == 4
+
+
+def test_exact_bias_matches_enumeration_at_3x3():
+    for mask in _open_cell_masks(3, 6, 31):
+        for inner in (1, 2):
+            want = _bias_or_refusal(_brute_bias, mask, inner)
+            assert _bias_or_refusal(lc.exact_conditional_bias, mask, inner) == want, (mask, inner)
+
+
+def test_exact_bias_is_one_half_when_both_completions_have_one_rank():
+    # Pr[BC = X] depends on rank X alone, so equal ranks give exactly 1/2
+    for mask in ([[0, 0], [1, None]], [[0, 1, 0], [1, 0, None], [0, 0, 1]]):
+        for inner in (len(mask), None):
+            assert lc.exact_conditional_bias(mask, inner) == Fraction(1, 2)
 
 
 def test_exact_bias_value_at_full_width():
@@ -392,6 +472,7 @@ def test_monte_carlo_m3_inside_lemma_interval():
     rep = lc.estimate_conditional_bias(3, mask, samples=400_000, seed=43)
     assert rep.status == "ok"
     assert 1 / 2 - 1 / 3 < rep.estimate < 1 / 2 + 1 / 3
+    assert abs(rep.estimate - float(lc.exact_conditional_bias(mask))) < 0.05
 
 
 def test_bias_insufficient_samples():
@@ -418,8 +499,8 @@ def test_bias_rejects_bad_masks():
                      "mask entry 2 is not 0, 1 or None", id="bad-entry"),
         pytest.param(lambda: lc.estimate_conditional_bias(3, [[0, 0], [0, None]], 10, 0),
                      "mask is 2x2, expected 3x3", id="size-not-m"),
-        pytest.param(lambda: lc.exact_conditional_bias([[0, 0, 0], [0, 0, 0], [0, 0, None]]),
-                     "implemented for m = 2", id="exact-oracle-m"),
+        pytest.param(lambda: lc.exact_conditional_bias([[0, 0], [0, None]], inner=-1),
+                     "inner must be >= 0, got -1", id="exact-negative-inner"),
     ],
 )
 def test_bias_refuses_malformed_masks(make, message):
