@@ -38,17 +38,14 @@ out = lc.ramsey_check(a, cfg.freeness_k + 1, budget=20_000, seed=11)
 print(f"Ramsey check at t={cfg.freeness_k + 1}: {out.status}")
 
 # The almost-uniformity behind the freeness argument, checked head-on at
-# tiny size: condition a product entry on all the others and estimate the
-# leftover bias by rejection sampling against the exact value.
+# tiny size: condition a product entry on all the others.  The leftover
+# bias is exact for every m, because Pr[BC = X] depends on rank X alone.
+# First the all-zeros 2x2 mask, then the identity at m = 2, 3 and 4, each
+# with its last cell left open.
 mask = [[0, 0], [0, None]]
-exact = float(lc.exact_conditional_bias(mask))
-est = lc.estimate_conditional_bias(2, mask, samples=200_000, seed=5)
-print(f"\nconditional bias at m=2: exact {exact:.5f}, "
-      f"estimate {est.estimate:.5f} in [{est.wilson_low:.5f}, {est.wilson_high:.5f}]")
-# Sampling stalls from m = 4 on, where almost no draw matches the mask,
-# but the exact value holds for every m: Pr[BC = X] depends on rank X
-# alone.  Here the identity with its last cell left open.
-for m in (3, 4):
+exact = lc.exact_conditional_bias(mask)
+print(f"\nconditional bias at m=2: exact {exact} = {float(exact):.5f} (zeros, last cell open)")
+for m in (2, 3, 4):
     mask = [[int(i == j) for j in range(m)] for i in range(m)]
     mask[-1][-1] = None
     gap = 0.5 - lc.exact_conditional_bias(mask)

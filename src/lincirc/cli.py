@@ -366,18 +366,10 @@ def cmd_lab_ramsey(args) -> int:
 
 
 def cmd_lab_bias(args) -> int:
-    mask = _parse_mask_spec(args.mask)
-    rep = lab_mod.estimate_conditional_bias(
-        args.m, mask, args.samples, args.seed, min_accepted=args.min_accepted
-    )
-    report = {"type": "lab.bias", **rep.to_dict()}
-    if rep.status != "ok":
-        _emit_report(report, args, f"insufficient samples ({rep.accepted} accepted)")
-        return EXIT_BUDGET
+    rep = lab_mod.bias_report(_parse_mask_spec(args.mask))
     _emit_report(
-        report, args,
-        f"estimate {rep.estimate:.4f} in [{rep.wilson_low:.4f}, {rep.wilson_high:.4f}] "
-        f"({rep.accepted} accepted)",
+        {"type": "lab.bias", **rep.to_dict()}, args,
+        f"m={rep.m}, inner {rep.inner}: bias {rep.bias} ({rep.bias_float:.6f})",
     )
     return EXIT_OK
 
@@ -501,7 +493,7 @@ def build_parser() -> _Parser:
     _add_json_flag(n)
     n.set_defaults(fn=cmd_census)
 
-    lab = sub.add_parser("lab", help="seeded experiments")
+    lab = sub.add_parser("lab", help="seeded experiments and the exact conditional bias")
     labsub = lab.add_subparsers(dest="lab_command", required=True)
 
     sep = labsub.add_parser("separation")
@@ -526,11 +518,7 @@ def build_parser() -> _Parser:
     rm.set_defaults(fn=cmd_lab_ramsey)
 
     bi = labsub.add_parser("bias")
-    bi.add_argument("--m", type=int, required=True)
     bi.add_argument("--mask", required=True, help="rows of 0/1/? separated by '/', e.g. 00/0?")
-    bi.add_argument("--samples", type=int, required=True)
-    bi.add_argument("--seed", type=int, required=True)
-    bi.add_argument("--min-accepted", dest="min_accepted", type=int, default=lab_mod.DEFAULT_MIN_ACCEPTED)
     _add_json_flag(bi)
     bi.set_defaults(fn=cmd_lab_bias)
 

@@ -56,8 +56,6 @@ from .synthesis import paar_greedy, product_circuit
 #: The paper's inner-dimension constant: B is n x c*log2(n).
 DEFAULT_C = 14
 DEFAULT_RANK_SAMPLES = 50
-#: Fewest accepted samples for a bias estimate; fewer is "insufficient-samples".
-DEFAULT_MIN_ACCEPTED = 100
 
 
 @dataclass(frozen=True)
@@ -354,36 +352,25 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> SeparationRepo
 
 
 # ---------------------------------------------------------------------------
-# Conditional-bias estimate (rejection sampling at tiny m)
+# Conditional bias (exact, by the rank chain of BC)
 
-
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval (by default); well behaved near 1/2 and
-    for small accepted counts."""
-    if n == 0:
-        return 0.0, 1.0
-    phat = successes / n
-    z2 = z * z
-    denom = 1.0 + z2 / n
-    centre = phat + z2 / (2 * n)
-    half = z * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
-    return (centre - half) / denom, (centre + half) / denom
+#: Widest mask the bias accepts: at inner = 7m its exact value p/q has up
+#: to about 2 000 digits a side at m = 32 (Python's int-to-text limit is
+#: 4 300 digits), and the chain takes about 0.02 s there.
+MAX_MASK_SIDE = 32
 
 
 @dataclass(frozen=True)
 class BiasReport:
+    """:func:`exact_conditional_bias` at the lemma's width inner = 7m:
+    ``bias`` is the exact value as the text ``p/q``, ``bias_float`` its
+    nearest float."""
+
     m: int
     inner: int
-    undefined_cell: tuple[int, int]
-    samples: int
-    accepted: int
-    ones: int
-    estimate: Optional[float]
-    wilson_low: Optional[float]
-    wilson_high: Optional[float]
-    status: str  # "ok" | "insufficient-samples"
-    seed: int
-    min_accepted: int
+    open_cell: tuple[int, int]
+    bias: str
+    bias_float: float
 
     def to_dict(self) -> dict:
         return _report_dict(self)
@@ -391,6 +378,8 @@ class BiasReport:
 
 def _parse_mask(mask_pattern) -> tuple[int, tuple[int, int], list[tuple[int, int, int]]]:
     m = len(mask_pattern)
+    if m > MAX_MASK_SIDE:
+        raise ValueError(f"mask has {m} rows; the cap is {MAX_MASK_SIDE}x{MAX_MASK_SIDE}")
     undefined = None
     defined = []
     for i, row in enumerate(mask_pattern):
@@ -410,65 +399,13 @@ def _parse_mask(mask_pattern) -> tuple[int, tuple[int, int], list[tuple[int, int
     return m, undefined, defined
 
 
-#: Raw samples drawn per ``words_np`` call in
-#: :func:`estimate_conditional_bias`, which bounds its memory.
-_BIAS_CHUNK = 1 << 18
-
-
-def estimate_conditional_bias(
-    m: int,
-    mask_pattern,
-    samples: int,
-    seed: int,
-    min_accepted: int = DEFAULT_MIN_ACCEPTED,
-) -> BiasReport:
-    """Monte Carlo estimate of P(undefined product entry = 1 | the other
-    entries match the mask), for uniform B (m x 7m) and C (7m x m).
-
-    Rejection sampling, vectorized: raw sample ``s`` consumes stream
-    words ``[2m*s, 2m*(s+1))`` (B rows first, then C columns, each
-    masked to 7m bits), so results are independent of batching.  Only
-    feasible for m <= 4, where the acceptance rate is at worst ~2^-15.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if min_accepted < 1:
-        raise ValueError(f"min_accepted must be >= 1, got {min_accepted}")
-    msize, (p, q), defined = _parse_mask(mask_pattern)
-    if msize != m:
-        raise ValueError(f"mask is {msize}x{msize}, expected {m}x{m}")
-    if m > 4:
-        raise ValueError("rejection sampling is only feasible for m <= 4")
-    inner = 7 * m
-    lanes = 2 * m
-    mask_bits = np.uint64((1 << inner) - 1)
-    one = np.uint64(1)
-    accepted = 0
-    ones = 0
-    pos = 0
-    while pos < samples:
-        cnt = min(_BIAS_CHUNK, samples - pos)
-        w = words_np(seed, pos * lanes, cnt * lanes).reshape(cnt, lanes) & mask_bits
-        bcols = w[:, :m]
-        ccols = w[:, m:]
-        ok = np.ones(cnt, dtype=bool)
-        for i, j, v in defined:
-            e = np.bitwise_count(bcols[:, i] & ccols[:, j]) & one
-            ok &= e == v
-        target = (np.bitwise_count(bcols[:, p] & ccols[:, q]) & one)[ok]
-        accepted += int(target.size)
-        ones += int(target.sum())
-        pos += cnt
-    if accepted < min_accepted:
-        return BiasReport(
-            m, inner, (p, q), samples, accepted, ones,
-            None, None, None, "insufficient-samples", seed, min_accepted,
-        )
-    lo, hi = wilson_interval(ones, accepted)
-    return BiasReport(
-        m, inner, (p, q), samples, accepted, ones,
-        ones / accepted, lo, hi, "ok", seed, min_accepted,
-    )
+def bias_report(mask_pattern) -> BiasReport:
+    """The exact conditional bias of ``mask_pattern`` at inner = 7m, as a
+    report.  Every rank has nonzero probability at that width, so no mask
+    that parses is refused for zero acceptance."""
+    m, cell, _ = _parse_mask(mask_pattern)
+    bias = exact_conditional_bias(mask_pattern)
+    return BiasReport(m, 7 * m, cell, f"{bias.numerator}/{bias.denominator}", float(bias))
 
 
 def exact_conditional_bias(mask_pattern, inner: Optional[int] = None) -> Fraction:
@@ -484,6 +421,12 @@ def exact_conditional_bias(mask_pattern, inner: Optional[int] = None) -> Fractio
     for (2^r - 1) 2^(r-1) pairs.  So rank BC is a Markov chain on 0..m,
     run here in exact pair counts, and the bias is p1 / (p0 + p1), p_v
     being Pr[BC = X_v] for the mask completed with v.
+
+    Cost: ``inner`` chain steps over m + 1 integers that grow by 2m bits
+    a step, so it is quadratic in ``inner`` (m = 32 at 7m takes about
+    0.02 s).  A mask wider than :data:`MAX_MASK_SIDE`, or one that leaves
+    no completion any probability (possible only below inner = m), is
+    refused with ``ValueError``.
     """
     m, (p, q), defined = _parse_mask(mask_pattern)
     if inner is None:

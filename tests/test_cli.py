@@ -319,7 +319,8 @@ def test_lab_separation(capsys):
 def test_lab_commands_require_seed(capsys):
     code, _, err = run(capsys, "lab", "separation", "--n", "16", "--trials", "2")
     assert code == 2 and "--seed" in err
-    code, _, err = run(capsys, "lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "100")
+    # the bias is exact, so it takes no seed
+    code, _, err = run(capsys, "lab", "bias", "--mask", "00/0?", "--seed", "1")
     assert code == 2 and "--seed" in err
 
 
@@ -347,15 +348,15 @@ def test_lab_commands_require_seed(capsys):
          "budget must be >= 0"),
         (["bound", "--in", "random:40:40:5", "--kfree", "8", "--seed", "9", "--budget", "-1"],
          "budget must be >= 0"),
-        (["lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "0", "--seed", "1",
-          "--min-accepted", "0"], "samples must be >= 1"),
-        (["lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "10", "--seed", "1",
-          "--min-accepted", "0"], "min_accepted must be >= 1"),
+        (["lab", "bias", "--mask", "/".join(["0" * 33] * 32 + ["0" * 32 + "?"])],
+         "mask has 33 rows; the cap is 32x32"),
+        (["lab", "bias", "--mask", "00/0?/0"], "mask must be square"),
         (["synth", "--method", "bp", "--in", "sierpinski:32"], "bp cover table would hold"),
         (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "5", "--threads", "0"],
          "threads must be >= 1"),
         (["lab", "sweep", "--ns", "16", "--trials", "1", "--seed", "5", "--threads", "-2"],
          "threads must be >= 1"),
+        (["lab", "bias", "--mask", "00/00"], "mask must leave exactly one entry undefined"),
     ],
 )
 def test_out_of_range_arguments_exit_invalid(capsys, argv, message):
@@ -383,17 +384,17 @@ def test_lab_rankstats_and_ramsey(capsys):
 
 
 def test_lab_bias(capsys):
-    code, report, _ = run_json(
-        capsys, "lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "20000", "--seed", "7"
-    )
+    code, report, _ = run_json(capsys, "lab", "bias", "--mask", "00/0?")
     assert code == 0
-    assert report["status"] == "ok"
-    assert 0.4 < report["estimate"] < 0.6
-    # degenerate acceptance: budget exit code
-    code, report, _ = run_json(
-        capsys, "lab", "bias", "--m", "2", "--mask", "11/1?", "--samples", "50", "--seed", "7"
+    assert report["bias"] == "134225919/268517378" and report["inner"] == 14
+    branch = next(
+        branch["then"] for branch in SCHEMA["allOf"]
+        if branch["if"]["properties"]["type"] == {"const": "lab.bias"}
     )
-    assert code == 3 and report["status"] == "insufficient-samples"
+    assert set(report) == {"schema_version", "type", *branch["properties"]}
+    # no completion is out of reach at inner = 7m, so no mask exits 3
+    code, report, _ = run_json(capsys, "lab", "bias", "--mask", "11/1?")
+    assert code == 0 and report["bias"] == "8193/16384"
 
 
 def test_lab_sweep(capsys):
@@ -528,11 +529,9 @@ def _transcript_cases():
          None),
         (["lab", "ramsey", "--in", "random:40:40:1", "--t", "6", "--budget", "500", "--seed", "3",
           "--json"], None),
-        (["lab", "bias", "--m", "2", "--mask", "00/0?", "--samples", "5000", "--seed", "7"],
-         None),
-        (["lab", "bias", "--m", "2", "--mask", "11/1?", "--samples", "50", "--seed", "7",
-          "--json"], None),
-        (["lab", "bias", "--m", "2", "--mask", "0x/0?", "--samples", "50", "--seed", "7"], None),
+        (["lab", "bias", "--mask", "00/0?"], None),
+        (["lab", "bias", "--mask", "11/1?", "--json"], None),
+        (["lab", "bias", "--mask", "0x/0?"], None),
         (["lab", "sweep", "--ns", "16,32", "--trials", "1", "--seed", "6", "--budget", "300",
           "--rank-samples", "2", "--json", "r.json"], None),
         (["lab", "sweep", "--ns", ",", "--trials", "1", "--seed", "6"], None),
@@ -572,4 +571,4 @@ def test_cli_transcript_matches_pinned_digest(tmp_path, capsys, monkeypatch):
         for argv, stdin in _transcript_cases()
     ]
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "80ece03c941c50bb6fd96991081d0b99c0645949617231e43dfe7934069be637"
+    assert digest == "0ad0ddaa14ac5cc14e1aa20a2d9cacc9551d0ecf60d1d3ab3cd17eb5fee9ec0c"

@@ -11,6 +11,7 @@ import pytest
 import lincirc as lc
 from lincirc import ExperimentConfig, SplitMix64
 from lincirc import lab as lab_mod
+from conftest import ref_bias_character_sum
 
 
 CFG16 = ExperimentConfig(n=16, master_seed=2025, trials=3, submatrix_budget=3000, rank_samples=8)
@@ -70,7 +71,7 @@ def test_trial_reports_match_pinned_digest():
 
 def test_report_json_matches_pinned_digest():
     # pins the key order of every report type's JSON (no sort_keys):
-    # nested trials and statuses, witnesses, both bias statuses, a sweep
+    # nested trials and statuses, witnesses, an exact bias, a sweep
     evidence_cfg = ExperimentConfig(n=32, master_seed=5, c=1, trials=2, submatrix_budget=2000, rank_samples=4)
     separation = lc.run_experiment(evidence_cfg)
     cfg16 = ExperimentConfig(n=16, master_seed=2025, trials=1, submatrix_budget=3000, rank_samples=8)
@@ -89,8 +90,7 @@ def test_report_json_matches_pinned_digest():
             ratio_proxy=None,
         ),
         separation,
-        lc.estimate_conditional_bias(2, mask, 20000, 7),
-        lc.estimate_conditional_bias(2, mask, 50, 7),
+        lc.bias_report(mask),
         lc.ratio_sweep(
             [8, 16], ExperimentConfig(n=8, master_seed=1, trials=1, submatrix_budget=200, rank_samples=3)
         ),
@@ -106,7 +106,7 @@ def test_report_json_matches_pinned_digest():
     }
     text = json.dumps([r.to_dict() for r in reports])
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "b1779644c9014c2bc41db96e51f295124b0a26bc0f5d0e1da0e941ba8a67bc23"
+    assert digest == "e368707359270aac7b7855ffb39d9bb5c4a65279eccd491359cd502ae7760d4e"
 
 
 def test_trial_computes_each_quantity_once(monkeypatch):
@@ -458,47 +458,57 @@ def test_exact_bias_value_at_full_width():
     assert got == Fraction(134225919, 268517378)
 
 
-def test_monte_carlo_matches_exact_m2():
-    mask = [[0, 0], [0, None]]
-    exact = float(lc.exact_conditional_bias(mask))
-    rep = lc.estimate_conditional_bias(2, mask, samples=100_000, seed=42)
-    assert rep.status == "ok"
-    assert rep.wilson_low <= exact <= rep.wilson_high
-    assert abs(rep.estimate - exact) < 0.05
+def test_exact_bias_matches_the_character_sum():
+    # every open cell of three fillings at m = 2 and m = 3, and two masks
+    # at m = 4; a mask whose completions both have rank above inner
+    # accepts nothing (14 of the refusals are the identity opened off its
+    # diagonal)
+    masks = []
+    for m, seed in ((2, 41), (3, 42)):
+        identity = [[int(i == j) for j in range(m)] for i in range(m)]
+        for fill in [identity] + _open_cell_masks(m, 2, seed):
+            for p in range(m):
+                for q in range(m):
+                    # a random filling's own open cell reads as 0
+                    masks.append([[None if (i, j) == (p, q) else fill[i][j] or 0
+                                   for j in range(m)] for i in range(m)])
+    masks += _open_cell_masks(4, 2, 43)
+    refused = 0
+    for mask in masks:
+        for inner in (1, 2, 7 * len(mask)):
+            want = _bias_or_refusal(ref_bias_character_sum, mask, inner)
+            assert _bias_or_refusal(lc.exact_conditional_bias, mask, inner) == want, (mask, inner)
+            refused += want is None
+    assert refused == 38
 
 
-def test_monte_carlo_m3_inside_lemma_interval():
-    mask = [[0, 1, 0], [1, 0, None], [0, 0, 1]]
-    rep = lc.estimate_conditional_bias(3, mask, samples=400_000, seed=43)
-    assert rep.status == "ok"
-    assert 1 / 2 - 1 / 3 < rep.estimate < 1 / 2 + 1 / 3
-    assert abs(rep.estimate - float(lc.exact_conditional_bias(mask))) < 0.05
-
-
-def test_bias_insufficient_samples():
-    rep = lc.estimate_conditional_bias(2, [[1, 1], [1, None]], samples=50, seed=1)
-    assert rep.status == "insufficient-samples"
-    assert rep.estimate is None
+def test_bias_report_is_the_exact_value_at_full_width():
+    rep = lc.bias_report([[0, 0], [0, None]])
+    assert rep == lc.BiasReport(2, 14, (1, 1), "134225919/268517378", 134225919 / 268517378)
+    # at inner = 7m >= m every rank is reachable, so no mask is refused
+    for mask in ([[1, None], [0, 1]], [[1, 0, 0], [0, 1, None], [0, 0, 1]]):
+        assert Fraction(lc.bias_report(mask).bias) == lc.exact_conditional_bias(mask)
 
 
 def test_bias_rejects_bad_masks():
-    with pytest.raises(ValueError):
-        lc.estimate_conditional_bias(2, [[0, 0], [0, 0]], samples=10, seed=0)
-    with pytest.raises(ValueError):
-        lc.estimate_conditional_bias(2, [[None, None], [0, 0]], samples=10, seed=0)
-    with pytest.raises(ValueError):
-        lc.estimate_conditional_bias(5, [[None] + [0] * 4] + [[0] * 5] * 4, samples=10, seed=0)
+    over_cap = [None] * (lab_mod.MAX_MASK_SIDE + 1)  # refused before any row is read
+    for mask, message in (
+        ([[0, 0], [0, 0]], "exactly one entry undefined"),
+        ([[None, None], [0, 0]], "exactly one entry undefined"),
+        (over_cap, f"mask has 33 rows; the cap is {lab_mod.MAX_MASK_SIDE}x"),
+    ):
+        for bias in (lc.exact_conditional_bias, lc.bias_report):
+            with pytest.raises(ValueError, match=message):
+                bias(mask)
 
 
 @pytest.mark.parametrize(
     "make, message",
     [
-        pytest.param(lambda: lc.estimate_conditional_bias(2, [[0, 0], [None]], 10, 0),
+        pytest.param(lambda: lc.exact_conditional_bias([[0, 0], [None]]),
                      "mask must be square", id="non-square"),
-        pytest.param(lambda: lc.estimate_conditional_bias(2, [[0, 2], [0, None]], 10, 0),
+        pytest.param(lambda: lc.exact_conditional_bias([[0, 2], [0, None]]),
                      "mask entry 2 is not 0, 1 or None", id="bad-entry"),
-        pytest.param(lambda: lc.estimate_conditional_bias(3, [[0, 0], [0, None]], 10, 0),
-                     "mask is 2x2, expected 3x3", id="size-not-m"),
         pytest.param(lambda: lc.exact_conditional_bias([[0, 0], [0, None]], inner=-1),
                      "inner must be >= 0, got -1", id="exact-negative-inner"),
     ],
@@ -506,21 +516,6 @@ def test_bias_rejects_bad_masks():
 def test_bias_refuses_malformed_masks(make, message):
     with pytest.raises(ValueError, match=message):
         make()
-
-
-def test_bias_batching_is_invisible(monkeypatch):
-    mask = [[0, 0], [0, None]]
-    monkeypatch.setattr(lab_mod, "_BIAS_CHUNK", 1 << 10)
-    a = lc.estimate_conditional_bias(2, mask, samples=30_000, seed=9)
-    monkeypatch.setattr(lab_mod, "_BIAS_CHUNK", 1 << 14)
-    b = lc.estimate_conditional_bias(2, mask, samples=30_000, seed=9)
-    assert a == b
-
-
-def test_wilson_interval():
-    lo, hi = lc.wilson_interval(50, 100)
-    assert lo < 0.5 < hi
-    assert lc.wilson_interval(0, 0) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
