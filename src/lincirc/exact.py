@@ -209,7 +209,7 @@ class SearchOutcome:
 
 
 def _derive_witness(
-    n: int, model: str, sigs: tuple[int, ...], rows: list[int], partners: Optional[Callable] = None
+    n: int, model: str, sigs: tuple[int, ...], rows: list[int], partners: Callable
 ) -> Circuit:
     """Witness circuit for a goal's signal tuple: the n units, then the
     added values in sweep order.
@@ -217,13 +217,10 @@ def _derive_witness(
     Each added value ``v``'s gate is the lexicographically first pair
     ``(i, j)``, ``i < j``, of earlier signals where ``sigs[j]`` lies in
     ``partners(sigs[i], v)``: the model's gate rule, from the search's
-    :func:`_combiner` (whose submask cache it then shares), or else from a
-    new one.  The pair exists: every added value was a candidate, and the
-    candidates are exactly such combinations.  Outputs point at the signal
-    equal to each row.
+    :func:`_combiner`, whose submask cache it shares.  The pair exists:
+    every added value was a candidate, and the candidates are exactly such
+    combinations.  Outputs point at the signal equal to each row.
     """
-    if partners is None:
-        partners = _combiner(model, n)[2]
     index = {v: k for k, v in enumerate(sigs)}  # the values are distinct
     present = sum(1 << s for s in sigs[:n])
     gates = []

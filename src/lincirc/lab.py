@@ -33,8 +33,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .rng import derive_seed, words_np
 from .matrices import (
     EVIDENCE_BUDGET,
@@ -127,6 +125,8 @@ def _sample_pairs(seed: int, row_pop: int, col_pop: int, k: int, samples: int):
     :func:`words_np` call and are reduced in numpy; the swaps run in
     Python.
     """
+    import numpy as np
+
     mods = np.array(
         [row_pop - i for i in range(k)] + [col_pop - i for i in range(k)], dtype=np.uint64
     )

@@ -20,8 +20,6 @@ from itertools import repeat
 from operator import or_, xor
 from typing import Callable, Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from .rng import SplitMix64
 
 #: Elementary-step ceiling for exact all-ones-submatrix enumeration.
@@ -100,19 +98,14 @@ class BitMatrix:
         return (self._data[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        """The transpose: the rows unpacked by numpy into a rows x cols
-        table of bits, and its columns packed back into rows."""
-        width = (self.cols + 7) // 8
-        raw = np.frombuffer(
-            b"".join(r.to_bytes(width, "little") for r in self._data), dtype=np.uint8
-        ).reshape(self.rows, width)
-        bits = np.unpackbits(raw, axis=1, count=self.cols, bitorder="little")
-        packed = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
-        step = (self.rows + 7) // 8  # bytes per output row
-        out = [
-            int.from_bytes(packed[j * step : (j + 1) * step], "little") for j in range(self.cols)
-        ]
-        return BitMatrix(self.cols, self.rows, out)
+        """The transpose: each row written as ``cols`` binary digits, the
+        strings zipped into columns (last column first), and each column's
+        digits read back reversed, since row 0 is the low bit."""
+        if not (self.rows and self.cols):
+            return BitMatrix(self.cols, self.rows, [0] * self.cols)
+        digits = [format(r, f"0{self.cols}b") for r in self._data]
+        out = [int("".join(col)[::-1], 2) for col in zip(*digits)]
+        return BitMatrix(self.cols, self.rows, out[::-1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -507,6 +500,8 @@ def find_allones_submatrix(
     absence, not a proof.  A negative budget, which would give ``None``
     without a step, is refused.
     """
+    import numpy as np
+
     _require_freeness_k(k)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")

@@ -10,8 +10,6 @@ into the master seed through the SplitMix64 finalizer.
 
 from __future__ import annotations
 
-import numpy as np
-
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
 
@@ -71,12 +69,15 @@ class SplitMix64:
             xs[i], xs[j] = xs[j], xs[i]
 
 
-def words_np(seed: int, start: int, count: int) -> np.ndarray:
+def words_np(seed: int, start: int, count: int) -> "numpy.ndarray":
     """Words ``[start, start + count)`` of the stream as a uint64 array.
 
-    Bit-exact match with :meth:`SplitMix64.word`; used by the vectorized
-    samplers.  uint64 arithmetic wraps, which is exactly what we want.
+    Bit-exact match with :meth:`SplitMix64.word`; its one caller is
+    ``lab._sample_pairs``.  uint64 arithmetic wraps, which is exactly what
+    we want.
     """
+    import numpy as np
+
     idx = np.arange(start, start + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed & MASK64) + (idx + np.uint64(1)) * np.uint64(GOLDEN)

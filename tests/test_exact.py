@@ -767,9 +767,10 @@ def _tuple_search(a: BitMatrix, model: str):
     n = a.cols
     rows = [a.row(i) for i in range(a.rows)]
     units = tuple(1 << i for i in range(n))
+    partners = exact_mod._combiner(model, n)[2]
     targets, tmask, allowed = _targets_and_allowed(a, model)
     if not targets:
-        return 0, 0, exact_mod._derive_witness(n, model, units, rows)
+        return 0, 0, exact_mod._derive_witness(n, model, units, rows, partners)
     ub_cost, ub_circuit = exact_mod._heuristic_upper_bound(a)
     if model == "OR":
         ub_circuit = lc.Circuit(n, lc.OR, ub_circuit.gates, ub_circuit.outputs)
@@ -780,7 +781,7 @@ def _tuple_search(a: BitMatrix, model: str):
         goal, swept = _tuple_sweep(root, budget, model, tmask, allowed)
         nodes += swept
         if goal is not None:
-            return len(goal) - n, nodes, exact_mod._derive_witness(n, model, goal, rows)
+            return len(goal) - n, nodes, exact_mod._derive_witness(n, model, goal, rows, partners)
     return ub_cost, nodes, ub_circuit
 
 

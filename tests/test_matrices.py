@@ -76,7 +76,9 @@ def _per_bit_transpose(a: BitMatrix) -> BitMatrix:
     return BitMatrix(a.cols, a.rows, out)
 
 
-@pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (1, 1), (9, 17), (112, 256)])
+@pytest.mark.parametrize(
+    "m, n", [(0, 5), (5, 0), (1, 1), (9, 17), (112, 256), (0, 0), (1, 64), (256, 8)]
+)
 def test_transpose_matches_per_bit_reference(m, n):
     rng = SplitMix64(m * 1000 + n)
     for _ in range(3):

@@ -1,5 +1,8 @@
 import ast
 import gc
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lincirc
@@ -46,3 +49,32 @@ def test_recursive_searches_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert leaked == [0] * len(calls)
+
+
+_NUMPY_PROBE = """
+import sys
+import lincirc
+from lincirc.cli import main
+
+loaded = ["numpy" in sys.modules]
+assert main(["gen", "sierpinski:8"]) == 0
+loaded.append("numpy" in sys.modules)
+assert main(["exact", "--in", "exampleA", "--model", "xor"]) == 0
+loaded.append("numpy" in sys.modules)
+lincirc.run_trial(
+    lincirc.ExperimentConfig(n=16, master_seed=3, c=1, trials=1, rank_samples=4), 0)
+loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_import_loads_no_numpy():
+    # only the all-ones finder and the rank sampler compute with numpy, so
+    # the import and the commands that need neither leave it unloaded; the
+    # trial at the end loads it, which shows the probe can see it at all
+    src = Path(lincirc.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "[False, False, False, True]"
