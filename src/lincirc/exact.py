@@ -134,9 +134,10 @@ budget with only sound pruning:
   the one the unfiltered sweep finds;
 * a cancellation-free heuristic circuit caps the optimum in all three
   models (it reads as an XOR and as an OR circuit for the same matrix),
-  so iteration stops at that cost minus one.
+  so iteration stops at that cost minus one; when no budget has a goal,
+  that circuit is the witness.
 
-The witness is the path to the goal: the values added, in order.  It is
+A goal's witness is the path to it: the values added, in order.  It is
 the lexicographically least goal path, the one the breadth-first sweep
 that this search replaced returned too.  That sweep's level d is ordered
 by each state's least path: by induction over first parents, a state is
@@ -179,7 +180,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .matrices import BitMatrix, _set_bits
-from .circuits import XOR, OR, Circuit, is_cancellation_free, verify
+from .circuits import XOR, OR, Circuit, check
 from . import synthesis as _synth
 
 XOR_MODEL = "XOR"
@@ -239,20 +240,10 @@ def _derive_witness(
     return Circuit(n, _CONNECTIVE[model], tuple(gates), outputs)
 
 
-def _checked(witness: Circuit, a: BitMatrix, model: str) -> Circuit:
-    """``witness`` once it computes ``a`` (cancellation-free in CF)."""
-    if not verify(witness, a) or (model == CF_MODEL and not is_cancellation_free(witness)):
-        raise RuntimeError(f"exact search bug: {model} witness does not verify")
-    return witness
-
-
-def _heuristic_upper_bound(a: BitMatrix) -> tuple[int, Circuit]:
-    """Cheap cancellation-free upper bound; valid in all three models."""
-    best = _synth.naive_rowwise(a)
-    paar = _synth.paar_greedy(a)
-    if paar.cost < best.cost:
-        best = paar
-    return best.cost, best.circuit
+def _heuristic_upper_bound(a: BitMatrix) -> _synth.SynthesisResult:
+    """The cheaper of the verified naive and paar results, naive on a tie:
+    a cheap cancellation-free upper bound, valid in all three models."""
+    return min(_synth.naive_rowwise(a), _synth.paar_greedy(a), key=lambda r: r.cost)
 
 
 def _submasks(t: int, n: int) -> int:
@@ -671,11 +662,14 @@ def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> Search
     exhausting all smaller sizes (up to ``limit`` gates).
 
     The outcome carries a verified witness and the nodes expanded by the
-    deterministic sequential sweeps.  A sweep holds one frame per depth, so
-    ``limit`` bounds its time, not its memory.  ``a`` may have at most 16
-    columns (a state is a bitmask over the 2^n possible signal values);
-    wider input or a negative ``limit`` raises ``ValueError`` before any
-    work is done.
+    deterministic sequential sweeps.  The witness is the least goal path
+    (see the module docstring) when a budget below the heuristic bound has
+    a goal; else it is the heuristic's circuit (naive's on a tie, else
+    paar's), read as an OR circuit in the OR model.  A sweep holds one
+    frame per depth, so ``limit`` bounds its time, not its memory.  ``a``
+    may have at most 16 columns (a state is a bitmask over the 2^n
+    possible signal values); wider input or a negative ``limit`` raises
+    ``ValueError`` before any work is done.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -691,11 +685,7 @@ def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> Search
     units = tuple(1 << i for i in range(n))
     unit_set = set(units)
     targets = sorted({r for r in rows if r and r not in unit_set})
-    ub_cost, ub_circuit = _heuristic_upper_bound(a)
-    if model == OR_MODEL:
-        # a cancellation-free circuit reads as an OR circuit for the
-        # same matrix
-        ub_circuit = Circuit(n, OR, ub_circuit.gates, ub_circuit.outputs)
+    ub = _heuristic_upper_bound(a)
 
     tmask = sum(1 << t for t in targets)
     state0 = sum(1 << u for u in units)
@@ -714,17 +704,25 @@ def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> Search
 
     # no goal lies below max(#targets, weight - 1) (see the module docstring)
     first = max([len(targets)] + [t.bit_count() - 1 for t in targets])
-    budgets = range(first, min(limit, ub_cost - 1) + 1)
+    budgets = range(first, min(limit, ub.cost - 1) + 1)
     added, nodes, tight, dead = _sweep(
         state0, cands0, budgets, combine, makers, partners, tmask, allowed
     )
     if added is not None:
-        witness = _checked(_derive_witness(n, model, units + tuple(added), rows, partners), a, model)
-        return SearchOutcome(model, len(added), False, witness, nodes, limit, tight, dead)
-    if ub_cost <= limit:
-        witness = _checked(ub_circuit, a, model)
-        return SearchOutcome(model, ub_cost, False, witness, nodes, limit, tight, dead)
-    return SearchOutcome(model, None, True, None, nodes, limit, tight, dead)
+        witness = _derive_witness(n, model, units + tuple(added), rows, partners)
+        ok, cancellation_free = check(witness, a)
+    elif ub.cost > limit:
+        return SearchOutcome(model, None, True, None, nodes, limit, tight, dead)
+    elif model == OR_MODEL:
+        # a cancellation-free circuit reads as an OR circuit for the same matrix
+        witness = Circuit(n, OR, ub.circuit.gates, ub.circuit.outputs)
+        ok, cancellation_free = check(witness, a)
+    else:
+        # synthesis checked the heuristic's circuit against a already
+        witness, ok, cancellation_free = ub.circuit, True, ub.cancellation_free
+    if not ok or (model == CF_MODEL and not cancellation_free):
+        raise RuntimeError(f"exact search bug: {model} witness does not verify")
+    return SearchOutcome(model, len(witness.gates), False, witness, nodes, limit, tight, dead)
 
 
 # ---------------------------------------------------------------------------

@@ -507,7 +507,7 @@ def complement_transform(c: Circuit) -> Circuit:
     if c.connective != XOR:
         raise ValueError("complement transform is defined for XOR circuits")
     b = _Builder(c.n_inputs, XOR, c.gates)
-    parity = 0
+    parity = 0 if c.n_inputs else None  # an m x 0 matrix is its own complement
     for i in range(1, c.n_inputs):
         parity = b.gate(parity, i)
     return b.circuit(parity if o is None else b.gate(o, parity) for o in c.outputs)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import sys
 import tracemalloc
 
 import pytest
@@ -89,7 +90,9 @@ def test_witness_that_fails_its_check_is_refused(monkeypatch):
     # read as an OR circuit it computes another matrix
     cancel = lc.slp_loads((fixtures_dir() / "example_a_cancel.slp").read_text())
     assert lc.verify(cancel, a) and not lc.is_cancellation_free(cancel)
-    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", lambda m: (4, cancel))
+    # the stand-in reports the flag truthfully: the CF search refuses it
+    stub = lc.SynthesisResult(cancel, "stub", 4, lc.is_cancellation_free(cancel))
+    monkeypatch.setattr(exact_mod, "_heuristic_upper_bound", lambda m: stub)
     for model in ("CF", "OR"):
         with pytest.raises(RuntimeError, match="does not verify"):
             lc.optimal_size(a, model)
@@ -691,6 +694,42 @@ def test_each_submask_mask_is_made_once_per_search(monkeypatch):
                 assert set(targets) <= set(made), (m.to_text(), model)
 
 
+def test_each_circuit_is_checked_once(monkeypatch):
+    # synthesis checks the naive and paar circuits (one verify and one
+    # cancellation-freeness test each), and the search checks only the
+    # circuits it builds: a derived witness, or in OR the OR reading of the
+    # heuristic's circuit, which needs no cancellation-freeness test.  Every
+    # binding of the two checks is counted, in any library module
+    cases = [lc.gen_random(6, 6, derive_seed(0x6C696E63, i)) for i in range(32)]
+    cases += [lc.example_a(), lc.example_b(), lc.gen_sierpinski(4)]
+    bounds = [min(lc.naive_rowwise(m).cost, lc.paar_greedy(m).cost) for m in cases]
+    reals = (lc.circuits.verify, lc.circuits.is_cancellation_free)
+    calls = [0, 0]
+
+    def counted(k):
+        def call(*args):
+            calls[k] += 1
+            return reals[k](*args)
+        return call
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "lincirc"]:
+        for attr, value in list(vars(mod).items()):
+            for k, real in enumerate(reals):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted(k))
+    totals = [0, 0]
+    for m, bound in zip(cases, bounds):
+        for model in lc.MODELS:
+            calls[:] = [0, 0]
+            out = lc.optimal_size(m, model)
+            derived = out.optimal_size < bound
+            got = list(calls)
+            assert got == [2 + (derived or model == "OR"), 2 + (derived and model != "OR")], (
+                m.to_text(), model)
+            totals = [t + g for t, g in zip(totals, got)]
+    assert totals == [267, 232]
+
+
 def test_each_state_makes_its_maker_masks_at_most_once(monkeypatch):
     # the root makes its masks once per search, and none when no node is
     # expanded; every other state makes its own once, from its parent's
@@ -771,7 +810,8 @@ def _tuple_search(a: BitMatrix, model: str):
     targets, tmask, allowed = _targets_and_allowed(a, model)
     if not targets:
         return 0, 0, exact_mod._derive_witness(n, model, units, rows, partners)
-    ub_cost, ub_circuit = exact_mod._heuristic_upper_bound(a)
+    ub = exact_mod._heuristic_upper_bound(a)
+    ub_cost, ub_circuit = ub.cost, ub.circuit
     if model == "OR":
         ub_circuit = lc.Circuit(n, lc.OR, ub_circuit.gates, ub_circuit.outputs)
     cands0 = sum(1 << (u | w) for u, w in itertools.combinations(units, 2))

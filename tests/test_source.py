@@ -61,6 +61,10 @@ assert main(["gen", "sierpinski:8"]) == 0
 loaded.append("numpy" in sys.modules)
 assert main(["exact", "--in", "exampleA", "--model", "xor"]) == 0
 loaded.append("numpy" in sys.modules)
+assert main(["synth", "--method", "paar", "--in", "random:8:8:1", "--out", sys.argv[1]]) == 0
+loaded.append("numpy" in sys.modules)
+assert main(["check", "--in", sys.argv[1], "--against", "random:8:8:1"]) == 0
+loaded.append("numpy" in sys.modules)
 lincirc.run_trial(
     lincirc.ExperimentConfig(n=16, master_seed=3, c=1, trials=1, rank_samples=4), 0)
 loaded.append("numpy" in sys.modules)
@@ -68,13 +72,14 @@ print(loaded)
 """
 
 
-def test_import_loads_no_numpy():
+def test_import_loads_no_numpy(tmp_path):
     # only the all-ones finder and the rank sampler compute with numpy, so
     # the import and the commands that need neither leave it unloaded; the
     # trial at the end loads it, which shows the probe can see it at all
     src = Path(lincirc.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path / "paar.slp")],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.splitlines()[-1] == "[False, False, False, True]"
+    assert out.splitlines()[-1] == "[False, False, False, False, False, True]"

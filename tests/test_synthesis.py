@@ -455,6 +455,10 @@ def test_complement_transform():
             assert not lc.is_cancellation_free(comp)
         twice = lc.complement_transform(comp)
         assert lc.verify(twice, lc.gen_sierpinski(n))
+    # an m x 0 matrix is its own complement: every output stays zero
+    empty = lc.Circuit(0, lc.XOR, (), (None,))
+    assert lc.complement_transform(empty) == empty
+    assert lc.verify(lc.complement_transform(empty), lc.complement(lc.zeros(1, 0)))
 
 
 def test_complement_transform_zero_row_forwards_parity():
