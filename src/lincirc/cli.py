@@ -50,6 +50,7 @@ from .matrices import (
     gen_sierpinski,
     kfree_enumeration_feasible,
 )
+from .rng import check_seed
 
 SCHEMA_VERSION = 1
 
@@ -98,8 +99,9 @@ def parse_genspec(spec: str) -> Optional[BitMatrix]:
             raise CliError(f"random spec takes m:n:seed, got {spec!r}")
         try:
             m, n, seed = (_ascii_size(p) for p in parts)
+            check_seed(seed)
         except ValueError as exc:
-            raise CliError(f"bad random spec {spec!r}") from exc
+            raise CliError(f"bad random spec {spec!r}: {exc}") from exc
         _check_spec_cells(spec, m, n)
         return gen_random(m, n, seed)
     return None
@@ -210,6 +212,10 @@ def _summary(cost: int, layered: bool, cancellation_free: bool) -> str:
 
 def cmd_synth(args) -> int:
     method = args.method
+    if args.n is not None and (method not in _FAMILY_METHODS or args.infile):
+        raise CliError("--n goes with --method sierpinski, setint or hadamard, and without --in")
+    if args.in2 is not None and method != "product":
+        raise CliError("--in2 goes with --method product only")
     construct = getattr(synth_mod, _SYNTH_METHODS[method])
     if method == "product":
         if not (args.infile and args.in2):
@@ -341,7 +347,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_lab_separation(args) -> int:
-    rep = lab_mod.run_experiment(_experiment_config(args, args.n), threads=args.threads)
+    rep = lab_mod.run_experiment(_experiment_config(args, args.n))
     human = (
         f"n={args.n}: min density {rep.min_density:.4f}, "
         f"max composed gates {rep.max_composed_gates}, "
@@ -375,10 +381,13 @@ def cmd_lab_bias(args) -> int:
 
 
 def cmd_lab_sweep(args) -> int:
-    ns = [int(tok) for tok in args.ns.split(",") if tok]
+    try:
+        ns = [int(tok) for tok in args.ns.split(",") if tok]
+    except ValueError as exc:
+        raise CliError(f"--ns takes comma-separated integer sizes, got {args.ns!r}") from exc
     if not ns:
         raise CliError("--ns needs at least one size")
-    rep = lab_mod.ratio_sweep(ns, _experiment_config(args, ns[0]), threads=args.threads)
+    rep = lab_mod.ratio_sweep(ns, _experiment_config(args, ns[0]))
     human = "; ".join(
         f"n={p.n}: proxy {p.median_ratio_proxy and round(p.median_ratio_proxy, 5)}, "
         f"heuristic {p.median_heuristic_ratio:.2f}"
@@ -433,7 +442,6 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rank-samples", dest="rank_samples", type=int, default=lab_mod.DEFAULT_RANK_SAMPLES
     )
-    p.add_argument("--threads", type=int, default=1)
     _add_json_flag(p)
 
 
@@ -534,6 +542,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed, "--seed")
         return args.fn(args)
     except CliError as exc:
         print(f"lincirc: {exc}", file=sys.stderr)

@@ -191,7 +191,6 @@ _CONNECTIVE = {XOR_MODEL: XOR, CF_MODEL: XOR, OR_MODEL: OR}
 
 DEFAULT_LIMIT = 14
 _MAX_INPUTS = 16
-_CENSUS_LIMIT = 9  # above the n(n - 1) = 6 gates of a row-by-row 3 x 3 circuit
 
 
 @dataclass(frozen=True)
@@ -756,7 +755,8 @@ class CensusReport:
 
 def census(n: int) -> CensusReport:
     """Exhaustive optima over all 2**(n*n) matrices; n is capped at 3
-    (512 matrices) because the count is doubly exponential."""
+    (512 matrices) because the count is doubly exponential.  No search
+    passes the n(n - 1) = 6 gates of a row-by-row circuit."""
     if not 1 <= n <= 3:
         raise ValueError("census supports 1 <= n <= 3")
     histograms: dict[str, dict[int, int]] = {m: {} for m in MODELS}
@@ -770,9 +770,9 @@ def census(n: int) -> CensusReport:
         mat = BitMatrix(n, n, data)
         sizes = {}
         for model in MODELS:
-            out = optimal_size(mat, model, limit=_CENSUS_LIMIT)
+            out = optimal_size(mat, model)
             if out.optimal_size is None:
-                raise RuntimeError(f"census: no {model} circuit within {_CENSUS_LIMIT} gates")
+                raise RuntimeError(f"census: no {model} circuit within {out.limit} gates")
             sizes[model] = out.optimal_size
             hist = histograms[model]
             hist[out.optimal_size] = hist.get(out.optimal_size, 0) + 1

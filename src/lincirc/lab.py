@@ -20,20 +20,18 @@ c = 14 a trial makes 100 ``rank_gf2`` calls, all for the factors'
 statistics, instead of 250.
 
 Everything is a pure function of (config, trial index): sub-streams are
-derived per trial and per stage, so trials are order-independent and can
-run in parallel.
+derived per trial and per stage, so trials are order-independent.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .rng import derive_seed, words_np
+from .rng import check_seed, derive_seed, words_np
 from .matrices import (
     EVIDENCE_BUDGET,
     MAX_CELLS,
@@ -69,6 +67,7 @@ class ExperimentConfig:
     rank_samples: int = DEFAULT_RANK_SAMPLES
 
     def __post_init__(self):
+        check_seed(self.master_seed, "master_seed")
         least = {"n": 2, "c": 1, "trials": 1, "rank_samples": 1, "submatrix_budget": 0}
         for name, low in least.items():
             if getattr(self, name) < low:
@@ -301,29 +300,6 @@ def _measure_trial(
     )
 
 
-def _sweep_trial(config: ExperimentConfig, trial_index: int) -> tuple[TrialReport, float]:
-    """A trial's report and its (greedy-heuristic gate count) /
-    (composed product gate count), from one build of its matrices."""
-    b, c, a = trial_matrices(config, trial_index)
-    report = _measure_trial(config, trial_index, b, c, a)
-    return report, paar_greedy(a).cost / report.composed_gates
-
-
-def _map_trials(fn, config: ExperimentConfig, threads: int) -> list:
-    """``fn(config, t)`` for every trial t, in trial order; in a pool of
-    ``threads`` processes, capped at the trials and the CPUs, when that
-    is more than one."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, config.trials, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, [config] * config.trials, range(config.trials)))
-    return [fn(config, t) for t in range(config.trials)]
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     config: ExperimentConfig
@@ -346,9 +322,9 @@ class SeparationReport:
         return _report_dict(self, "min_density", "median_ratio_proxy", "max_composed_gates")
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> SeparationReport:
-    """All trials of a config, in trial order whatever the schedule."""
-    return SeparationReport(config, tuple(_map_trials(run_trial, config, threads)))
+def run_experiment(config: ExperimentConfig) -> SeparationReport:
+    """All trials of a config, in trial order."""
+    return SeparationReport(config, tuple(run_trial(config, t) for t in range(config.trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +466,7 @@ class SweepReport:
         return _report_dict(self)
 
 
-def ratio_sweep(ns: list[int], base: ExperimentConfig, threads: int = 1) -> SweepReport:
+def ratio_sweep(ns: list[int], base: ExperimentConfig) -> SweepReport:
     """Medians of the separation proxies across a size sweep.
 
     Per n: the median ratio_proxy over the trials, and the median of
@@ -502,8 +478,13 @@ def ratio_sweep(ns: list[int], base: ExperimentConfig, threads: int = 1) -> Swee
     points = []
     configs = [replace(base, n=n) for n in ns]  # every n is checked before any trial
     for cfg in configs:
-        reports, heuristic = zip(*_map_trials(_sweep_trial, cfg, threads))
-        proxies = [t.ratio_proxy for t in reports if t.ratio_proxy is not None]
+        proxies, heuristic = [], []
+        for t in range(cfg.trials):
+            b, c, a = trial_matrices(cfg, t)  # built once for both ratios
+            report = _measure_trial(cfg, t, b, c, a)
+            if report.ratio_proxy is not None:
+                proxies.append(report.ratio_proxy)
+            heuristic.append(paar_greedy(a).cost / report.composed_gates)
         points.append(
             SweepPoint(
                 cfg.n,

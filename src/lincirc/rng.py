@@ -22,6 +22,13 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a seed outside [0, 2**64): the streams read a seed modulo
+    2**64, so it would silently wrap onto another."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def derive_seed(master: int, *indices: int) -> int:
     """Derive the seed of a sub-stream from a master seed and an index path.
 

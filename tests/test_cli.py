@@ -58,6 +58,8 @@ def test_gen_bad_spec(capsys):
     [
         "random:a:b:c", "random:4:4:x", "random:\u0663:\u0663:1", "random:-3:3:1",
         "random:1_0:3:1", "random:3:3:\u0661", "random:3:3:-1", "random:3:3:1_0",
+        # a seed of 2**64 or more would wrap onto a smaller one
+        "random:3:3:18446744073709551616",
     ],
 )
 def test_gen_bad_random_spec(capsys, spec):
@@ -352,11 +354,26 @@ def test_lab_commands_require_seed(capsys):
          "mask has 33 rows; the cap is 32x32"),
         (["lab", "bias", "--mask", "00/0?/0"], "mask must be square"),
         (["synth", "--method", "bp", "--in", "sierpinski:32"], "bp cover table would hold"),
-        (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "5", "--threads", "0"],
-         "threads must be >= 1"),
-        (["lab", "sweep", "--ns", "16", "--trials", "1", "--seed", "5", "--threads", "-2"],
-         "threads must be >= 1"),
+        # a seed outside [0, 2**64) would wrap onto another seed
+        (["lab", "separation", "--n", "16", "--trials", "1", "--seed", "-1"],
+         "--seed must be in [0, 2**64), got -1"),
+        (["lab", "sweep", "--ns", "16", "--trials", "1", "--seed", str(2**64)],
+         "--seed must be in [0, 2**64)"),
         (["lab", "bias", "--mask", "00/00"], "mask must leave exactly one entry undefined"),
+        (["bound", "--in", "exampleA", "--seed", str(2**64)], "--seed must be in [0, 2**64)"),
+        (["lab", "rankstats", "--in", "exampleA", "--k", "2", "--samples", "3", "--seed", "-1"],
+         "--seed must be in [0, 2**64)"),
+        (["lab", "ramsey", "--in", "exampleA", "--t", "2", "--seed", str(2**64 + 5)],
+         "--seed must be in [0, 2**64)"),
+        (["lab", "sweep", "--ns", "64,abc", "--trials", "1", "--seed", "1"],
+         "--ns takes comma-separated integer sizes"),
+        # synth refuses a flag its method would ignore
+        (["synth", "--method", "paar", "--n", "8", "--in", "exampleA"],
+         "--n goes with --method sierpinski, setint or hadamard, and without --in"),
+        (["synth", "--method", "sierpinski", "--n", "8", "--in", "exampleA"],
+         "--n goes with --method sierpinski, setint or hadamard, and without --in"),
+        (["synth", "--method", "naive", "--in", "exampleA", "--in2", "exampleA"],
+         "--in2 goes with --method product only"),
     ],
 )
 def test_out_of_range_arguments_exit_invalid(capsys, argv, message):
@@ -365,7 +382,7 @@ def test_out_of_range_arguments_exit_invalid(capsys, argv, message):
 
 
 def test_lab_refuses_oversized_experiments_before_any_trial(capsys, monkeypatch):
-    monkeypatch.setattr("lincirc.lab._map_trials", lambda *a: pytest.fail("ran trials"))
+    monkeypatch.setattr("lincirc.lab.trial_matrices", lambda *a: pytest.fail("ran a trial"))
     for argv in (["separation", "--n", "4097"], ["sweep", "--ns", "64,4097"]):
         code, out, err = run(capsys, "lab", *argv, "--trials", "1", "--seed", "1")
         assert code == 2 and "cap is 16777216 cells" in err and out == ""

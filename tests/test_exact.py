@@ -1013,11 +1013,13 @@ def test_census_n3_goldens():
     assert sum(rep.histograms["CF"].values()) == 512
 
 
-def test_census_reads_one_gate_limit(monkeypatch):
-    assert exact_mod._CENSUS_LIMIT == 9
-    # the limit the searches run at is the one the refusal names
-    monkeypatch.setattr(exact_mod, "_CENSUS_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="no XOR circuit within 0 gates"):
+def test_census_refuses_a_search_without_an_optimum(monkeypatch):
+    # no census search reaches the limit; the guard names the one it ran at
+    def exhausted(mat, model):
+        return exact_mod.SearchOutcome(model, None, True, None, 0, exact_mod.DEFAULT_LIMIT)
+
+    monkeypatch.setattr(exact_mod, "optimal_size", exhausted)
+    with pytest.raises(RuntimeError, match="census: no XOR circuit within 14 gates"):
         lc.census(2)
 
 

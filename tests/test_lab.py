@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -42,12 +41,6 @@ def test_trial_fields_are_consistent():
     assert t.sylvester_ok
     if t.kfree.quantity is not None:
         assert t.ratio_proxy == pytest.approx(t.kfree.quantity / t.composed_gates)
-
-
-def test_experiment_parallel_matches_serial():
-    serial = lc.run_experiment(CFG16, threads=1)
-    parallel = lc.run_experiment(CFG16, threads=2)
-    assert serial == parallel
 
 
 def test_composed_circuits_verify_inside_trials():
@@ -187,7 +180,8 @@ def test_trial_allones_witness_is_the_kfree_witness():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n", 1), ("c", 0), ("trials", 0), ("rank_samples", 0), ("submatrix_budget", -5)],
+    [("n", 1), ("c", 0), ("trials", 0), ("rank_samples", 0), ("submatrix_budget", -5),
+     ("master_seed", -1), ("master_seed", 2**64)],
 )
 def test_config_refuses_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -197,7 +191,7 @@ def test_config_refuses_out_of_range_field(field, value):
 
 
 def test_ratio_sweep_checks_every_size_before_any_trial(monkeypatch):
-    monkeypatch.setattr(lab_mod, "_map_trials", lambda *a, **k: pytest.fail("ran trials"))
+    monkeypatch.setattr(lab_mod, "trial_matrices", lambda *a: pytest.fail("ran a trial"))
     with pytest.raises(ValueError, match="n must be"):
         lc.ratio_sweep([8, 1], CFG16)
     with pytest.raises(ValueError, match="cap is 16777216 cells"):
@@ -210,40 +204,6 @@ def test_config_refuses_matrices_over_the_cell_cap():
     for fields in ({"n": 4097}, {"n": 64, "c": 10**6}):
         with pytest.raises(ValueError, match="cap is 16777216 cells"):
             ExperimentConfig(master_seed=1, **fields)
-
-
-def test_trial_pool_is_capped_at_the_trials_and_cpus(monkeypatch):
-    made = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor, running ``map`` in process."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    # the pool class is imported where a pool starts, from its package
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(lab_mod.os, "cpu_count", lambda: 4)
-    for threads, trials, workers in ((1000, 8, 4), (1000, 3, 3), (2, 8, 2), (1, 8, None)):
-        made.clear()
-        out = lab_mod._map_trials(lambda cfg, t: t, replace(CFG16, trials=trials), threads)
-        assert out == list(range(trials))
-        assert made == ([] if workers is None else [workers])
-    monkeypatch.setattr(lab_mod.os, "cpu_count", lambda: None)  # unknown: serial
-    made.clear()
-    assert lc.run_experiment(CFG16, threads=1000) == lc.run_experiment(CFG16)
-    assert made == []
-    for threads in (0, -3):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            lc.run_experiment(CFG16, threads=threads)
 
 
 def _sequential_indices(rng: SplitMix64, population: int, k: int) -> list[int]:
@@ -539,10 +499,8 @@ def test_ratio_sweep_builds_each_trials_matrices_once(monkeypatch):
         return trial_matrices(config, t)
 
     monkeypatch.setattr(lab_mod, "trial_matrices", counting)
-    serial = lc.ratio_sweep([16, 32], CFG16)
+    lc.ratio_sweep([16, 32], CFG16)
     assert built == {(n, t): 1 for n in (16, 32) for t in range(CFG16.trials)}
-    monkeypatch.undo()
-    assert lc.ratio_sweep([16, 32], CFG16, threads=2) == serial
 
 
 def test_ratio_sweep_single_point_has_no_trend():
