@@ -24,11 +24,15 @@ output).  A ``layered`` header word makes the gates fall into sections,
 each opened by a ``layer <d>`` marker, whose operands lie strictly below
 the gate's layer; without it the text is a fan-in-2 SLP: no markers and
 exactly two operands per gate.  One writer emits both, a flat circuit
-being a single unmarked layer.  The reader allows blanks (or none)
-around ``=`` and ``+``, ignores blank lines, accepts leading zeros in
+being a single unmarked layer whose gates it writes as ``t<k> = <a> +
+<b>`` with single blanks.  The reader allows blanks (or none) around
+``=`` and ``+``, ignores blank lines, accepts leading zeros in
 ``x``/``t`` references (``x01`` is ``x1``), and wants the outputs in
 order, ``y1`` first.  Every number in the text is ASCII digits
-``[0-9]+``; other Unicode digits (``x١``) are refused.
+``[0-9]+``; other Unicode digits (``x١``) are refused.  A flat gate line
+in the writer's exact form, k the next gate and both operands named
+before, is read in one split; every other line goes through the
+grammar, which also raises every error.
 """
 
 from __future__ import annotations
@@ -413,21 +417,25 @@ def flatten(layered: LayeredCircuit) -> Circuit:
 def slp_dumps(c: AnyCircuit) -> str:
     """SLP text of a flat or layered circuit (the header says which).
 
-    The one writer: a flat circuit is one layer without its marker.
+    The one writer: a flat circuit is one layer without its marker, each
+    gate written by one f-string as ``t<k> = <a> + <b>``, the line the
+    operand join of a layered gate gives for two operands.
     """
     layered = isinstance(c, LayeredCircuit)
-    layers = c.layers if layered else (c.gates,)
-    n_gates = sum(map(len, layers))
+    n_gates = c.n_gates if layered else len(c.gates)
     names = [f"x{i + 1}" for i in range(c.n_inputs)] + [f"t{k + 1}" for k in range(n_gates)]
-    name = names.__getitem__
     lines = [f"inputs {c.n_inputs} connective {c.connective}" + (" layered" if layered else "")]
-    g = c.n_inputs
-    for d, layer in enumerate(layers):
-        if layered:
+    if layered:
+        name = names.__getitem__
+        g = c.n_inputs
+        for d, layer in enumerate(c.layers):
             lines.append(f"layer {d + 1}")
-        for ops in layer:
-            lines.append(f"{names[g]} = {' + '.join(map(name, ops))}")
-            g += 1
+            for ops in layer:
+                lines.append(f"{names[g]} = {' + '.join(map(name, ops))}")
+                g += 1
+    else:
+        gates = enumerate(c.gates, c.n_inputs)
+        lines += [f"{names[g]} = {names[a]} + {names[b]}" for g, (a, b) in gates]
     outs = " ".join(
         f"y{i + 1}={'0' if o is None else names[o]}" for i, o in enumerate(c.outputs)
     )
@@ -486,11 +494,26 @@ def slp_loads(text: str) -> AnyCircuit:
         known[tok] = ref
         return ref
 
+    gates = None if layered else layers[0]  # flat text before its outputs block
     for lineno, ln in lines[1:]:
+        if gates is not None:
+            # the writer's flat gate line: 't<k> = <a> + <b>', single blanks,
+            # k the next gate and both operands resolved before; any other
+            # line takes the grammar below, which also raises every error
+            parts = ln.split(" ")
+            if len(parts) == 5 and parts[1] == "=" and parts[3] == "+":
+                a = known.get(parts[2])
+                b = known.get(parts[4])
+                if a is not None and b is not None and parts[0] == f"t{n_gates + 1}":
+                    gates.append((a, b))
+                    known[parts[0]] = n_inputs + n_gates
+                    n_gates += 1
+                    continue
         if ln.startswith("outputs:"):
             if outputs is not None:
                 raise ParseError("duplicate outputs block", lineno)
             outputs = []
+            gates = None
             for wm in _WORD_RE.finditer(ln, len("outputs:")):
                 col = wm.start() + 1
                 om = _OUTPUT_RE.match(wm.group())

@@ -216,11 +216,15 @@ def cmd_synth(args) -> int:
         raise CliError("--n goes with --method sierpinski, setint or hadamard, and without --in")
     if args.in2 is not None and method != "product":
         raise CliError("--in2 goes with --method product only")
+    if args.depth_mode is not None and method != "product":
+        raise CliError("--depth-mode goes with --method product only")
     construct = getattr(synth_mod, _SYNTH_METHODS[method])
     if method == "product":
         if not (args.infile and args.in2):
             raise CliError("product needs --in (left factor) and --in2 (right factor)")
-        res = construct(load_matrix_arg(args.infile), load_matrix_arg(args.in2), args.depth_mode)
+        # unset, the mode is product_circuit's default
+        mode = {} if args.depth_mode is None else {"depth_mode": args.depth_mode}
+        res = construct(load_matrix_arg(args.infile), load_matrix_arg(args.in2), **mode)
     elif method in _FAMILY_METHODS:
         if args.n is not None:
             n = args.n
@@ -464,7 +468,9 @@ def build_parser() -> _Parser:
     s.add_argument("--in", dest="infile", help="matrix file or generator spec (default: stdin)")
     s.add_argument("--in2", dest="in2", help="second factor for --method product")
     s.add_argument("--n", type=int, help="size for the family constructions")
-    s.add_argument("--depth-mode", choices=["fanin2", "depth4"], default="fanin2")
+    s.add_argument(
+        "--depth-mode", choices=["fanin2", "depth4"], help="--method product only (default: fanin2)"
+    )
     s.add_argument("--out", help="write the SLP here (default: stdout)")
     _add_json_flag(s)
     s.set_defaults(fn=cmd_synth)

@@ -119,17 +119,20 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     pair is pushed as ``(t, new)``.  So nothing is ever pushed above
     ``top``, which only descends.
 
-    When ``top`` reaches a bucket, one pass recounts its keys: a key whose
-    count is still ``top`` stays, a stale one moves to the bucket of its
-    current count, below ``top``, or is dropped once that is below two.
-    Only the kept keys are heapified.  Every pair sharing two rows or
+    When ``top`` reaches a bucket, one pass recounts its keys and files
+    each under its current count: a key whose count is still ``top``
+    stays, a stale one moves to a bucket below ``top``, and buckets 0 and
+    1 are emptied, which drops the keys whose count fell below two.  Only
+    the kept keys are heapified.  Every pair sharing two rows or
     more holds one key, stored with a count between its current one and
     ``top``; so each pair whose current count is ``top`` is kept by that
     pass or pushed at ``top`` after it.  A pair that goes stale later at
     this level is caught on pop and moved down the same way.  So the
     least key the heap yields with count ``top`` is the pair one lazy
     max-heap of ``(-count, si, sj)`` would take.  A lower bucket is a
-    plain list until ``top`` reaches it.
+    plain list until ``top`` reaches it; keys are distinct, so the order
+    they enter a bucket in does not change what the heap yields, and the
+    loops take the bits of ``both`` and ``twice`` from the top down.
 
     Phase 2 starts when that queue is empty: no two signals share two
     rows, and none ever will, since each later gate covers a single row.
@@ -139,22 +142,25 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
     ``(s1, s2, row)`` per row with two or more signals, a gate replaces
     the front two signals of its row by the new one at the back, and
     only that row's key changes.  Each row's list comes ascending from
-    its mask and stays so, since a new gate's signal is the largest index
-    so far.  Count-1 pairs sort after every pair sharing two or more
+    ``usage`` read in signal order, and stays so, since a new gate's
+    signal is the largest index so far.  Count-1 pairs sort after every pair sharing two or more
     rows, so they decide nothing in phase 1, and phase 2 takes them in
     the order one heap over all pairs would.  Each nonzero row ends held
     by exactly one signal: its output.
     """
     m, n = a.rows, a.cols
-    b = _Builder(n, XOR)
     rowsig = [a.row(i) for i in range(m)]  # row -> bitmask of its live signals
     total = sum(rs.bit_count() for rs in rowsig)
     shift = (n + total).bit_length()
     low = (1 << shift) - 1
     usage = [0] * (n + total)  # signal -> bitmask of rows containing it, 0 once used up
-    for i, rs in enumerate(rowsig):
-        for j in _set_bits(rs):
-            usage[j] |= 1 << i
+    bit = 1
+    for rs in rowsig:
+        while rs:
+            j = rs.bit_length() - 1
+            rs ^= 1 << j
+            usage[j] |= bit
+        bit <<= 1
 
     buckets: list[list[int]] = [[], []]  # count -> keys of the pairs stored with it
     live = [j for j in range(n) if usage[j]]
@@ -169,15 +175,17 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
                 buckets[cnt].append(hi | sj)
     top = len(buckets) - 1
 
+    gates: list[tuple[int, int]] = []
+    snew = n  # the next gate's signal
     heappop, heappush = heapq.heappop, heapq.heappush
     while top >= 2:
-        bucket = []
-        for key in buckets.pop():
-            cur = (usage[key >> shift] & usage[key & low]).bit_count()
-            if cur == top:
-                bucket.append(key)
-            elif cur >= 2:
-                buckets[cur].append(key)
+        keys = buckets[top]
+        buckets[top] = []
+        for key in keys:
+            buckets[(usage[key >> shift] & usage[key & low]).bit_count()].append(key)
+        bucket = buckets.pop()
+        buckets[0].clear()
+        buckets[1].clear()
         heapq.heapify(bucket)
         while bucket:
             key = heappop(bucket)
@@ -187,42 +195,58 @@ def paar_greedy(a: BitMatrix) -> SynthesisResult:
             both = ui & uj
             cur = both.bit_count()
             if cur != top:
-                if cur >= 2:
-                    buckets[cur].append(key)
+                buckets[cur].append(key)
                 continue
-            snew = b.gate(si, sj)
+            gates.append((si, sj))
             usage[snew] = both
-            usage[si] = ui & ~both
-            usage[sj] = uj & ~both
-            pair = (1 << si) | (1 << sj)
+            usage[si] = ui ^ both
+            usage[sj] = uj ^ both
+            # one flip per row drops si and sj and adds snew; snew lands in
+            # ``twice`` too (``both`` has two rows or more) and leaves it after
             bit = 1 << snew
+            flip = (1 << si) | (1 << sj) | bit
             once = twice = 0
-            for r in _set_bits(both):
-                rs = rowsig[r] ^ pair
+            rows_left = both
+            while rows_left:
+                r = rows_left.bit_length() - 1
+                rows_left ^= 1 << r
+                rs = rowsig[r] ^ flip
                 twice |= once & rs
                 once |= rs
-                rowsig[r] = rs | bit
-            for t in _set_bits(twice):
+                rowsig[r] = rs
+            twice ^= bit
+            while twice:
+                t = twice.bit_length() - 1
+                twice ^= 1 << t
                 cnt = (usage[t] & both).bit_count()
                 if cnt == top:
                     heappush(bucket, (t << shift) | snew)
                 else:
                     buckets[cnt].append((t << shift) | snew)
+            snew += 1
         top -= 1
 
-    rows = [_set_bits(rs) for rs in rowsig]  # row -> its live signals, ascending
+    rows: list[list[int]] = [[] for _ in range(m)]  # row -> its live signals, ascending
+    for t, u in enumerate(usage[:snew]):
+        while u:
+            r = u.bit_length() - 1
+            u ^= 1 << r
+            rows[r].append(t)
     keys = [(sigs[0], sigs[1], r) for r, sigs in enumerate(rows) if len(sigs) >= 2]
     heapq.heapify(keys)
     while keys:
         s1, s2, r = heappop(keys)
+        gates.append((s1, s2))
         sigs = rows[r]
         del sigs[:2]
-        sigs.append(b.gate(s1, s2))
+        sigs.append(snew)
+        snew += 1
         if len(sigs) >= 2:
             heappush(keys, (sigs[0], sigs[1], r))
 
-    outputs: list[Optional[int]] = [sigs[-1] if sigs else None for sigs in rows]
-    return _result(b.circuit(outputs), "paar", a, tie_break="lexicographic pair")
+    outputs = tuple(sigs[-1] if sigs else None for sigs in rows)
+    circuit = Circuit(n, XOR, tuple(gates), outputs)
+    return _result(circuit, "paar", a, tie_break="lexicographic pair")
 
 
 def _submasks(t: int):

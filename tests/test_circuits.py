@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import pytest
@@ -619,6 +620,72 @@ def test_slp_loads_token_rules():
     # and references may carry leading zeros
     for text, circuit in SLP_ACCEPTS:
         assert lc.slp_loads(text) == circuit, text
+
+
+def _random_flat(rng: SplitMix64, n: int, gates: int) -> Circuit:
+    """Random SLP whose gates may repeat an operand and whose outputs may be
+    constant zero."""
+    gs = tuple((rng.randrange(n + k), rng.randrange(n + k)) for k in range(gates))
+    outs = tuple(
+        None if rng.randrange(4) == 0 else rng.randrange(n + gates)
+        for _ in range(1 + rng.randrange(4))
+    )
+    return Circuit(n, (lc.XOR, lc.OR)[rng.randrange(2)], gs, outs)
+
+
+def _layouts(text: str) -> list[str]:
+    """The writer's text in other layouts the grammar accepts."""
+    compact = text.replace(" = ", "=").replace(" + ", "+")
+    lines = text.split("\n")
+    return [
+        compact,
+        text.replace(" = ", "\t=\t").replace(" + ", " \t+  "),
+        text.replace("\n", "\r\n"),
+        re.sub(r"\b([xt])([0-9])", r"\g<1>0\2", text),  # leading zeros
+        # the writer's lines between compact ones: the routes share one table
+        "\n".join(ln if k % 2 else ln.replace(" = ", "=").replace(" + ", "+")
+                  for k, ln in enumerate(lines)),
+    ]
+
+
+def _refusal(text: str) -> tuple[int, str]:
+    with pytest.raises(lc.ParseError) as err:
+        lc.slp_loads(text)
+    return err.value.line, str(err.value).split(": ", 1)[1]
+
+
+def test_slp_reader_routes_agree():
+    # the reader takes the writer's flat gate line in one split and every
+    # other line through the grammar: both read every layout the same, and
+    # refuse a bad gate line in the writer's form as they refuse it compact
+    rng = SplitMix64(36)
+    seen = set()
+    for k in range(200):
+        c = _random_flat(rng, 1 if k % 4 == 0 else 1 + rng.randrange(5), rng.randrange(12))
+        seen |= {"single input"} if c.n_inputs == 1 else set()
+        seen |= {"zero output"} if None in c.outputs else set()
+        seen |= {"repeated operand"} if any(a == b for a, b in c.gates) else set()
+        text = lc.slp_dumps(c)
+        assert lc.slp_loads(text) == c
+        for variant in _layouts(text):
+            assert lc.slp_loads(variant) == c, variant
+        if not c.gates:
+            continue
+        lines = text.split("\n")
+        j = 1 + rng.randrange(len(c.gates))  # gate t<j> sits on line j + 1
+        name, rest = lines[j].split(" = ")
+        bad = [
+            f"t{j + 1} = {rest}",  # not the next gate
+            f"{name} = {name} + {rest.split(' + ')[1]}",  # the gate reads itself
+        ]
+        for line in bad:
+            wrong = "\n".join(lines[:j] + [line] + lines[j + 1 :])
+            compact = wrong.replace(" = ", "=").replace(" + ", "+")
+            assert _refusal(wrong)[0] == j + 1
+            assert _refusal(wrong) == _refusal(compact), wrong
+        late = text + f"t{len(c.gates) + 1} = x1 + x1\n"  # a gate after the outputs
+        assert _refusal(late) == (len(lines), "content after outputs block")
+    assert seen == {"single input", "zero output", "repeated operand"}
 
 
 def test_layered_text_with_two_outputs_blocks_is_refused():

@@ -374,6 +374,8 @@ def test_lab_commands_require_seed(capsys):
          "--n goes with --method sierpinski, setint or hadamard, and without --in"),
         (["synth", "--method", "naive", "--in", "exampleA", "--in2", "exampleA"],
          "--in2 goes with --method product only"),
+        (["synth", "--method", "paar", "--in", "exampleA", "--depth-mode", "depth4"],
+         "--depth-mode goes with --method product only"),
     ],
 )
 def test_out_of_range_arguments_exit_invalid(capsys, argv, message):

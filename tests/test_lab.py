@@ -487,7 +487,9 @@ def test_ratio_sweep_small():
     assert len(rep.points) == 2
     assert rep.ratio_proxy_nondecreasing is True
     assert rep.heuristic_ratio_nondecreasing is True
-    assert all(p.median_heuristic_ratio >= 1.0 or p.n <= 32 for p in rep.points)
+    # at these sizes the composed circuit still costs far more than paar's
+    # on the product (measured 0.107 at n = 16 and 0.173 at n = 32)
+    assert all(p.median_heuristic_ratio < 1.0 for p in rep.points)
 
 
 def test_ratio_sweep_builds_each_trials_matrices_once(monkeypatch):
