@@ -22,7 +22,7 @@ from .matrices import (
     DimensionError,
     EVIDENCE_BUDGET,
     Submatrix,
-    _report_dict,
+    _Report,
     _require_freeness_k,
     _require_power_of_two,
     det_int,
@@ -88,7 +88,7 @@ def trivial_bounds(a: BitMatrix) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class KFreeStatus:
+class KFreeStatus(_Report):
     """Outcome of a k-freeness claim at one k."""
 
     k: int
@@ -97,9 +97,6 @@ class KFreeStatus:
     witness: Optional[Submatrix] = None
     budget: Optional[int] = None
     seed: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return _report_dict(self)
 
 
 def kfree_quantity(
@@ -145,7 +142,7 @@ def kst_cap(a: BitMatrix, free_a: int) -> tuple[bool, float]:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """All applicable lower-bound certificates for one matrix."""
 
     rows: int
@@ -159,9 +156,6 @@ class BoundReport:
     kst: Optional[dict] = None
     sierpinski_closed_form: Optional[int] = None
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return _report_dict(self)
 
 
 def bound_report(

@@ -29,10 +29,11 @@ being a single unmarked layer whose gates it writes as ``t<k> = <a> +
 ``=`` and ``+``, ignores blank lines, accepts leading zeros in
 ``x``/``t`` references (``x01`` is ``x1``), and wants the outputs in
 order, ``y1`` first.  Every number in the text is ASCII digits
-``[0-9]+``; other Unicode digits (``x١``) are refused.  A flat gate line
-in the writer's exact form, k the next gate and both operands named
-before, is read in one split; every other line goes through the
-grammar, which also raises every error.
+``[0-9]+``; other Unicode digits (``x١``) are refused.  The reader
+takes the text one line at a time.  A flat gate line in the writer's
+exact form, k the next gate and both operands named before, is read as
+it stands in one split; every other line is stripped, skipped if blank,
+and goes through the grammar, which also raises every error.
 """
 
 from __future__ import annotations
@@ -311,6 +312,17 @@ def restrict_zero(c: Circuit, zero_inputs: set[int]) -> EliminationResult:
     return EliminationResult(reduced, frozenset(eliminated), forwarded)
 
 
+def _check_composable(outer: AnyCircuit, inner: AnyCircuit) -> None:
+    """Refuse to feed ``inner`` into ``outer`` unless they share a
+    connective and ``inner`` has an output for each input of ``outer``."""
+    if outer.connective != inner.connective:
+        raise ValueError("connective mismatch in composition")
+    if outer.n_inputs != len(inner.outputs):
+        raise DimensionError(
+            f"outer arity {outer.n_inputs} != inner output count {len(inner.outputs)}"
+        )
+
+
 def compose(outer: Circuit, inner: Circuit) -> Circuit:
     """Feed the inner circuit's outputs into the outer circuit's inputs.
 
@@ -319,24 +331,14 @@ def compose(outer: Circuit, inner: Circuit) -> Circuit:
     circuit's inputs.  Gate counts add, less the outer gates that
     constant-zero inner outputs make trivial.
     """
-    if outer.connective != inner.connective:
-        raise ValueError("connective mismatch in composition")
-    if outer.n_inputs != len(inner.outputs):
-        raise DimensionError(
-            f"outer arity {outer.n_inputs} != inner output count {len(inner.outputs)}"
-        )
+    _check_composable(outer, inner)
     # outer inputs read the inner outputs, outer gates follow the inner ones
     return _forward_zeros(outer, list(inner.outputs), list(inner.gates), inner.n_inputs)[0]
 
 
 def compose_layered(outer: LayeredCircuit, inner: LayeredCircuit) -> LayeredCircuit:
     """Stack two layered circuits; layer counts add, wire counts at most."""
-    if outer.connective != inner.connective:
-        raise ValueError("connective mismatch in composition")
-    if outer.n_inputs != len(inner.outputs):
-        raise DimensionError(
-            f"outer arity {outer.n_inputs} != inner output count {len(inner.outputs)}"
-        )
+    _check_composable(outer, inner)
     layers = [tuple(layer) for layer in inner.layers]
     # Signal map for outer-circuit signals; constant-zero operands drop
     # out (zero is the identity of both connectives), and a gate losing
@@ -459,10 +461,12 @@ def slp_loads(text: str) -> AnyCircuit:
     ``layer <d>`` marker, and its operands must lie strictly below the
     gate's layer.
     """
-    lines = [(i, ln) for i, raw in enumerate(text.splitlines(), 1) if (ln := raw.strip())]
-    if not lines:
+    numbered = enumerate(text.splitlines(), 1)
+    for lineno, raw in numbered:
+        if header := raw.strip():
+            break
+    else:
         raise ParseError("empty circuit text", 1)
-    lineno, header = lines[0]
     m = _HEADER_RE.match(header)
     if not m:
         raise ParseError("expected 'inputs <n> connective <XOR|OR>'", lineno)
@@ -495,12 +499,12 @@ def slp_loads(text: str) -> AnyCircuit:
         return ref
 
     gates = None if layered else layers[0]  # flat text before its outputs block
-    for lineno, ln in lines[1:]:
+    for lineno, raw in numbered:
         if gates is not None:
-            # the writer's flat gate line: 't<k> = <a> + <b>', single blanks,
-            # k the next gate and both operands resolved before; any other
-            # line takes the grammar below, which also raises every error
-            parts = ln.split(" ")
+            # the writer's flat gate line, as read: 't<k> = <a> + <b>', single
+            # blanks, k the next gate and both operands resolved before; any
+            # other line takes the grammar below, which also raises every error
+            parts = raw.split(" ")
             if len(parts) == 5 and parts[1] == "=" and parts[3] == "+":
                 a = known.get(parts[2])
                 b = known.get(parts[4])
@@ -509,6 +513,9 @@ def slp_loads(text: str) -> AnyCircuit:
                     known[parts[0]] = n_inputs + n_gates
                     n_gates += 1
                     continue
+        ln = raw.strip()
+        if not ln:
+            continue
         if ln.startswith("outputs:"):
             if outputs is not None:
                 raise ParseError("duplicate outputs block", lineno)
@@ -559,7 +566,8 @@ def slp_loads(text: str) -> AnyCircuit:
         known[gm.group(1)] = n_inputs + n_gates
         n_gates += 1
     if outputs is None:
-        raise ParseError("missing outputs block", lines[-1][0])
+        last = max(i for i, raw in enumerate(text.splitlines(), 1) if raw.strip())
+        raise ParseError("missing outputs block", last)
     if layered:
         return LayeredCircuit(n_inputs, connective, tuple(map(tuple, layers)), tuple(outputs))
     return Circuit(n_inputs, connective, tuple(layers[0]), tuple(outputs))

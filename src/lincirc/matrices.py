@@ -6,10 +6,12 @@ arbitrary width, O(1)-ish row XOR/AND/OR, and fast popcounts, which is all
 the elimination and submatrix search below need.
 
 The module also provides the recursive matrix families used throughout
-the package (Sierpinski / set-intersection / Boolean Sylvester-Hadamard),
-seeded uniform random matrices, exact GF(2) rank and rank factorization,
-exact integer determinants, k-freeness checking (exact and heuristic),
-and the text / JSON interchange formats.
+the package (Sierpinski / set-intersection / Boolean Sylvester-Hadamard,
+each one 2x2 block doubling of :func:`_doubling`), seeded uniform random
+matrices, exact GF(2) rank and rank factorization, exact integer
+determinants, k-freeness checking (exact and heuristic), and the text /
+JSON interchange formats.  Every report dataclass of the package takes
+its JSON form from one base, :class:`_Report`.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def _decode_row(line: str, cols: int) -> int:
 
 
 def _json_value(value):
-    """One value of a JSON report; the rule is :func:`_report_dict`'s."""
+    """One value of a JSON report; the rule is :meth:`_Report.to_dict`'s."""
     if hasattr(value, "to_dict"):
         return value.to_dict()
     if isinstance(value, (tuple, list)):
@@ -198,9 +200,9 @@ def _json_value(value):
     return value
 
 
-def _report_dict(obj, *derived: str) -> dict:
-    """The JSON form of a report dataclass: its fields in declaration
-    order, then the named ``derived`` properties.
+class _Report:
+    """Base of the report dataclasses: their JSON form is their fields in
+    declaration order, then the properties a class names in ``_derived``.
 
     Each value is converted by one rule: a value with a ``to_dict`` (a
     nested report, a :class:`Submatrix` witness) uses it, tuples and
@@ -209,8 +211,12 @@ def _report_dict(obj, *derived: str) -> dict:
     kept.  ``dataclasses.asdict`` does not fit: it keeps tuples and turns
     a :class:`Submatrix` into a list.
     """
-    names = [f.name for f in fields(obj)] + list(derived)
-    return {name: _json_value(getattr(obj, name)) for name in names}
+
+    _derived: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        names = [f.name for f in fields(self)] + list(self._derived)
+        return {name: _json_value(getattr(self, name)) for name in names}
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -545,15 +551,23 @@ def _require_power_of_two(n: int) -> None:
         raise ValueError(f"size {n} is not a power of two")
 
 
-def gen_sierpinski(n: int) -> BitMatrix:
-    """Sierpinski matrix: S_1 = (1), S_2n = (S_n 0; S_n S_n)."""
+def _doubling(n: int, one: int, top: Callable, bottom: Callable) -> BitMatrix:
+    """M_n of the family M_1 = (one), M_2n = (M_n T; M_n B): the left blocks
+    repeat M_n, and ``top(r, full)`` and ``bottom(r, full)`` give the rows of
+    T and B beside a row ``r`` of M_n, ``full`` being the all-ones row."""
     _require_power_of_two(n)
-    rows = [1]
+    rows = [one]
     size = 1
     while size < n:
-        rows = rows + [r | (r << size) for r in rows]
+        full = (1 << size) - 1
+        rows = [r | top(r, full) << size for r in rows] + [r | bottom(r, full) << size for r in rows]
         size *= 2
     return BitMatrix(n, n, rows)
+
+
+def gen_sierpinski(n: int) -> BitMatrix:
+    """Sierpinski matrix: S_1 = (1), S_2n = (S_n 0; S_n S_n)."""
+    return _doubling(n, 1, lambda r, full: 0, lambda r, full: r)
 
 
 def gen_setintersection(n: int) -> BitMatrix:
@@ -562,26 +576,12 @@ def gen_setintersection(n: int) -> BitMatrix:
     Row/column ``i`` (1-indexed) encodes the subset with characteristic
     bits ``i - 1``; the entry is 1 iff the two subsets intersect.
     """
-    _require_power_of_two(n)
-    rows = [0]
-    size = 1
-    while size < n:
-        full = (1 << size) - 1
-        rows = [r | (r << size) for r in rows] + [r | (full << size) for r in rows]
-        size *= 2
-    return BitMatrix(n, n, rows)
+    return _doubling(n, 0, lambda r, full: r, lambda r, full: full)
 
 
 def gen_hadamard(n: int) -> BitMatrix:
     """Boolean Sylvester-Hadamard matrix: H_1 = (1), H_2n = (H H; H H-bar)."""
-    _require_power_of_two(n)
-    rows = [1]
-    size = 1
-    while size < n:
-        full = (1 << size) - 1
-        rows = [r | (r << size) for r in rows] + [r | ((r ^ full) << size) for r in rows]
-        size *= 2
-    return BitMatrix(n, n, rows)
+    return _doubling(n, 1, lambda r, full: r, lambda r, full: r ^ full)
 
 
 def setint_row_alignment(n: int) -> list[int]:

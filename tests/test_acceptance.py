@@ -148,6 +148,17 @@ def test_criterion_07_separation_experiment():
             f"{'; '.join(details)}; proxy medians {[round(m, 5) for m in medians]}")
 
 
+def test_criterion_07_heuristic_ratio_crosses_one():
+    # paar's cancellation-free circuit for A against the composed XOR
+    # circuit, both verified: the greedy CF circuit is the smaller one at
+    # n = 256 and the larger one at n = 512 (medians of 2 trials, measured
+    # 0.818 and 1.412 at this seed)
+    cfg = ExperimentConfig(n=256, master_seed=20131305, trials=2)
+    small, large = (p.median_heuristic_ratio for p in lc.ratio_sweep([256, 512], cfg).points)
+    _report(7, "paar / composed gates crosses 1 between n = 256 and 512",
+            small < 1.0 < large, f"medians {small:.3f} and {large:.3f}")
+
+
 def test_criterion_08_sylvester_inequality():
     rng = SplitMix64(808)
     ok = True

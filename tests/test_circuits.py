@@ -555,6 +555,8 @@ PARSE_REFUSALS = [
     (FLAT + "t1 = x1 + x9\noutputs: y1=t1\n", 2, 11),
     ("inputs 2 connective NAND\noutputs: y1=x1\n", 1, 1),
     (FLAT + "t1 = x1 + x2\n", 2, 1),  # no outputs
+    # at the last line that is not blank, not the last line of the text
+    (FLAT + "t1 = x1 + x2\n\n  \n", 2, 1, "missing outputs block"),
     (FLAT + "t2 = x1 + x2\noutputs: y1=t2\n", 2, 1),
     (FLAT + "t1 = t1 + x1\noutputs: y1=t1\n", 2, 6),  # the operand, not the gate name
     (FLAT + "t1 = x1 + x2 + x1\noutputs: y1=t1\n", 2, 6),
@@ -641,6 +643,8 @@ def _layouts(text: str) -> list[str]:
         compact,
         text.replace(" = ", "\t=\t").replace(" + ", " \t+  "),
         text.replace("\n", "\r\n"),
+        text.replace("\n", "  \n"),  # trailing blanks: every line takes the grammar
+        text.replace("\n", "\n\n"),  # blank lines between the writer's lines
         re.sub(r"\b([xt])([0-9])", r"\g<1>0\2", text),  # leading zeros
         # the writer's lines between compact ones: the routes share one table
         "\n".join(ln if k % 2 else ln.replace(" = ", "=").replace(" + ", "+")

@@ -450,6 +450,32 @@ def test_generator_block_recursions():
         assert _quadrant(k, half, half, half) == lc.ones(half, half)
 
 
+#: Each family's 2x2 block rule, entry by entry: entry (i, j) of M_2n,
+#: given whether it lies in the lower half (i >= n), in the right half
+#: (j >= n), and entry (i mod n, j mod n) of M_n.
+_FAMILIES = [
+    # S_1 = (1), S_2n = (S 0; S S)
+    (lc.gen_sierpinski, 1, lambda lower, right, e: 0 if right and not lower else e),
+    # K_1 = (0), K_2n = (K K; K J)
+    (lc.gen_setintersection, 0, lambda lower, right, e: 1 if lower and right else e),
+    # H_1 = (1), H_2n = (H H; H H-bar)
+    (lc.gen_hadamard, 1, lambda lower, right, e: e ^ 1 if lower and right else e),
+]
+
+
+@pytest.mark.parametrize("gen, one, block", _FAMILIES, ids=["S", "K", "H"])
+def test_generators_match_their_block_definitions(gen, one, block):
+    m = [[one]]
+    n = 1
+    while n <= 64:
+        assert _as_lists(gen(n)) == m, n
+        m = [
+            [block(i >= n, j >= n, m[i % n][j % n]) for j in range(2 * n)]
+            for i in range(2 * n)
+        ]
+        n *= 2
+
+
 def test_example_matrices():
     a = lc.example_a()
     assert a.row_bits(0) == [1, 1, 0, 0]
