@@ -7,7 +7,8 @@ Certificates come in two strengths and the report never conflates them:
   and the Sierpinski closed form when the matrix is a Sierpinski matrix;
 * asymptotic quantities with unspecified constants -- the k-freeness
   density ``|A| / k^2`` is reported raw, tagged with the status of the
-  freeness claim (exact, witnessed false, or budgeted evidence).
+  freeness claim (exact, witnessed false, or budgeted evidence) that
+  :func:`kfree_quantity`, the library's one k-freeness verdict, makes.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from .matrices import (
     EVIDENCE_BUDGET,
     Submatrix,
     _Report,
+    _exact_allones,
     _require_freeness_k,
     _require_power_of_two,
     det_int,
     find_allones_submatrix,
     gen_sierpinski,
-    is_k_free_exact,
     kfree_enumeration_feasible,
     kst_bound,
     popcount,
@@ -102,29 +103,28 @@ class KFreeStatus(_Report):
 def kfree_quantity(
     a: BitMatrix, k: int, evidence_budget: int = EVIDENCE_BUDGET, seed: int = 0
 ) -> KFreeStatus:
-    """Establish k-freeness (exactly where enumeration is feasible,
-    otherwise as budgeted no-counterexample evidence) and report the raw
-    density quantity |A| / k^2.
-
-    The hidden constant of the density bound is unknown, so only the raw
-    quantity is reported, never a gate count.  A negative
-    ``evidence_budget`` is refused even where enumeration decides.
-    """
+    """The library's one k-freeness verdict, with the raw density |A| / k^2
+    (its constant is unknown, so it is never a gate count).  Where
+    :func:`~lincirc.matrices.kfree_enumeration_feasible` holds an exhaustive
+    search decides, its witness the first all-ones block; elsewhere a block
+    that :func:`~lincirc.matrices.find_allones_submatrix` finds is a proof,
+    and none is budgeted evidence.  A negative ``evidence_budget`` is
+    refused even where enumeration decides."""
     _require_freeness_k(k)
     if evidence_budget < 0:
         raise ValueError(f"budget must be >= 0, got {evidence_budget}")
     quantity = popcount(a) / (k * k)
-    if not kfree_enumeration_feasible(a, k):
+    if kfree_enumeration_feasible(a, k):
+        witness = _exact_allones(a, k + 1)
+        if witness is None:
+            return KFreeStatus(k, KFREE_EXACT_FREE, quantity)
+    else:
         witness = find_allones_submatrix(a, k, budget=evidence_budget, seed=seed)
-        if witness is not None:
-            return KFreeStatus(k, KFREE_EXACT_NOT_FREE, None, witness=witness)
-        return KFreeStatus(
-            k, KFREE_EVIDENCE_FREE, quantity, budget=evidence_budget, seed=seed
-        )
-    outcome = is_k_free_exact(a, k)
-    if outcome.k_free:
-        return KFreeStatus(k, KFREE_EXACT_FREE, quantity)
-    return KFreeStatus(k, KFREE_EXACT_NOT_FREE, None, witness=outcome.witness)
+        if witness is None:
+            return KFreeStatus(
+                k, KFREE_EVIDENCE_FREE, quantity, budget=evidence_budget, seed=seed
+            )
+    return KFreeStatus(k, KFREE_EXACT_NOT_FREE, None, witness=witness)
 
 
 def kst_cap(a: BitMatrix, free_a: int) -> tuple[bool, float]:

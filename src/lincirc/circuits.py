@@ -39,7 +39,7 @@ and goes through the grammar, which also raises every error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
@@ -269,7 +269,6 @@ class EliminationResult:
 
     reduced: Circuit
     eliminated: frozenset[int]
-    forwarded_outputs: dict[int, Optional[int]] = field(hash=False)
 
 
 def _forward_zeros(c: Circuit, sigmap: list, gates: list, n: int) -> tuple[Circuit, list[int]]:
@@ -308,8 +307,7 @@ def restrict_zero(c: Circuit, zero_inputs: set[int]) -> EliminationResult:
             raise ValueError(f"unknown input x{z + 1}")
     sigmap = [None if i in zero_inputs else i for i in range(c.n_inputs)]
     reduced, eliminated = _forward_zeros(c, sigmap, [], c.n_inputs)
-    forwarded = dict(enumerate(reduced.outputs))
-    return EliminationResult(reduced, frozenset(eliminated), forwarded)
+    return EliminationResult(reduced, frozenset(eliminated))
 
 
 def _check_composable(outer: AnyCircuit, inner: AnyCircuit) -> None:

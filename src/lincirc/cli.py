@@ -37,7 +37,6 @@ from .circuits import (
 )
 from .matrices import (
     BitMatrix,
-    BudgetExceededError,
     EVIDENCE_BUDGET,
     MAX_CELLS,
     _ascii_size,
@@ -554,9 +553,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"lincirc: {exc}", file=sys.stderr)
         return exc.code
-    except BudgetExceededError as exc:
-        print(f"lincirc: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, OSError) as exc:  # ParseError, DimensionError included
         print(f"lincirc: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -179,7 +179,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .matrices import BitMatrix, _set_bits
+from .matrices import BitMatrix, _Report, _set_bits
 from .circuits import XOR, OR, Circuit, check
 from . import synthesis as _synth
 
@@ -729,28 +729,15 @@ def optimal_size(a: BitMatrix, model: str, limit: int = DEFAULT_LIMIT) -> Search
 
 
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(_Report):
     """Exact optima for every n x n matrix in all three models."""
 
     n: int
     matrices: int
-    histograms: dict  # model -> {size: count}
+    histograms: dict  # model -> {size: count}, sizes ascending
     max_sizes: dict  # model -> worst optimum
     max_ratio_cf_over_xor: float
     ratio_argmax: Optional[str]  # matrix text achieving the max ratio
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "matrices": self.matrices,
-            "histograms": {
-                m: {str(k): v for k, v in sorted(h.items())}
-                for m, h in self.histograms.items()
-            },
-            "max_sizes": dict(self.max_sizes),
-            "max_ratio_cf_over_xor": self.max_ratio_cf_over_xor,
-            "ratio_argmax": self.ratio_argmax,
-        }
 
 
 def census(n: int) -> CensusReport:
@@ -782,4 +769,5 @@ def census(n: int) -> CensusReport:
         if ratio > best_ratio:
             best_ratio = ratio
             best_matrix = mat.to_text()
+    histograms = {m: dict(sorted(h.items())) for m, h in histograms.items()}
     return CensusReport(n, total, histograms, max_sizes, best_ratio, best_matrix)

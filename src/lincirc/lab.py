@@ -8,7 +8,17 @@ Sylvester rank inequality checked on every sampled pair where it can
 bind, and the size of the composed product circuit (fan-in-2 and
 depth-4), which is verified exactly.  The ratio of the k-freeness
 density quantity to the composed gate count is the per-trial proxy for
-the OR-vs-XOR separation.
+the OR-vs-XOR separation; its constant is open.  A path-charging count
+is explicit: read with OR, a cancellation-free circuit for A gives each
+node v an all-ones block O(v) x I(v) of A (outputs reached, inputs
+read), so in a k-free A |I(v)| <= k or |O(v)| <= k.  Charge each one
+(i, j) of a row heavier than k to the wire (u, w) out of the last node u
+with |I(u)| <= k on a path from x_j to y_i.  Then |O(w)| <= k, so each of
+the 2G wires takes at most k^2 ones, in O(w) x I(u): G >= (|A| - L) /
+(2k^2), L counting the ones in rows of weight <= k.  Trial 0 at seed
+20131305 gets 21 gates at n = 128, 64 at 256 and 656 at 1024, against
+about 53n composed: no desk-scale run certifies the gap.  Its measured
+counterpart is the heuristic ratio that :func:`ratio_sweep` reports.
 
 The Sylvester check ``rank_a < rank_b + rank_c - inner`` runs only
 where it can bind, when 2 * krank > inner, krank = min(5 * ceil(log2 n),

@@ -9,9 +9,10 @@ The module also provides the recursive matrix families used throughout
 the package (Sierpinski / set-intersection / Boolean Sylvester-Hadamard,
 each one 2x2 block doubling of :func:`_doubling`), seeded uniform random
 matrices, exact GF(2) rank and rank factorization, exact integer
-determinants, k-freeness checking (exact and heuristic), and the text /
-JSON interchange formats.  Every report dataclass of the package takes
-its JSON form from one base, :class:`_Report`.
+determinants, the exhaustive and randomized all-ones block searches of
+:func:`~lincirc.bounds.kfree_quantity`, and the text / JSON formats.
+Every report dataclass of the package takes its JSON form from one base,
+:class:`_Report`.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ MAX_CELLS = 1 << 24
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A budget or search limit was reached before an answer was proved."""
 
 
 class BitMatrix:
@@ -401,11 +398,6 @@ class Submatrix(NamedTuple):
         return {"rows": list(self.row_idx), "cols": list(self.col_idx)}
 
 
-class KFreeOutcome(NamedTuple):
-    k_free: bool
-    witness: Optional[Submatrix]
-
-
 def _require_freeness_k(k: int) -> None:
     """Refuse k < 1 before any work: |A| / k^2 is undefined at k = 0, and
     the all-ones finder counts no step, so never stops, at k < 0."""
@@ -423,68 +415,48 @@ def _verified_block(a: BitMatrix, s: int, rows: tuple[int, ...], cols: tuple[int
     return Submatrix(rows, cols)
 
 
-def _allones_rows(rows: list[int], s: int, start: int, depth: int, acc: int) -> Optional[list[int]]:
-    """Depth-first step of :func:`_first_allones`.  Module-level, not a
-    nested function: a self-referencing closure is a reference cycle."""
+def _first_allones(rows: list[int], s: int, start=0, depth=0, acc=-1) -> Optional[tuple[list[int], int]]:
+    """Lexicographically first choice of ``s`` rows whose AND keeps >= s
+    ones; returns (row indices, AND mask) or None.  Depth first: ``acc``
+    is the AND of the ``depth`` rows chosen so far (-1 before the first),
+    and the next comes from ``rows[start:]``.  Module-level, not a nested
+    function: a self-referencing closure is a reference cycle."""
     if depth == s:
-        return []
+        return [], acc
     for i in range(start, len(rows) - (s - depth) + 1):
         inter = acc & rows[i]
         if inter.bit_count() >= s:
-            rest = _allones_rows(rows, s, i + 1, depth + 1, inter)
-            if rest is not None:
-                return [i] + rest
+            found = _first_allones(rows, s, i + 1, depth + 1, inter)
+            if found is not None:
+                return [i] + found[0], found[1]
     return None
 
 
-def _first_allones(rows: list[int], s: int) -> Optional[tuple[list[int], int]]:
-    """Lexicographically first choice of ``s`` rows whose AND keeps >= s
-    ones; returns (row indices, AND mask) or None."""
-    full = -1  # all-ones sentinel; AND with first row clips it
-    got = _allones_rows(rows, s, 0, 0, full)
-    if got is None:
-        return None
-    acc = full
-    for i in got:
-        acc &= rows[i]
-    return got, acc
-
-
 def kfree_enumeration_feasible(a: BitMatrix, k: int) -> bool:
-    """Whether :func:`is_k_free_exact` can decide k-freeness: true when
-    the matrix is too small to hold a (k+1) x (k+1) block, or when
-    ``C(min(m,n), k+1) * max(m,n)`` is within :data:`ENUMERATION_BUDGET`."""
+    """Whether :func:`~lincirc.bounds.kfree_quantity` decides exactly, by
+    :func:`_exact_allones`: when A is too small to hold a (k+1) x (k+1)
+    block, or ``C(min(m,n), k+1) * max(m,n)`` is within :data:`ENUMERATION_BUDGET`."""
     _require_freeness_k(k)
     s = k + 1
     small, large = sorted((a.rows, a.cols))
     return small < s or math.comb(small, s) * large <= ENUMERATION_BUDGET
 
 
-def is_k_free_exact(a: BitMatrix, k: int) -> KFreeOutcome:
-    """Exact test for a (k+1) x (k+1) all-ones submatrix, by enumeration
-    over the smaller dimension.
-
-    Refuses k < 1 (``ValueError``), and where :func:`kfree_enumeration_feasible`
-    is false (:class:`BudgetExceededError`); beyond that, use
-    :func:`find_allones_submatrix` for evidence.
-    """
-    s = k + 1
-    if not kfree_enumeration_feasible(a, k):
-        raise BudgetExceededError(
-            f"exact {s}x{s} enumeration infeasible for {a.rows}x{a.cols}; "
-            "use find_allones_submatrix"
-        )
+def _exact_allones(a: BitMatrix, s: int) -> Optional[Submatrix]:
+    """The first s x s all-ones block of ``a``, verified, or None, by
+    :func:`_first_allones` over the rows of the shorter side (a tall
+    matrix is searched as its transpose).  Exponential in s: only
+    ``kfree_quantity`` runs it, where :func:`kfree_enumeration_feasible` holds."""
     transposed = a.rows > a.cols
     mat = a.transpose() if transposed else a
-    found = _first_allones([r for r in mat._data], s)
+    found = _first_allones(list(mat._data), s)
     if found is None:
-        return KFreeOutcome(True, None)
+        return None
     chosen, acc = found
-    rows = tuple(chosen)
-    cols = tuple(_set_bits(acc)[:s])
+    rows, cols = tuple(chosen), tuple(_set_bits(acc)[:s])
     if transposed:
         rows, cols = cols, rows
-    return KFreeOutcome(False, _verified_block(a, s, rows, cols))
+    return _verified_block(a, s, rows, cols)
 
 
 def find_allones_submatrix(

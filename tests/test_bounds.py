@@ -63,6 +63,32 @@ def test_kfree_quantity_statuses():
         assert st.seed == 5 and st.budget == 20_000
 
 
+class _FinderCalled(Exception):
+    pass
+
+
+def test_kfree_quantity_decides_exactly_without_the_finder(monkeypatch):
+    # where enumeration is feasible the verdict is exact, so the
+    # randomized finder must not run on either side of it
+    def refuse(*args, **kwargs):
+        raise _FinderCalled
+
+    monkeypatch.setattr(lc.bounds, "find_allones_submatrix", refuse)
+    tall = lc.BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    cases = [
+        (lc.identity(8), 1, "exact-free"),
+        (lc.gen_hadamard(16), 4, "exact-free"),
+        (lc.gen_sierpinski(8), 1, "exact-not-free"),
+        (tall, 1, "exact-not-free"),
+    ]
+    for a, k, kind in cases:
+        assert lc.matrices.kfree_enumeration_feasible(a, k)
+        assert lc.kfree_quantity(a, k, seed=3).kind == kind
+    # the patch is live: past the enumeration budget the finder runs
+    with pytest.raises(_FinderCalled):
+        lc.kfree_quantity(lc.gen_hadamard(64), 7, seed=3)
+
+
 def test_kfree_quantity_refuses_k_below_one():
     for k in (0, -2):
         with pytest.raises(ValueError, match="k must be"):
@@ -80,12 +106,12 @@ def test_kst_cap():
     rng = SplitMix64(52)
     for _ in range(20):
         m = random_bits_matrix(rng, 5, 5)
-        if lc.is_k_free_exact(m, 1).k_free:
+        if lc.kfree_quantity(m, 1).kind == "exact-free":
             ok, _ = lc.kst_cap(m, 2)
             assert ok  # theorem instance; failure would be a bug
     for _ in range(20):
         m = random_bits_matrix(rng, 6, 6)
-        if lc.is_k_free_exact(m, 2).k_free:
+        if lc.kfree_quantity(m, 2).kind == "exact-free":
             ok, _ = lc.kst_cap(m, 3)
             assert ok
 

@@ -217,7 +217,7 @@ def test_restrict_zero_simple():
     c = Circuit(2, lc.XOR, ((0, 1),), (2,))
     res = lc.restrict_zero(c, {0})
     assert res.eliminated == frozenset({0})
-    assert res.forwarded_outputs == {0: 1}
+    assert res.reduced.outputs == (1,)
     assert lc.matrix_of(res.reduced) == BitMatrix.from_rows([[0, 1]])
     # empty restriction is the identity transform
     res0 = lc.restrict_zero(c, set())
@@ -324,8 +324,7 @@ def _ref_restrict_zero(c: Circuit, zero_inputs: set[int]) -> EliminationResult:
             new_gates.append((ma, mb))
     outputs = tuple(None if o is None else sigmap[o] for o in c.outputs)
     reduced = Circuit(c.n_inputs, c.connective, tuple(new_gates), outputs)
-    forwarded = {i: outputs[i] for i in range(len(c.outputs))}
-    return EliminationResult(reduced, frozenset(eliminated), forwarded)
+    return EliminationResult(reduced, frozenset(eliminated))
 
 
 def _ref_compose(outer: Circuit, inner: Circuit) -> Circuit:

@@ -107,12 +107,12 @@ def test_trial_computes_each_quantity_once(monkeypatch):
     # is flattened once for both verification and its CF flag, and one
     # all-ones search per question: A's (inside kfree_quantity) and its
     # complement's; at n = 256 exact k-freeness is out of reach, so
-    # kfree_quantity never calls is_k_free_exact; 50 ranks for each
+    # kfree_quantity never runs the exhaustive search; 50 ranks for each
     # factor's statistics make 100, and at c = 14 the Sylvester check
     # cannot bind (2 * krank <= inner), so it adds none
     counted = (
         lc.mul_gf2, lc.flatten, lc.verify, lc.is_cancellation_free, lc.find_allones_submatrix,
-        lc.is_k_free_exact, lc.rank_gf2, lc.gen_random,
+        lc.matrices._first_allones, lc.rank_gf2, lc.gen_random,
     )
     calls = Counter()
 
@@ -133,7 +133,7 @@ def test_trial_computes_each_quantity_once(monkeypatch):
         "mul_gf2": 3, "flatten": 3, "verify": 6, "is_cancellation_free": 6,
         "find_allones_submatrix": 2, "rank_gf2": 100, "gen_random": 2,
     }
-    assert calls["is_k_free_exact"] == 0
+    assert calls["_first_allones"] == 0
 
 
 def _trial_rank_calls(monkeypatch, cfg, rank):

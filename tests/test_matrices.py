@@ -236,51 +236,59 @@ def test_popcount():
     assert lc.popcount(lc.example_b()) == 22
 
 
-def test_is_k_free_exact_examples():
-    assert lc.is_k_free_exact(lc.identity(6), 1).k_free
-    assert lc.is_k_free_exact(lc.identity(6), 3).k_free
-    got = lc.is_k_free_exact(lc.gen_sierpinski(4), 1)
-    assert not got.k_free
+def _exact_status(a: BitMatrix, k: int):
+    """``kfree_quantity(a, k)``, checked to come from its exact path."""
+    assert kfree_enumeration_feasible(a, k)
+    got = lc.kfree_quantity(a, k)
+    assert got.kind in ("exact-free", "exact-not-free")
+    return got
+
+
+def test_kfree_quantity_exact_examples():
+    assert _exact_status(lc.identity(6), 1).kind == "exact-free"
+    assert _exact_status(lc.identity(6), 3).kind == "exact-free"
+    got = _exact_status(lc.gen_sierpinski(4), 1)
+    assert got.kind == "exact-not-free"
     assert got.witness.row_idx == (1, 3) and got.witness.col_idx == (0, 1)
-    assert not lc.is_k_free_exact(lc.ones(3, 3), 2).k_free
+    assert _exact_status(lc.ones(3, 3), 2).kind == "exact-not-free"
 
 
-def test_is_k_free_exact_against_brute_force():
+def test_kfree_quantity_exact_against_brute_force():
     rng = SplitMix64(88)
     for _ in range(30):
         a = random_bits_matrix(rng, 6, 6)
         for k in (1, 2):
-            got = lc.is_k_free_exact(a, k)
-            assert got.k_free == (not ref_has_allones(a, k + 1))
+            got = _exact_status(a, k)
+            assert (got.kind == "exact-free") == (not ref_has_allones(a, k + 1))
             if got.witness is not None:
                 for i in got.witness.row_idx:
                     for j in got.witness.col_idx:
                         assert a.entry(i, j) == 1
 
 
-def test_is_k_free_exact_witness_on_a_tall_matrix():
+def test_kfree_quantity_exact_witness_on_a_tall_matrix():
     # more rows than columns: the search runs on the transpose and hands
     # the witness back in the original orientation
     a = BitMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 0, 1], [0, 0, 0], [1, 1, 1]])
-    got = lc.is_k_free_exact(a, 1)
-    assert not got.k_free and ref_has_allones(a, 2)
+    got = _exact_status(a, 1)
+    assert got.kind == "exact-not-free" and ref_has_allones(a, 2)
     assert got.witness == lc.Submatrix((3, 5), (0, 2))
     rng = SplitMix64(89)
     for _ in range(20):
         a = random_bits_matrix(rng, 9, 5)
-        got = lc.is_k_free_exact(a, 1)
-        assert got.k_free == (not ref_has_allones(a, 2))
+        got = _exact_status(a, 1)
+        assert (got.kind == "exact-free") == (not ref_has_allones(a, 2))
         if got.witness is not None:
             assert all(a.entry(i, j) for i in got.witness.row_idx for j in got.witness.col_idx)
 
 
 @pytest.mark.parametrize("found", [([0, 1], 0b11), ([0], 0b1)], ids=["not-all-ones", "too-small"])
-def test_is_k_free_exact_checks_its_witness(monkeypatch, found):
+def test_kfree_quantity_exact_checks_its_witness(monkeypatch, found):
     # a returned witness is a proof, so a wrong block from the search
     # must raise instead of coming back as a Submatrix
     monkeypatch.setattr(lc.matrices, "_first_allones", lambda rows, s: found)
     with pytest.raises(RuntimeError, match="does not verify"):
-        lc.is_k_free_exact(lc.identity(4), 1)
+        lc.kfree_quantity(lc.identity(4), 1)
 
 
 def test_find_allones_submatrix_checks_its_witness(monkeypatch):
@@ -293,8 +301,6 @@ def test_find_allones_submatrix_checks_its_witness(monkeypatch):
 
 def test_is_k_free_budget_refusal():
     big = lc.ones(4096, 4096)
-    with pytest.raises(lc.BudgetExceededError):
-        lc.is_k_free_exact(big, 16)
     assert not kfree_enumeration_feasible(big, 16)
     assert not kfree_enumeration_feasible(lc.ones(256, 256), 16)
     assert kfree_enumeration_feasible(lc.ones(16, 16), 8)
@@ -316,9 +322,8 @@ def test_find_allones_submatrix():
     for _ in range(20):
         a = random_bits_matrix(rng, 7, 7)
         w = lc.find_allones_submatrix(a, 1, budget=2000, seed=5)
-        exact = lc.is_k_free_exact(a, 1)
         if w is not None:
-            assert not exact.k_free
+            assert _exact_status(a, 1).kind == "exact-not-free"
 
 
 def _scalar_allones_search(a: BitMatrix, k: int, budget: int, seed: int):
@@ -399,7 +404,7 @@ def test_kfree_searches_refuse_k_below_one():
         with pytest.raises(ValueError, match="k must be"):
             lc.find_allones_submatrix(lc.ones(4, 4), k, budget=100, seed=0)
         with pytest.raises(ValueError, match="k must be"):
-            lc.is_k_free_exact(lc.ones(4, 4), k)
+            lc.kfree_quantity(lc.ones(4, 4), k)
         with pytest.raises(ValueError, match="k must be"):
             kfree_enumeration_feasible(lc.ones(4, 4), k)
 

@@ -27,7 +27,7 @@ def test_recursive_searches_leave_no_reference_cycles():
     calls = [
         lambda: lincirc.boyar_peralta(lincirc.gen_random(9, 9, 3)),
         lambda: lincirc.sierpinski_circuit(256),
-        lambda: lincirc.is_k_free_exact(lincirc.gen_random(12, 12, 5), 2),
+        lambda: lincirc.kfree_quantity(lincirc.gen_random(12, 12, 5), 2),
         lambda: lincirc.optimal_size(lincirc.example_a(), "XOR"),
         # the SLP reader's resolver is a closure too
         lambda: lincirc.slp_loads(lincirc.slp_dumps(lincirc.sierpinski_circuit(16).circuit)),
